@@ -33,7 +33,6 @@ from .model import (
 )
 from .asym import (
     SolverConfig,
-    Theorem4Solution,
     Theorem5Solution,
     attacker_best_channel,
     bayes_decoder_gain,

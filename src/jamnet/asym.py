@@ -18,13 +18,10 @@ from scipy.optimize import brentq
 
 from .model import (
     AdversaryStrategy,
-    CoordinatedNoise,
     DegenerateInput,
     EmptyAdversarySet,
     EquilibriumReport,
-    GeneralLinearGaussian,
     IndependentNoise,
-    InvalidProfile,
     InvalidScenario,
     LinearMirror,
     NetworkScenario,
@@ -49,16 +46,6 @@ class SolverConfig:
 
 
 @dataclasses.dataclass(frozen=True)
-class Theorem4Solution:
-    lambda1: float
-    lambda2: float
-    coeffs: tuple[float, ...]
-    attacker_index: int | None
-    attacker_received_power: float
-    cost: float
-
-
-@dataclasses.dataclass(frozen=True)
 class Theorem5Solution:
     lambda1: float
     lambda2: float
@@ -80,29 +67,19 @@ def _adversary_output_stats(
     Returns (signal_coeff, own_noise_var, jam_var) where the received
     adversary sum is signal_coeff*S + (own sensing-noise part with variance
     own_noise_var) + (source-independent jamming with variance jam_var).
-    Coordinated jamming components add amplitudes before squaring; independent
-    ones add variances.
+    Jamming amplitudes add within one noise index before squaring; the
+    indices' variances add.
     """
-    alphas = [p.alpha for p in s.adversaries]
-    if isinstance(strategy, CoordinatedNoise):
-        n = strategy.coordinated_count
-        n = len(alphas) if n is None else n
-        amp = sum(alphas[:n]) * math.sqrt(strategy.variance)
-        jam = amp * amp + sum(a * a for a in alphas[n:]) * strategy.variance
-        return 0.0, 0.0, jam
-    if isinstance(strategy, IndependentNoise):
-        jam = sum(a * a * v for a, v in zip(alphas, strategy.variances))
-        return 0.0, 0.0, jam
-    if isinstance(strategy, LinearMirror):
-        sig = sum(a * c * p.beta for a, c, p in zip(alphas, strategy.coeffs, s.adversaries))
-        own = sum(a * a * c * c for a, c in zip(alphas, strategy.coeffs))
-        return sig, own, 0.0
-    if isinstance(strategy, GeneralLinearGaussian):
-        sig = sum(alpha * a for alpha, (a, _, _) in zip(alphas, strategy.triples))
-        own = sum(alpha * alpha * b * b for alpha, (_, b, _) in zip(alphas, strategy.triples))
-        jam = sum(alpha * alpha * ss * ss for alpha, (_, _, ss) in zip(alphas, strategy.triples))
-        return sig, own, jam
-    raise InvalidProfile(f"unknown adversary strategy {strategy!r}")
+    rows, n_noises = strategy.lower(s.adversaries)
+    sig = own = 0.0
+    amps = [0.0] * n_noises
+    for p, (a, b, ss, j) in zip(s.adversaries, rows):
+        alpha = p.alpha
+        sig += alpha * a
+        own += alpha * alpha * b * b
+        if ss:
+            amps[j] += alpha * ss
+    return sig, own, sum(amp * amp for amp in amps)
 
 
 def channel_moments(s: NetworkScenario, p: StrategyProfile) -> tuple[float, float]:
@@ -242,20 +219,6 @@ def solve_theorem4(s: NetworkScenario) -> EquilibriumReport:
         kkt_residuals=residuals,
         oracle_cost=oracle,
         discrepancy_notes=notes,
-    )
-
-
-def theorem4_solution(s: NetworkScenario) -> Theorem4Solution:
-    report = solve_theorem4(s)
-    mult = report.multipliers
-    idx = mult.get("attacker_index")
-    return Theorem4Solution(
-        lambda1=mult["lambda1"],
-        lambda2=mult["lambda2"],
-        coeffs=report.profile.transmit_coeffs,
-        attacker_index=None if idx is None else int(idx),
-        attacker_received_power=mult["attacker_received_power"],
-        cost=report.cost,
     )
 
 

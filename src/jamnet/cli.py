@@ -52,12 +52,17 @@ _TOP_KEYS = {
 }
 _MC_KEYS = {"samples", "seed", "chunks"}
 _SWEEP_KEYS = {"param", "from", "to", "steps"}
+_SYMMETRIC = frozenset(s for s in Setting if s.is_symmetric)
+_ASYMMETRIC = frozenset(Setting) - _SYMMETRIC
+# Sweep param -> settings whose scenario it changes.  ``rate``/``rho`` are
+# axes of ceo-curve/maxcorr, not scenario fields, so no sweep command takes them.
 _SWEEP_PARAMS = {
-    "sum_power_attack", "P_A",
-    "sum_power_transmit", "P_T",
-    "power", "P",
-    "alpha", "beta", "epsilon", "eta",
-    "rate", "rho",
+    "sum_power_attack": _ASYMMETRIC, "P_A": _ASYMMETRIC,
+    "sum_power_transmit": _ASYMMETRIC, "P_T": _ASYMMETRIC,
+    "power": _SYMMETRIC, "P": _SYMMETRIC,
+    "alpha": frozenset(Setting), "beta": frozenset(Setting),
+    "epsilon": frozenset({Setting.SYM_III}), "eta": frozenset({Setting.SYM_III}),
+    "rate": frozenset(), "rho": frozenset(),
 }
 
 
@@ -95,6 +100,26 @@ def _require_keys(d: dict, allowed: set[str], where: str) -> None:
         raise ParseError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value, where: str):
+    """``value`` if it is a JSON number that fits a float, else ParseError."""
+    if not (_is_int(value) or isinstance(value, float)):
+        raise ParseError(f"{where} must be a number, got {json.dumps(value)}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ParseError(f"{where} is out of range") from None
+    return value
+
+
+def _sensor(node: dict, where: str) -> SensorParams:
+    return SensorParams(**{key: _number(node[key], f"{where}.{key}")
+                           for key in ("alpha", "beta", "power")})
+
+
 def _parse_sensors(node, where: str) -> tuple[SensorParams, ...]:
     def one(entry, where_entry: str) -> SensorParams:
         if not isinstance(entry, dict):
@@ -103,7 +128,7 @@ def _parse_sensors(node, where: str) -> tuple[SensorParams, ...]:
         for key in ("alpha", "beta", "power"):
             if key not in entry:
                 raise ParseError(f"{where_entry} missing '{key}'")
-        return SensorParams(alpha=entry["alpha"], beta=entry["beta"], power=entry["power"])
+        return _sensor(entry, where_entry)
 
     if isinstance(node, dict):
         _require_keys(node, {"count", "alpha", "beta", "power"}, where)
@@ -111,10 +136,9 @@ def _parse_sensors(node, where: str) -> tuple[SensorParams, ...]:
             if key not in node:
                 raise ParseError(f"{where} shorthand missing '{key}'")
         count = node["count"]
-        if not isinstance(count, int) or count < 0:
+        if not _is_int(count) or count < 0:
             raise ParseError(f"{where}.count must be a nonnegative integer")
-        sensor = SensorParams(alpha=node["alpha"], beta=node["beta"], power=node["power"])
-        return (sensor,) * count
+        return (_sensor(node, where),) * count
     if isinstance(node, list):
         return tuple(one(entry, f"{where}[{i}]") for i, entry in enumerate(node))
     raise ParseError(f"{where} must be a list of sensors or a count shorthand")
@@ -152,15 +176,11 @@ def parse_config(document: str, command: str) -> RunConfig:
         if "eta" not in raw:
             raise ParseError("eta required for SymIII")
 
+    optional = {key: None if raw.get(key) is None else _number(raw[key], key)
+                for key in ("sum_power_transmit", "sum_power_attack", "epsilon", "eta")}
     scenario = validate_scenario(
         NetworkScenario(
-            transmitters=transmitters,
-            adversaries=adversaries,
-            setting=setting,
-            sum_power_transmit=raw.get("sum_power_transmit"),
-            sum_power_attack=raw.get("sum_power_attack"),
-            epsilon=raw.get("epsilon"),
-            eta=raw.get("eta"),
+            transmitters=transmitters, adversaries=adversaries, setting=setting, **optional
         )
     )
 
@@ -174,11 +194,11 @@ def parse_config(document: str, command: str) -> RunConfig:
             raise ParseError("monte_carlo requires 'samples' and 'seed'")
         samples, seed = node["samples"], node["seed"]
         chunks = node.get("chunks", 1)
-        if not isinstance(samples, int) or samples < 1:
+        if not _is_int(samples) or samples < 1:
             raise ParseError("monte_carlo.samples must be a positive integer")
-        if not isinstance(seed, int) or not 0 <= seed < 2**64:
+        if not _is_int(seed) or not 0 <= seed < 2**64:
             raise ParseError("monte_carlo.seed must be an unsigned 64-bit integer")
-        if not isinstance(chunks, int) or chunks < 1:
+        if not _is_int(chunks) or chunks < 1:
             raise ParseError("monte_carlo.chunks must be a positive integer")
         mc = MonteCarloConfig(samples=samples, seed=seed, chunks=chunks)
 
@@ -191,13 +211,16 @@ def parse_config(document: str, command: str) -> RunConfig:
         for key in _SWEEP_KEYS:
             if key not in node:
                 raise ParseError(f"sweep requires '{key}'")
-        if node["param"] not in _SWEEP_PARAMS:
-            raise ParseError(f"unknown sweep param {node['param']!r}")
+        param = node["param"]
+        if not isinstance(param, str) or param not in _SWEEP_PARAMS:
+            raise ParseError(f"unknown sweep param {param!r}")
+        if command == "sweep" and setting not in _SWEEP_PARAMS[param]:
+            raise ParseError(f"sweep param {param!r} does not apply to {setting.value}")
         steps = node["steps"]
-        if not isinstance(steps, int) or steps < 1:
+        if not _is_int(steps) or steps < 1:
             raise ParseError("sweep.steps must be a positive integer")
-        sweep = SweepConfig(param=node["param"], start=float(node["from"]),
-                            stop=float(node["to"]), steps=steps)
+        sweep = SweepConfig(param=param, start=float(_number(node["from"], "sweep.from")),
+                            stop=float(_number(node["to"], "sweep.to")), steps=steps)
 
     if command == "simulate" and mc is None:
         raise ParseError("simulate requires a monte_carlo block")
@@ -226,12 +249,6 @@ def equilibrium_report(s: NetworkScenario, solver_cfg=None):
     return asym.solve_theorem5(s, solver_cfg)
 
 
-def _symmetric_params(s: NetworkScenario):
-    sensors = s.transmitters + s.adversaries
-    p = sensors[0]
-    return p.alpha, p.beta, p.power
-
-
 def _report_to_json(report) -> dict:
     return {
         "cost": report.cost,
@@ -256,7 +273,7 @@ def _run_closed_form(cfg: RunConfig):
     if not s.setting.is_symmetric:
         raise InvalidScenario("closed-form handles the symmetric settings; use solve-asym")
     report = equilibrium_report(s)
-    alpha, beta, power = _symmetric_params(s)
+    alpha, beta, power = symmetric._common_params(s)
     rows = [[s.setting.value, s.num_transmitters, s.num_adversaries,
              alpha, beta, power, report.cost, report.oracle_cost]]
     header = ["setting", "M", "K", "alpha", "beta", "P", "cost_printed", "cost_oracle"]

@@ -133,6 +133,21 @@ class NetworkScenario:
         return len(self.adversaries)
 
 
+# Every adversary strategy lowers to one linear-Gaussian form: adversary k
+# sends X_k = a_k*S + b_k*W_k + s_k*theta_{j_k}, where theta_0..theta_{J-1}
+# are independent unit normals drawn in index order and adversaries with the
+# same j share one realization.  ``lower`` returns the rows (a_k, b_k, s_k,
+# j_k) and J; j_k is unused where s_k = 0.  The oracle, the Monte Carlo and
+# the power checks read only this form.
+LoweredStrategy = tuple[list[tuple[float, float, float, int]], int]
+
+
+def _noise_amplitude(variance: float) -> float:
+    if not variance >= 0.0:
+        raise InvalidProfile("adversary output second moments must be finite and >= 0")
+    return math.sqrt(variance)
+
+
 @dataclasses.dataclass(frozen=True)
 class CoordinatedNoise:
     """Source-independent Gaussian jamming; the first ``coordinated_count``
@@ -142,6 +157,16 @@ class CoordinatedNoise:
     variance: float
     coordinated_count: int | None = None
 
+    def lower(self, adversaries: tuple[SensorParams, ...]) -> LoweredStrategy:
+        """Shared theta_0 for the coordinated prefix, theta_1..theta_{K-n} for
+        the rest; theta_0 is drawn even when no adversary coordinates."""
+        K = len(adversaries)
+        n = K if self.coordinated_count is None else self.coordinated_count
+        if not 0 <= n <= K:
+            raise InvalidProfile(f"coordinated_count must lie in [0, {K}]")
+        s = _noise_amplitude(self.variance)
+        return [(0.0, 0.0, s, max(0, k - n + 1)) for k in range(K)], 1 + K - n
+
 
 @dataclasses.dataclass(frozen=True)
 class IndependentNoise:
@@ -149,12 +174,25 @@ class IndependentNoise:
 
     variances: tuple[float, ...]
 
+    def lower(self, adversaries: tuple[SensorParams, ...]) -> LoweredStrategy:
+        """Adversary k on its own theta_k, zero-variance slots included."""
+        if len(self.variances) != len(adversaries):
+            raise InvalidProfile("IndependentNoise needs one variance per adversary")
+        rows = [(0.0, 0.0, _noise_amplitude(v), k) for k, v in enumerate(self.variances)]
+        return rows, len(rows)
+
 
 @dataclasses.dataclass(frozen=True)
 class LinearMirror:
     """Adversary k transmits coeffs[k] * U_k (uncoded linear)."""
 
     coeffs: tuple[float, ...]
+
+    def lower(self, adversaries: tuple[SensorParams, ...]) -> LoweredStrategy:
+        """c_k*U_k = c_k*beta_k*S + c_k*W_k; no noise of its own."""
+        if len(self.coeffs) != len(adversaries):
+            raise InvalidProfile("LinearMirror needs one coefficient per adversary")
+        return [(c * p.beta, c, 0.0, 0) for c, p in zip(self.coeffs, adversaries)], 0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -164,6 +202,12 @@ class GeneralLinearGaussian:
     best-response searches."""
 
     triples: tuple[tuple[float, float, float], ...]
+
+    def lower(self, adversaries: tuple[SensorParams, ...]) -> LoweredStrategy:
+        """The triples as given, adversary k on its own theta_k."""
+        if len(self.triples) != len(adversaries):
+            raise InvalidProfile("GeneralLinearGaussian needs one triple per adversary")
+        return [(a, b, s, k) for k, (a, b, s) in enumerate(self.triples)], len(self.triples)
 
 
 AdversaryStrategy = Union[
@@ -346,30 +390,13 @@ def adversary_second_moments(
     s: NetworkScenario, strategy: AdversaryStrategy
 ) -> list[float]:
     """Per-adversary transmitted second moments E{X_k^2} under ``strategy``."""
-    K = s.num_adversaries
-    if isinstance(strategy, CoordinatedNoise):
-        return [strategy.variance] * K
-    if isinstance(strategy, IndependentNoise):
-        if len(strategy.variances) != K:
-            raise InvalidProfile("IndependentNoise needs one variance per adversary")
-        return list(strategy.variances)
-    if isinstance(strategy, LinearMirror):
-        if len(strategy.coeffs) != K:
-            raise InvalidProfile("LinearMirror needs one coefficient per adversary")
-        return [
-            c * c * s.adversaries[k].input_second_moment
-            for k, c in enumerate(strategy.coeffs)
-        ]
-    if isinstance(strategy, GeneralLinearGaussian):
-        if len(strategy.triples) != K:
-            raise InvalidProfile("GeneralLinearGaussian needs one triple per adversary")
-        return [a * a + b * b + ss * ss for (a, b, ss) in strategy.triples]
-    raise InvalidProfile(f"unknown adversary strategy {strategy!r}")
+    rows, _ = strategy.lower(s.adversaries)
+    return [a * a + b * b + ss * ss for a, b, ss, _ in rows]
 
 
 def validate_profile(s: NetworkScenario, p: StrategyProfile) -> StrategyProfile:
     """Check the profile against the scenario's power budgets (tol 1e-9)."""
-    M, K = s.num_transmitters, s.num_adversaries
+    M = s.num_transmitters
     if len(p.transmit_coeffs) != M:
         raise InvalidProfile(f"expected {M} transmit coefficients, got {len(p.transmit_coeffs)}")
     for c in p.transmit_coeffs:
@@ -383,13 +410,8 @@ def validate_profile(s: NetworkScenario, p: StrategyProfile) -> StrategyProfile:
         for m, c in enumerate(p.transmit_coeffs)
     ]
     adv_moments = adversary_second_moments(s, p.adversary)
-    if any(v < 0 or not math.isfinite(v) for v in adv_moments):
+    if not all(math.isfinite(v) for v in adv_moments):
         raise InvalidProfile("adversary output second moments must be finite and >= 0")
-
-    if isinstance(p.adversary, CoordinatedNoise):
-        n = p.adversary.coordinated_count
-        if n is not None and not 0 <= n <= K:
-            raise InvalidProfile(f"coordinated_count must lie in [0, {K}]")
 
     if s.setting.is_symmetric:
         for m, used in enumerate(tx_moments):
@@ -455,19 +477,7 @@ def scenario_from_dict(d: Mapping) -> NetworkScenario:
 
 
 def adversary_strategy_to_dict(a: AdversaryStrategy) -> dict:
-    if isinstance(a, CoordinatedNoise):
-        return {
-            "kind": "CoordinatedNoise",
-            "variance": a.variance,
-            "coordinated_count": a.coordinated_count,
-        }
-    if isinstance(a, IndependentNoise):
-        return {"kind": "IndependentNoise", "variances": list(a.variances)}
-    if isinstance(a, LinearMirror):
-        return {"kind": "LinearMirror", "coeffs": list(a.coeffs)}
-    if isinstance(a, GeneralLinearGaussian):
-        return {"kind": "GeneralLinearGaussian", "triples": [list(t) for t in a.triples]}
-    raise InvalidProfile(f"unknown adversary strategy {a!r}")
+    return {"kind": type(a).__name__, **dataclasses.asdict(a)}
 
 
 def profile_to_dict(p: StrategyProfile) -> dict:

@@ -6,6 +6,13 @@ order, so the result is bit-identical for any chunk count and any degree of
 parallelism.  The ``chunks`` knob only groups blocks for thread-pool
 execution (capped by the JAMNET_THREADS environment variable).
 
+Per block of n samples the draws are, in order: the source (n normals), the
+M+K sensing noises (transmitters first, then adversaries; n each), the
+channel noise (n), the randomization coin (n uniforms), then the adversary
+strategy's J noises theta_0..theta_{J-1} (n each) from its linear-Gaussian
+form (see ``model``): J = 1+K-n_coord for CoordinatedNoise, K for
+IndependentNoise and GeneralLinearGaussian, 0 for LinearMirror.
+
 The verification half probes the two saddle inequalities: a grid sweep over
 the linear-Gaussian deviation class for the adversary (maximizer) and
 projected random perturbations with exact follower re-solves for the
@@ -89,9 +96,8 @@ def _simulate_block(
 ) -> tuple[float, float]:
     """Sum of squared errors and of their squares for one sample block.
 
-    Draw order per block is fixed (source, sensing noises, channel noise,
-    coordination coin, strategy-specific noises) so results are reproducible
-    for a given (seed, block) pair.
+    Draw order per block is fixed (see the module docstring) so results are
+    reproducible for a given (seed, block) pair.
     """
     g = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
     M, K = s.num_transmitters, s.num_adversaries
@@ -111,29 +117,17 @@ def _simulate_block(
         tx *= gamma
     y += tx
 
-    adv = p.adversary
-    if isinstance(adv, CoordinatedNoise):
-        n_coord = K if adv.coordinated_count is None else adv.coordinated_count
-        scale = math.sqrt(adv.variance)
+    rows, n_noises = p.adversary.lower(s.adversaries)
+    amps = [0.0] * n_noises
+    for k, (params, (a, b, ss, j)) in enumerate(zip(s.adversaries, rows)):
+        if a or b:
+            y += params.alpha * a * src + params.alpha * b * w[M + k]
+        if ss:
+            amps[j] += params.alpha * ss
+    for amp in amps:
         theta = g.standard_normal(n)
-        amp = sum(params.alpha for params in s.adversaries[:n_coord])
-        y += amp * scale * theta
-        for k in range(n_coord, K):
-            y += s.adversaries[k].alpha * scale * g.standard_normal(n)
-    elif isinstance(adv, IndependentNoise):
-        for k, var in enumerate(adv.variances):
-            y += s.adversaries[k].alpha * math.sqrt(var) * g.standard_normal(n)
-    elif isinstance(adv, LinearMirror):
-        for k, c in enumerate(adv.coeffs):
-            params = s.adversaries[k]
-            y += params.alpha * c * (params.beta * src + w[M + k])
-    elif isinstance(adv, GeneralLinearGaussian):
-        thetas = g.standard_normal((K, n))
-        for k, (a, b, ss) in enumerate(adv.triples):
-            params = s.adversaries[k]
-            y += params.alpha * (a * src + b * w[M + k] + ss * thetas[k])
-    else:
-        raise InvalidProfile(f"unknown adversary strategy {adv!r}")
+        if amp:
+            y += amp * theta
 
     decoded = p.decoder_gain * (gamma * y if p.randomized else y)
     err2 = (src - decoded) ** 2

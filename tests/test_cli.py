@@ -175,3 +175,47 @@ def test_verify_command(tmp_path):
     tx = payload["transmitter_check"]
     assert adv["best_deviation_cost"] <= adv["base_cost"] + 1e-3
     assert tx["best_deviation_cost"] >= tx["base_cost"] - 1e-8
+
+
+_ASYM_BUDGETS = {"setting": "AsymI", "sum_power_transmit": 2.0, "sum_power_attack": 1.0}
+_SYM3_FRACTIONS = {"setting": "SymIII", "epsilon": 0.5, "eta": 1.0}
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("closed-form", {"transmitters": {"count": 2, "alpha": "x", "beta": 1.0, "power": 1.0}}),
+        ("closed-form", {"adversaries": [{"alpha": None, "beta": 1.0, "power": 1.0}]}),
+        ("solve-asym", {**_ASYM_BUDGETS, "sum_power_transmit": "3"}),
+        ("closed-form", {**_SYM3_FRACTIONS, "epsilon": "a"}),
+        ("closed-form", {"transmitters": {"count": True, "alpha": 1.0, "beta": 1.0, "power": 1.0}}),
+        ("simulate", {"monte_carlo": {"samples": 100, "seed": True}}),
+        ("closed-form", {"transmitters": {"count": 2, "alpha": 10**400, "beta": 1.0, "power": 1.0}}),
+    ],
+    ids=["alpha-string", "alpha-null", "P_T-string", "epsilon-string", "count-bool", "seed-bool",
+         "alpha-int-overflow"],
+)
+def test_bad_numbers_exit_1_with_one_line(tmp_path, capsys, command, overrides):
+    cfg = _write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("jamnet: invalid config:")
+
+
+@pytest.mark.parametrize(
+    "overrides, param",
+    [
+        ({"setting": "SymII"}, "epsilon"),
+        ({"setting": "SymI"}, "eta"),
+        (_ASYM_BUDGETS, "eta"),
+        ({}, "P_A"),
+        (_ASYM_BUDGETS, "P"),
+        ({}, "rate"),
+    ],
+)
+def test_sweep_rejects_params_that_do_not_apply(tmp_path, capsys, overrides, param):
+    cfg = _write_config(
+        tmp_path, **overrides, sweep={"param": param, "from": 0.0, "to": 1.0, "steps": 3}
+    )
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert "does not apply" in capsys.readouterr().err

@@ -1,0 +1,180 @@
+"""Golden CLI outputs: one small config per command and setting.
+
+Each case runs ``jamnet.cli.main`` and compares the exit code, the CSV and
+the JSON report with the files recorded under ``tests/golden/``.  Exit codes,
+CSV headers, integers and strings must match exactly; every other number must
+match within 1e-12, absolute or relative.  Numeric literals inside
+discrepancy notes are masked, and notes that become identical after masking
+are collapsed, so last-digit float drift in a note neither fails the
+comparison nor changes the count of deduplicated sweep notes.
+
+To re-record after an intended output change, run from the repo root:
+
+    PYTHONPATH=src python tests/test_golden_outputs.py
+"""
+
+import csv
+import io
+import json
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from jamnet.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+EXIT_CODES = GOLDEN_DIR / "exit_codes.json"
+TOL = 1e-12
+_INT = re.compile(r"-?\d+")
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _uniform(count, alpha, beta, power=1.0):
+    return {"count": count, "alpha": alpha, "beta": beta, "power": power}
+
+
+def _sensors(*gains):
+    return [{"alpha": a, "beta": b, "power": 0.0} for a, b in gains]
+
+
+_SYM1 = {"setting": "SymI", "transmitters": _uniform(3, 1.3, 0.7, 1.5),
+         "adversaries": _uniform(1, 1.3, 0.7, 1.5)}
+_SYM2 = {"setting": "SymII", "transmitters": _uniform(4, 0.9, 1.2),
+         "adversaries": _uniform(2, 0.9, 1.2)}
+
+
+def _sym3(epsilon, eta):
+    return {"setting": "SymIII", "transmitters": _uniform(4, 0.9, 1.2),
+            "adversaries": _uniform(2, 0.9, 1.2), "epsilon": epsilon, "eta": eta}
+
+
+# AsymI's best channel is adversary 1 (k* > 0).
+_ASYM1 = {"setting": "AsymI",
+          "transmitters": _sensors((1.0, 0.8), (0.6, 1.5), (1.7, 0.4)),
+          "adversaries": _sensors((0.6, 1.1), (1.4, 0.9), (0.9, 1.3)),
+          "sum_power_transmit": 3.0, "sum_power_attack": 0.8}
+_ASYM2 = {"setting": "AsymII",
+          "transmitters": _sensors((1.0, 0.8), (0.6, 1.5), (1.7, 0.4)),
+          "adversaries": _sensors((0.7, 1.1), (1.2, 0.9)),
+          "sum_power_transmit": 3.0, "sum_power_attack": 0.5}
+_ASYM2_DIVERGENT = {"setting": "AsymII", "transmitters": _uniform(1, 1.0, 1.0),
+                    "adversaries": _uniform(1, 1.0, 1.0),
+                    "sum_power_transmit": 0.1, "sum_power_attack": 50.0}
+
+_MC = {"monte_carlo": {"samples": 70_000, "seed": 11}}
+
+
+def _sweep(param, start, stop):
+    return {"sweep": {"param": param, "from": start, "to": stop, "steps": 3}}
+
+
+CASES = {
+    "closed_form_sym1": ("closed-form", _SYM1),
+    "closed_form_sym2": ("closed-form", _SYM2),
+    "closed_form_sym3_saddle": ("closed-form", _sym3(0.75, 0.5)),
+    "closed_form_sym3_stackelberg": ("closed-form", _sym3(0.25, 0.5)),
+    "solve_asym_asym1": ("solve-asym", _ASYM1),
+    "solve_asym_asym2": ("solve-asym", _ASYM2),
+    "solve_asym_asym2_nonconvergence": ("solve-asym", _ASYM2_DIVERGENT),
+    "simulate_sym1": ("simulate", {**_SYM1, **_MC}),
+    "simulate_sym2": ("simulate", {**_SYM2, **_MC}),
+    "simulate_sym3_eta0": ("simulate", {**_sym3(0.75, 0.0), **_MC}),
+    "simulate_sym3_eta_half": ("simulate", {**_sym3(0.75, 0.5), **_MC}),
+    "simulate_asym1": ("simulate", {**_ASYM1, **_MC}),
+    "simulate_asym2": ("simulate", {**_ASYM2, **_MC}),
+    "verify_sym1": ("verify", _SYM1),
+    "verify_sym2": ("verify", _SYM2),
+    "verify_sym3": ("verify", _sym3(0.75, 0.5)),
+    "verify_asym1": ("verify", _ASYM1),
+    "verify_asym2": ("verify", _ASYM2),
+    "sweep_sym1": ("sweep", {**_SYM1, **_sweep("alpha", 0.5, 1.5)}),
+    "sweep_sym2": ("sweep", {**_SYM2, **_sweep("beta", 0.5, 2.0)}),
+    "sweep_sym3": ("sweep", {**_sym3(0.5, 0.5), **_sweep("epsilon", 0.5, 1.0)}),
+    "sweep_asym1": ("sweep", {**_ASYM1, **_sweep("P_A", 0.0, 2.0)}),
+    "sweep_asym2": ("sweep", {**_ASYM2, **_sweep("P_T", 2.0, 4.0)}),
+    "ceo_curve": ("ceo-curve", {**_ASYM1, **_sweep("rate", 0.0, 2.0)}),
+    "maxcorr": ("maxcorr", {**_SYM1, **_sweep("rho", 0.0, 0.8)}),
+}
+
+
+def _run(name, tmp_path):
+    command, config = CASES[name]
+    cfg_path = tmp_path / f"{name}.cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / name)])
+    csv_path = tmp_path / f"{name}.csv"
+    csv_text = csv_path.read_text() if csv_path.exists() else None
+    return code, csv_text, (tmp_path / f"{name}.json").read_text()
+
+
+def _close(a: float, b: float) -> bool:
+    return a == b or abs(a - b) <= TOL * max(1.0, abs(a), abs(b))
+
+
+def _mask_notes(notes: list) -> list:
+    return sorted({_NUMBER.sub("#", note) for note in notes})
+
+
+def _compare(got, want, where: str) -> None:
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            if key == "discrepancy_notes":
+                assert _mask_notes(got[key]) == _mask_notes(want[key]), f"{where}.{key}"
+            else:
+                _compare(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _compare(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float) and _close(got, want), f"{where}: {got!r} != {want!r}"
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+
+
+def _csv_cell(cell: str):
+    if _INT.fullmatch(cell):
+        return int(cell)
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _compare_csv(got: str, want: str, where: str) -> None:
+    got_rows = list(csv.reader(io.StringIO(got)))
+    want_rows = list(csv.reader(io.StringIO(want)))
+    assert got_rows[0] == want_rows[0], f"{where} header"
+    _compare([[_csv_cell(c) for c in row] for row in got_rows[1:]],
+             [[_csv_cell(c) for c in row] for row in want_rows[1:]], where)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path):
+    code, csv_text, json_text = _run(name, tmp_path)
+    assert code == json.loads(EXIT_CODES.read_text())[name]
+    want_csv = GOLDEN_DIR / f"{name}.csv"
+    assert (csv_text is None) == (not want_csv.exists())
+    if csv_text is not None:
+        _compare_csv(csv_text, want_csv.read_text(), f"{name}.csv")
+    _compare(json.loads(json_text), json.loads((GOLDEN_DIR / f"{name}.json").read_text()),
+             f"{name}.json")
+
+
+def _record() -> None:
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    codes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(CASES):
+            codes[name], csv_text, json_text = _run(name, Path(tmp))
+            if csv_text is not None:
+                (GOLDEN_DIR / f"{name}.csv").write_text(csv_text)
+            (GOLDEN_DIR / f"{name}.json").write_text(json_text)
+    EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    _record()
