@@ -32,8 +32,6 @@ from .model import (
     validate_scenario,
 )
 from .asym import (
-    SolverConfig,
-    Theorem5Solution,
     attacker_best_channel,
     bayes_decoder_gain,
     direct_mmse_cost,
@@ -55,9 +53,7 @@ from .symmetric import (
 )
 from .simulate import (
     BestResponseReport,
-    GridConfig,
     MonteCarloResult,
-    ProbeConfig,
     best_response_adversary_search,
     best_response_transmitter_search,
     run_monte_carlo,

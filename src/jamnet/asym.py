@@ -36,25 +36,11 @@ from .model import (
 DENOM_FLOOR = 1e-10
 
 
-@dataclasses.dataclass(frozen=True)
-class SolverConfig:
-    """Knobs for the coupled multiplier solver."""
-
-    max_iter: int = 10_000
-    tol: float = 1e-8
-    outer_scan_points: int = 96
-
-
-@dataclasses.dataclass(frozen=True)
-class Theorem5Solution:
-    lambda1: float
-    lambda2: float
-    lambda3: float
-    lambda4: float
-    transmit_coeffs: tuple[float, ...]
-    adversary_coeffs: tuple[float, ...]
-    cost: float
-    kkt_residuals: tuple[float, ...]
+# Theorem-5 solver constants: outer residual evaluation budget, the bound on
+# every first-order residual at a solution, and the outer scan's grid size.
+MAX_OUTER_EVALS = 10_000
+KKT_TOL = 1e-8
+OUTER_SCAN_POINTS = 96
 
 
 # -- channel output statistics ----------------------------------------------
@@ -302,9 +288,11 @@ def adversary_linear_response(
     return float(lam1), float(lam2), c_k
 
 
-def kkt_residuals(s: NetworkScenario, sol: Theorem5Solution) -> list[float]:
+def kkt_residuals(s: NetworkScenario, lambdas, transmit_coeffs, adversary_coeffs) -> list[float]:
     """Left-hand sides of every first-order condition and constraint of the
-    no-coordination system, evaluated at ``sol``.
+    no-coordination system, evaluated at the multipliers
+    ``lambdas = (lambda1, lambda2, lambda3, lambda4)`` and the given
+    transmit and adversary coefficients.
 
     Order: per-adversary stationarity (K), adversary slack stationarity,
     distortion feasibility, per-transmitter stationarity (M), transmitter
@@ -313,9 +301,9 @@ def kkt_residuals(s: NetworkScenario, sol: Theorem5Solution) -> list[float]:
     """
     p_t = s.sum_power_transmit
     p_a = s.sum_power_attack
-    c_m = np.asarray(sol.transmit_coeffs)
-    c_k = np.asarray(sol.adversary_coeffs)
-    lam1, lam2, lam3, lam4 = sol.lambda1, sol.lambda2, sol.lambda3, sol.lambda4
+    c_m = np.asarray(transmit_coeffs)
+    c_k = np.asarray(adversary_coeffs)
+    lam1, lam2, lam3, lam4 = lambdas
 
     a_t = np.array([p.alpha for p in s.transmitters])
     b_t = np.array([p.beta for p in s.transmitters])
@@ -345,17 +333,16 @@ def kkt_residuals(s: NetworkScenario, sol: Theorem5Solution) -> list[float]:
     return [float(r) for r in res]
 
 
-def solve_theorem5(s: NetworkScenario, solver_cfg: SolverConfig | None = None) -> EquilibriumReport:
+def solve_theorem5(s: NetworkScenario) -> EquilibriumReport:
     """Stackelberg equilibrium of the no-coordination asymmetric setting.
 
     Outer bracketed Brent root-find on lambda3 in (0, P_T) with residual
     F(lambda3) = lambda4*lambda1 + lambda2*lambda3; each evaluation solves
     the adversary subsystem exactly for (lambda1, lambda2, c_k) given the
     trial transmit coefficients.  Convergence requires every first-order
-    residual below ``solver_cfg.tol``; otherwise NonConvergence carries the
+    residual below ``KKT_TOL``; otherwise NonConvergence carries the
     residual vector.
     """
-    cfg = solver_cfg or SolverConfig()
     if s.setting is not Setting.ASYM_II:
         raise InvalidScenario(f"solve_theorem5 requires AsymII, got {s.setting.value}")
     if s.num_transmitters < 1:
@@ -374,16 +361,16 @@ def solve_theorem5(s: NetworkScenario, solver_cfg: SolverConfig | None = None) -
     def outer_residual(lam3: float) -> float:
         nonlocal evals
         evals += 1
-        if evals > cfg.max_iter:
+        if evals > MAX_OUTER_EVALS:
             raise NonConvergence(
-                f"outer iteration budget {cfg.max_iter} exhausted", iterations=evals
+                f"outer iteration budget {MAX_OUTER_EVALS} exhausted", iterations=evals
             )
         lam4, c_m = _transmit_side(s, lam3, p_t)
         lam1, lam2, _ = adversary_linear_response(s, c_m, p_a)
         return lam4 * lam1 + lam2 * lam3
 
     # Scan (0, P_T) for a sign change; geometric points resolve roots near 0.
-    n = cfg.outer_scan_points
+    n = OUTER_SCAN_POINTS
     grid = np.unique(
         np.concatenate(
             [
@@ -428,18 +415,10 @@ def solve_theorem5(s: NetworkScenario, solver_cfg: SolverConfig | None = None) -
     lam4, c_m = _transmit_side(s, lam3, p_t)
     lam1, lam2, c_k = adversary_linear_response(s, c_m, p_a)
 
-    sol = Theorem5Solution(
-        lambda1=lam1,
-        lambda2=lam2,
-        lambda3=lam3,
-        lambda4=lam4,
-        transmit_coeffs=tuple(float(c) for c in c_m),
-        adversary_coeffs=tuple(float(c) for c in c_k),
-        cost=0.0,
-        kkt_residuals=(),
-    )
-    residuals = kkt_residuals(s, sol)
-    if max(abs(r) for r in residuals) >= cfg.tol:
+    transmit_coeffs = tuple(float(c) for c in c_m)
+    adversary_coeffs = tuple(float(c) for c in c_k)
+    residuals = kkt_residuals(s, (lam1, lam2, lam3, lam4), transmit_coeffs, adversary_coeffs)
+    if max(abs(r) for r in residuals) >= KKT_TOL:
         raise NonConvergence(
             "first-order residuals above tolerance at the located root",
             iterations=evals,
@@ -447,15 +426,14 @@ def solve_theorem5(s: NetworkScenario, solver_cfg: SolverConfig | None = None) -
         )
 
     profile = StrategyProfile(
-        transmit_coeffs=sol.transmit_coeffs,
+        transmit_coeffs=transmit_coeffs,
         randomized=False,
-        adversary=LinearMirror(coeffs=sol.adversary_coeffs),
+        adversary=LinearMirror(coeffs=adversary_coeffs),
         decoder_gain=0.0,
     )
     profile = dataclasses.replace(profile, decoder_gain=bayes_decoder_gain(s, profile))
     validate_profile(s, profile)
     oracle = direct_mmse_cost(s, profile)
-    sol = dataclasses.replace(sol, cost=oracle, kkt_residuals=tuple(residuals))
 
     s_m = float(
         sum(
@@ -471,8 +449,8 @@ def solve_theorem5(s: NetworkScenario, solver_cfg: SolverConfig | None = None) -
     )
     closed = 1.0 / (1.0 + lam3 * s_m - lam1 * s_k)
     printed = 1.0 / (1.0 + lam3 * s_m / 2.0 - lam1 * s_k / 2.0)
-    r_m = float(sum(p.alpha * p.beta * c for p, c in zip(s.transmitters, sol.transmit_coeffs)))
-    s_own = float(sum(p.alpha ** 2 * c * c for p, c in zip(s.transmitters, sol.transmit_coeffs)))
+    r_m = float(sum(p.alpha * p.beta * c for p, c in zip(s.transmitters, transmit_coeffs)))
+    s_own = float(sum(p.alpha ** 2 * c * c for p, c in zip(s.transmitters, transmit_coeffs)))
     printed_lam2 = -(2.0 * p_a + 2.0 * lam1 * (1.0 - s_own)) / r_m
     printed_identity = p_t / lam1 + p_a / lam3
     notes = (
@@ -494,19 +472,3 @@ def solve_theorem5(s: NetworkScenario, solver_cfg: SolverConfig | None = None) -
         discrepancy_notes=notes,
     )
 
-
-def theorem5_solution(s: NetworkScenario, solver_cfg: SolverConfig | None = None) -> Theorem5Solution:
-    report = solve_theorem5(s, solver_cfg)
-    mult = report.multipliers
-    adv = report.profile.adversary
-    assert isinstance(adv, LinearMirror)
-    return Theorem5Solution(
-        lambda1=mult["lambda1"],
-        lambda2=mult["lambda2"],
-        lambda3=mult["lambda3"],
-        lambda4=mult["lambda4"],
-        transmit_coeffs=report.profile.transmit_coeffs,
-        adversary_coeffs=adv.coeffs,
-        cost=report.cost,
-        kkt_residuals=report.kkt_residuals,
-    )

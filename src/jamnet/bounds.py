@@ -17,6 +17,12 @@ import numpy as np
 
 from .model import NumericalFailure
 
+# Default quantization of the maximal-correlation check (and the grid the CLI's
+# maxcorr command reports): cells per axis and the half-width, in standard
+# deviations, of the equispaced interior edges.
+MAXCORR_GRID_N = 257
+MAXCORR_RANGE_SIGMAS = 5.0
+
 
 @dataclasses.dataclass(frozen=True)
 class RDPoint:
@@ -84,7 +90,7 @@ def ru_spectrum(betas) -> np.ndarray:
 
 
 def discretized_correlation_operator(
-    rho: float, grid_n: int = 257, range_sigmas: float = 5.0
+    rho: float, grid_n: int = MAXCORR_GRID_N, range_sigmas: float = MAXCORR_RANGE_SIGMAS
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Quantize the bivariate normal and form the correlation kernel.
 
@@ -151,7 +157,7 @@ def discretized_correlation_operator(
 
 
 def maximal_correlation_discrete(
-    rho: float, grid_n: int = 257, range_sigmas: float = 5.0
+    rho: float, grid_n: int = MAXCORR_GRID_N, range_sigmas: float = MAXCORR_RANGE_SIGMAS
 ) -> float:
     """Second singular value of the discretized conditional-expectation
     operator; equals |rho| up to discretization error, attained by (nearly)
@@ -162,7 +168,7 @@ def maximal_correlation_discrete(
 
 
 def maximal_correlation_functions(
-    rho: float, grid_n: int = 257, range_sigmas: float = 5.0
+    rho: float, grid_n: int = MAXCORR_GRID_N, range_sigmas: float = MAXCORR_RANGE_SIGMAS
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """(sigma2, grid, f, g): the second singular value and the associated
     singular functions f(x), g(y) in probability coordinates."""

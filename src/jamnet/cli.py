@@ -21,6 +21,7 @@ from pathlib import Path
 from . import asym, bounds, simulate, symmetric
 from .model import (
     KNOWN_DISCREPANCY_TAGS,
+    DegenerateInput,
     InvalidProfile,
     InvalidScenario,
     JamnetError,
@@ -35,8 +36,6 @@ from .model import (
     scenario_to_dict,
     validate_scenario,
 )
-
-COMMANDS = ("closed-form", "solve-asym", "simulate", "verify", "ceo-curve", "maxcorr", "sweep")
 
 _TOP_KEYS = {
     "setting",
@@ -54,15 +53,26 @@ _MC_KEYS = {"samples", "seed", "chunks"}
 _SWEEP_KEYS = {"param", "from", "to", "steps"}
 _SYMMETRIC = frozenset(s for s in Setting if s.is_symmetric)
 _ASYMMETRIC = frozenset(Setting) - _SYMMETRIC
-# Sweep param -> settings whose scenario it changes.  ``rate``/``rho`` are
-# axes of ceo-curve/maxcorr, not scenario fields, so no sweep command takes them.
+# Sweep param -> (field it sets, settings whose scenario it changes).  The
+# sensor fields are set on every sensor.  ``rate``/``rho`` are axes of
+# ceo-curve/maxcorr, not scenario fields, so no sweep command takes them.
 _SWEEP_PARAMS = {
-    "sum_power_attack": _ASYMMETRIC, "P_A": _ASYMMETRIC,
-    "sum_power_transmit": _ASYMMETRIC, "P_T": _ASYMMETRIC,
-    "power": _SYMMETRIC, "P": _SYMMETRIC,
-    "alpha": frozenset(Setting), "beta": frozenset(Setting),
-    "epsilon": frozenset({Setting.SYM_III}), "eta": frozenset({Setting.SYM_III}),
-    "rate": frozenset(), "rho": frozenset(),
+    "sum_power_attack": ("sum_power_attack", _ASYMMETRIC),
+    "P_A": ("sum_power_attack", _ASYMMETRIC),
+    "sum_power_transmit": ("sum_power_transmit", _ASYMMETRIC),
+    "P_T": ("sum_power_transmit", _ASYMMETRIC),
+    "power": ("power", _SYMMETRIC), "P": ("power", _SYMMETRIC),
+    "alpha": ("alpha", frozenset(Setting)), "beta": ("beta", frozenset(Setting)),
+    "epsilon": ("epsilon", frozenset({Setting.SYM_III})),
+    "eta": ("eta", frozenset({Setting.SYM_III})),
+    "rate": (None, frozenset()), "rho": (None, frozenset()),
+}
+_SENSOR_FIELDS = {"alpha", "beta", "power"}
+# Command -> (the sweep param it takes as its axis, the test every axis value
+# must pass, that test in words).
+_AXES = {
+    "ceo-curve": ("rate", lambda rate: rate >= 0.0, "nonnegative"),
+    "maxcorr": ("rho", lambda rho: -1.0 < rho < 1.0, "in (-1, 1)"),
 }
 
 
@@ -214,13 +224,19 @@ def parse_config(document: str, command: str) -> RunConfig:
         param = node["param"]
         if not isinstance(param, str) or param not in _SWEEP_PARAMS:
             raise ParseError(f"unknown sweep param {param!r}")
-        if command == "sweep" and setting not in _SWEEP_PARAMS[param]:
+        if command == "sweep" and setting not in _SWEEP_PARAMS[param][1]:
             raise ParseError(f"sweep param {param!r} does not apply to {setting.value}")
         steps = node["steps"]
         if not _is_int(steps) or steps < 1:
             raise ParseError("sweep.steps must be a positive integer")
         sweep = SweepConfig(param=param, start=float(_number(node["from"], "sweep.from")),
                             stop=float(_number(node["to"], "sweep.to")), steps=steps)
+        if command in _AXES:
+            axis, in_range, rule = _AXES[command]
+            if param != axis:
+                raise ParseError(f"{command} sweeps {axis!r}, not {param!r}")
+            if not all(in_range(value) for value in _sweep_values(sweep)):
+                raise ParseError(f"{command} {axis} values must be {rule}")
 
     if command == "simulate" and mc is None:
         raise ParseError("simulate requires a monte_carlo block")
@@ -236,7 +252,7 @@ def parse_config(document: str, command: str) -> RunConfig:
 
 # -- dispatch -----------------------------------------------------------------
 
-def equilibrium_report(s: NetworkScenario, solver_cfg=None):
+def equilibrium_report(s: NetworkScenario):
     """The setting's equilibrium report (closed form or solver)."""
     if s.setting is Setting.SYM_I:
         return symmetric.solve_setting1(s)
@@ -246,7 +262,7 @@ def equilibrium_report(s: NetworkScenario, solver_cfg=None):
         return symmetric.solve_setting3(s)
     if s.setting is Setting.ASYM_I:
         return asym.solve_theorem4(s)
-    return asym.solve_theorem5(s, solver_cfg)
+    return asym.solve_theorem5(s)
 
 
 def _report_to_json(report) -> dict:
@@ -303,12 +319,11 @@ def _run_solve_asym(cfg: RunConfig):
     return header, rows, {"report": _report_to_json(report)}, summary
 
 
-def _run_simulate(cfg: RunConfig, seed_override: int | None):
+def _run_simulate(cfg: RunConfig):
     s = cfg.scenario
     mc = cfg.monte_carlo
-    seed = mc.seed if seed_override is None else seed_override
     report = equilibrium_report(s)
-    result = simulate.run_monte_carlo(s, report.profile, mc.samples, seed, mc.chunks)
+    result = simulate.run_monte_carlo(s, report.profile, mc.samples, mc.seed, mc.chunks)
     analytic = report.oracle_cost
     header = ["samples", "seed", "empirical_mse", "standard_error", "analytic_mse"]
     rows = [[result.samples, result.seed, result.empirical_mse,
@@ -350,7 +365,7 @@ def _run_ceo_curve(cfg: RunConfig):
     betas = [p.beta for p in s.transmitters]
     if not betas:
         raise InvalidScenario("ceo-curve needs at least one transmitter")
-    if cfg.sweep is not None and cfg.sweep.param == "rate":
+    if cfg.sweep is not None:
         rates = _sweep_values(cfg.sweep)
     else:
         rates = [0.1 * i for i in range(101)]
@@ -364,7 +379,7 @@ def _run_ceo_curve(cfg: RunConfig):
 
 
 def _run_maxcorr(cfg: RunConfig):
-    if cfg.sweep is not None and cfg.sweep.param == "rho":
+    if cfg.sweep is not None:
         rhos = _sweep_values(cfg.sweep)
     else:
         rhos = [0.0, 0.3, 0.5, 0.9]
@@ -374,7 +389,8 @@ def _run_maxcorr(cfg: RunConfig):
         star = bounds.maximal_correlation_discrete(rho)
         rows.append([rho, star, abs(star - abs(rho))])
     summary = f"max |rho_star - |rho|| = {max(r[2] for r in rows):.3g} over {len(rows)} points"
-    return header, rows, {"grid_n": 257, "range_sigmas": 5.0}, summary
+    extra = {"grid_n": bounds.MAXCORR_GRID_N, "range_sigmas": bounds.MAXCORR_RANGE_SIGMAS}
+    return header, rows, extra, summary
 
 
 def _sweep_values(sw: SweepConfig) -> list[float]:
@@ -385,36 +401,14 @@ def _sweep_values(sw: SweepConfig) -> list[float]:
 
 
 def _scenario_with(s: NetworkScenario, param: str, value: float) -> NetworkScenario:
-    def redo_sensors(sensors, **kw):
-        return tuple(dataclasses.replace(p, **kw) for p in sensors)
-
-    if param in ("sum_power_attack", "P_A"):
-        return dataclasses.replace(s, sum_power_attack=value)
-    if param in ("sum_power_transmit", "P_T"):
-        return dataclasses.replace(s, sum_power_transmit=value)
-    if param in ("power", "P"):
+    field = _SWEEP_PARAMS[param][0]
+    if field in _SENSOR_FIELDS:
         return dataclasses.replace(
             s,
-            transmitters=redo_sensors(s.transmitters, power=value),
-            adversaries=redo_sensors(s.adversaries, power=value),
+            transmitters=tuple(dataclasses.replace(p, **{field: value}) for p in s.transmitters),
+            adversaries=tuple(dataclasses.replace(p, **{field: value}) for p in s.adversaries),
         )
-    if param == "alpha":
-        return dataclasses.replace(
-            s,
-            transmitters=redo_sensors(s.transmitters, alpha=value),
-            adversaries=redo_sensors(s.adversaries, alpha=value),
-        )
-    if param == "beta":
-        return dataclasses.replace(
-            s,
-            transmitters=redo_sensors(s.transmitters, beta=value),
-            adversaries=redo_sensors(s.adversaries, beta=value),
-        )
-    if param == "epsilon":
-        return dataclasses.replace(s, epsilon=value)
-    if param == "eta":
-        return dataclasses.replace(s, eta=value)
-    raise ParseError(f"sweep param {param!r} does not apply to a scenario")
+    return dataclasses.replace(s, **{field: value})
 
 
 def _run_sweep(cfg: RunConfig):
@@ -432,9 +426,21 @@ def _run_sweep(cfg: RunConfig):
     return header, rows, extra, summary
 
 
-def run_command(cfg: RunConfig, seed_override: int | None = None, out_override: str | None = None) -> int:
+_RUNNERS = {
+    "closed-form": _run_closed_form,
+    "solve-asym": _run_solve_asym,
+    "simulate": _run_simulate,
+    "verify": _run_verify,
+    "ceo-curve": _run_ceo_curve,
+    "maxcorr": _run_maxcorr,
+    "sweep": _run_sweep,
+}
+COMMANDS = tuple(_RUNNERS)
+
+
+def run_command(cfg: RunConfig) -> int:
     """Dispatch, write `<out>.csv` and `<out>.json`, print a one-line summary."""
-    out_stem = out_override or cfg.output_path
+    out_stem = cfg.output_path
     if out_stem.endswith(".csv") or out_stem.endswith(".json"):
         out_stem = out_stem.rsplit(".", 1)[0]
     csv_path = Path(out_stem + ".csv")
@@ -446,23 +452,9 @@ def run_command(cfg: RunConfig, seed_override: int | None = None, out_override: 
         "scenario": scenario_to_dict(cfg.scenario),
     }
     try:
-        if cfg.command == "closed-form":
-            header, rows, extra, summary = _run_closed_form(cfg)
-        elif cfg.command == "solve-asym":
-            header, rows, extra, summary = _run_solve_asym(cfg)
-        elif cfg.command == "simulate":
-            header, rows, extra, summary = _run_simulate(cfg, seed_override)
-        elif cfg.command == "verify":
-            header, rows, extra, summary = _run_verify(cfg)
-        elif cfg.command == "ceo-curve":
-            header, rows, extra, summary = _run_ceo_curve(cfg)
-        elif cfg.command == "maxcorr":
-            header, rows, extra, summary = _run_maxcorr(cfg)
-        elif cfg.command == "sweep":
-            header, rows, extra, summary = _run_sweep(cfg)
-        else:  # pragma: no cover - parse_config rejects unknown commands
-            raise ParseError(f"unknown command {cfg.command!r}")
-    except (NonConvergence, SingularDenominator, NoRoot, NumericalFailure) as exc:
+        header, rows, extra, summary = _RUNNERS[cfg.command](cfg)
+    except (NonConvergence, SingularDenominator, NoRoot, NumericalFailure, DegenerateInput,
+            OverflowError) as exc:
         payload["error"] = {
             "type": type(exc).__name__,
             "message": str(exc),
@@ -511,9 +503,14 @@ def main(argv=None) -> int:
     except (ParseError, InvalidScenario, InvalidProfile) as exc:
         print(f"jamnet: invalid config: {exc}", file=sys.stderr)
         return 1
+    if args.out:
+        cfg = dataclasses.replace(cfg, output_path=args.out)
+    if args.seed is not None and cfg.monte_carlo is not None:
+        cfg = dataclasses.replace(
+            cfg, monte_carlo=dataclasses.replace(cfg.monte_carlo, seed=args.seed))
 
     try:
-        return run_command(cfg, seed_override=args.seed, out_override=args.out)
+        return run_command(cfg)
     except (ParseError, InvalidScenario, InvalidProfile) as exc:
         print(f"jamnet: invalid config: {exc}", file=sys.stderr)
         return 1

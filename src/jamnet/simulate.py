@@ -46,6 +46,14 @@ from .model import (
 
 BLOCK_SIZE = 1 << 16
 
+# Certificate constants: points per axis of the adversary deviation grid over
+# the power disc, and the transmitter-side (and linear-adversary) local
+# probes: random directions, step size and the seed of their generator.
+GRID_POINTS_PER_AXIS = 21
+PROBE_DIRECTIONS = 50
+PROBE_STEP = 1e-3
+PROBE_SEED = 0
+
 
 @dataclasses.dataclass(frozen=True)
 class MonteCarloResult:
@@ -54,26 +62,6 @@ class MonteCarloResult:
     samples: int
     seed: int
     chunks: int
-
-
-@dataclasses.dataclass(frozen=True)
-class GridConfig:
-    """Adversary deviation sweep: points per axis over the feasible power
-    simplex, and the certificate tolerance (grid-resolution bound)."""
-
-    points_per_axis: int = 21
-    tolerance: float = 1e-3
-
-
-@dataclasses.dataclass(frozen=True)
-class ProbeConfig:
-    """Transmitter-side local probes: random feasible directions at a fixed
-    step, certificate tolerance for smooth local stationarity."""
-
-    directions: int = 50
-    step: float = 1e-3
-    seed: int = 0
-    tolerance: float = 1e-8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -195,9 +183,7 @@ def _with_adversary(p: StrategyProfile, strategy) -> StrategyProfile:
     return dataclasses.replace(p, adversary=strategy)
 
 
-def best_response_adversary_search(
-    s: NetworkScenario, p: StrategyProfile, grid_cfg: GridConfig | None = None
-) -> BestResponseReport:
+def best_response_adversary_search(s: NetworkScenario, p: StrategyProfile) -> BestResponseReport:
     """Sweep adversary deviations and report the costliest one.
 
     The deviation class is linear-Gaussian: each adversary k plays
@@ -209,7 +195,6 @@ def best_response_adversary_search(
     covered.  In the asymmetric settings the sum budget is swept across
     single sensors and uniform splits.
     """
-    cfg = grid_cfg or GridConfig()
     base = asym.direct_mmse_cost(s, p)
     K = s.num_adversaries
     if K == 0:
@@ -227,7 +212,7 @@ def best_response_adversary_search(
         candidates.append(
             ("independent full-power noise", IndependentNoise(variances=(budget,) * K))
         )
-        for u, v in _disc_grid(cfg.points_per_axis):
+        for u, v in _disc_grid(GRID_POINTS_PER_AXIS):
             a = u * root
             b = v * root
             ss = math.sqrt(max(budget - a * a - b * b, 0.0))
@@ -248,7 +233,7 @@ def best_response_adversary_search(
             ("uniform coordinated noise", CoordinatedNoise(variance=budget / K))
         )
         for j in range(K):
-            for u, v in _disc_grid(cfg.points_per_axis):
+            for u, v in _disc_grid(GRID_POINTS_PER_AXIS):
                 a = u * root
                 b = v * root
                 ss = math.sqrt(max(budget - a * a - b * b, 0.0))
@@ -269,25 +254,23 @@ def best_response_adversary_search(
     return BestResponseReport(base, best_cost, best_desc, "AdversaryMax")
 
 
-def adversary_local_probe(
-    s: NetworkScenario, p: StrategyProfile, probe_cfg: ProbeConfig | None = None
-) -> BestResponseReport:
-    """Local maximality check for a linear adversary: random perturbations of
-    its coefficients, rescaled back to the attack power sphere, must not
-    increase the cost beyond the probe tolerance."""
-    cfg = probe_cfg or ProbeConfig()
+def adversary_local_probe(s: NetworkScenario, p: StrategyProfile) -> BestResponseReport:
+    """Local maximality check for a linear adversary: ``PROBE_DIRECTIONS``
+    random perturbations of its coefficients at step ``PROBE_STEP``, rescaled
+    back to the attack power sphere, must not increase the cost beyond the
+    caller's tolerance."""
     if not isinstance(p.adversary, LinearMirror):
         raise InvalidProfile("adversary_local_probe needs a linear adversary")
     base = asym.direct_mmse_cost(s, p)
     coeffs = np.asarray(p.adversary.coeffs, dtype=float)
     m2 = np.array([q.input_second_moment for q in s.adversaries])
     power = float(np.sum(m2 * coeffs**2))
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(PROBE_SEED)
     best_cost = base
     best_desc = "no perturbation raises the cost"
-    for i in range(cfg.directions):
+    for i in range(PROBE_DIRECTIONS):
         d = rng.standard_normal(coeffs.shape[0])
-        trial = coeffs + cfg.step * d
+        trial = coeffs + PROBE_STEP * d
         norm = float(np.sum(m2 * trial**2))
         if norm <= 0.0:
             continue
@@ -360,30 +343,28 @@ def _follower_cost(s: NetworkScenario, p: StrategyProfile, coeffs: np.ndarray) -
     return asym.direct_mmse_cost(s, trial)
 
 
-def best_response_transmitter_search(
-    s: NetworkScenario, p: StrategyProfile, probe_cfg: ProbeConfig | None = None
-) -> BestResponseReport:
-    """Probe random feasible transmit perturbations; at a claimed equilibrium
-    none may reduce the cost by more than the probe tolerance.
+def best_response_transmitter_search(s: NetworkScenario, p: StrategyProfile) -> BestResponseReport:
+    """Probe ``PROBE_DIRECTIONS`` random feasible transmit perturbations at
+    step ``PROBE_STEP``; at a claimed equilibrium none may reduce the cost by
+    more than the caller's tolerance.
 
     Feasibility is preserved by projection: per-sensor box clipping in the
     symmetric settings, rescaling to the sum-power sphere in the asymmetric
     ones.  The adversary best-responds within its allowed class for every
     probe.
     """
-    cfg = probe_cfg or ProbeConfig()
     coeffs = np.asarray(p.transmit_coeffs, dtype=float)
     M = coeffs.shape[0]
     base = asym.direct_mmse_cost(s, p)
     if M == 0:
         return BestResponseReport(base, base, "no transmitters", "TransmitterMin")
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(PROBE_SEED)
     best_cost = base
     best_desc = "no perturbation lowers the cost"
-    for i in range(cfg.directions):
+    for i in range(PROBE_DIRECTIONS):
         d = rng.standard_normal(M)
-        trial = coeffs + cfg.step * d
+        trial = coeffs + PROBE_STEP * d
         if s.setting.is_symmetric:
             caps = np.array(
                 [math.sqrt(q.power / q.input_second_moment) for q in s.transmitters]
@@ -406,20 +387,17 @@ def best_response_transmitter_search(
 
 
 def verify_saddle_point(
-    s: NetworkScenario,
-    p: StrategyProfile,
-    grid_cfg: GridConfig | None = None,
-    probe_cfg: ProbeConfig | None = None,
+    s: NetworkScenario, p: StrategyProfile
 ) -> tuple[BestResponseReport, BestResponseReport]:
     """Run both best-response checks for a candidate equilibrium.
 
     A saddle certificate needs both: no adversary deviation above
-    base + grid tolerance, no transmitter deviation below base - probe
-    tolerance.  In the Stackelberg-only settings (SymII, AsymII) only the
+    base + a grid-resolution tolerance, no transmitter deviation below
+    base - a local-stationarity tolerance; the caller picks both.  In the Stackelberg-only settings (SymII, AsymII) only the
     leader-side report binds; the adversary grid report then documents why no
     saddle exists, and follower consistency is checked separately with
     ``adversary_local_probe`` / ``follower_best_response_sym2``.
     """
-    adv = best_response_adversary_search(s, p, grid_cfg)
-    tx = best_response_transmitter_search(s, p, probe_cfg)
+    adv = best_response_adversary_search(s, p)
+    tx = best_response_transmitter_search(s, p)
     return adv, tx

@@ -219,3 +219,70 @@ def test_sweep_rejects_params_that_do_not_apply(tmp_path, capsys, overrides, par
     )
     assert main(["sweep", "--config", str(cfg)]) == 1
     assert "does not apply" in capsys.readouterr().err
+
+
+def _sensors(alpha, beta):
+    return {"count": 1, "alpha": alpha, "beta": beta, "power": 1.0}
+
+
+@pytest.mark.parametrize(
+    "command, overrides, error",
+    [
+        ("closed-form", {"transmitters": {**_sensors(1e200, 1e200), "count": 2},
+                         "adversaries": _sensors(1e200, 1e200)}, "OverflowError"),
+        ("closed-form", {"transmitters": {**_sensors(1e170, 1.0), "count": 2},
+                         "adversaries": _sensors(1e170, 1.0)}, "OverflowError"),
+        ("solve-asym", {**_ASYM_BUDGETS, "transmitters": _sensors(1e-200, 1e-200)},
+         "DegenerateInput"),
+        ("solve-asym", {**_ASYM_BUDGETS, "setting": "AsymII",
+                        "transmitters": _sensors(1e-200, 1e-200)}, "DegenerateInput"),
+        ("solve-asym", {**_ASYM_BUDGETS, "transmitters": _sensors(1e200, 1.0)}, "OverflowError"),
+        ("solve-asym", {**_ASYM_BUDGETS, "setting": "AsymII",
+                        "transmitters": _sensors(1e200, 1.0)}, "OverflowError"),
+    ],
+    ids=["SymI-gain-1e200", "SymI-alpha-1e170", "AsymI-no-information-path",
+         "AsymII-no-information-path", "AsymI-alpha-1e200", "AsymII-alpha-1e200"],
+)
+def test_numerical_failures_exit_2_with_error_block(tmp_path, capsys, command, overrides, error):
+    cfg = _write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(cfg)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith(f"jamnet {command}: FAILED ({error}")
+    payload = json.loads((tmp_path / "run.json").read_text())
+    assert payload["error"]["type"] == error
+    assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, sweep",
+    [
+        ("maxcorr", {"param": "rho", "from": 0.0, "to": 1.0, "steps": 3}),
+        ("maxcorr", {"param": "rho", "from": -1.5, "to": -1.5, "steps": 1}),
+        ("maxcorr", {"param": "rate", "from": 0.0, "to": 1.0, "steps": 3}),
+        ("ceo-curve", {"param": "rate", "from": -1.0, "to": 1.0, "steps": 3}),
+        ("ceo-curve", {"param": "rho", "from": 0.0, "to": 0.5, "steps": 3}),
+        ("ceo-curve", {"param": "P", "from": 0.0, "to": 1.0, "steps": 3}),
+    ],
+    ids=["maxcorr-rho-1", "maxcorr-rho-minus-1.5", "maxcorr-rate", "ceo-rate-minus-1",
+         "ceo-rho", "ceo-P"],
+)
+def test_axis_commands_validate_their_sweep(tmp_path, capsys, command, sweep):
+    cfg = _write_config(tmp_path, sweep=sweep)
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("jamnet: invalid config:")
+
+
+def test_out_with_suffix_writes_both_files(tmp_path):
+    cfg = _write_config(tmp_path)
+    assert main(["closed-form", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
+    assert (tmp_path / "x.csv").is_file() and (tmp_path / "x.json").is_file()
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_seed_without_monte_carlo_changes_nothing(tmp_path):
+    cfg = _write_config(tmp_path)
+    assert main(["closed-form", "--config", str(cfg)]) == 0
+    plain = [(tmp_path / name).read_bytes() for name in ("run.csv", "run.json")]
+    assert main(["closed-form", "--config", str(cfg), "--seed", "9"]) == 0
+    assert [(tmp_path / name).read_bytes() for name in ("run.csv", "run.json")] == plain
