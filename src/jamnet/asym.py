@@ -26,6 +26,7 @@ from .model import (
     LinearMirror,
     NetworkScenario,
     NonConvergence,
+    NumericalFailure,
     SensorParams,
     Setting,
     SingularDenominator,
@@ -73,7 +74,8 @@ def channel_moments(s: NetworkScenario, p: StrategyProfile) -> tuple[float, floa
 
     For randomized profiles the receiver works with gamma*Y; the shared coin
     decorrelates the adversary's source/sensing components from the decoded
-    signal, so only their power survives.
+    signal, so only their power survives.  Raises NumericalFailure when
+    E{Y^2} overflows (e.g. alpha^2*P beyond the float range).
     """
     r_t = sum(p_.beta * c * p_.alpha for p_, c in zip(s.transmitters, p.transmit_coeffs))
     own_t = sum(p_.alpha ** 2 * c * c for p_, c in zip(s.transmitters, p.transmit_coeffs))
@@ -84,6 +86,8 @@ def channel_moments(s: NetworkScenario, p: StrategyProfile) -> tuple[float, floa
     else:
         r = r_t + sig_a
         total = r * r + own_t + own_a + jam_a + 1.0
+    if not math.isfinite(total):
+        raise NumericalFailure("E{Y^2} is not finite: a gain-power product overflows")
     return r, total
 
 

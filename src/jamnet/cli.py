@@ -49,7 +49,7 @@ _TOP_KEYS = {
     "sweep",
     "output_path",
 }
-_MC_KEYS = {"samples", "seed", "chunks"}
+_MC_KEYS = {"samples", "seed"}
 _SWEEP_KEYS = {"param", "from", "to", "steps"}
 _SYMMETRIC = frozenset(s for s in Setting if s.is_symmetric)
 _ASYMMETRIC = frozenset(Setting) - _SYMMETRIC
@@ -84,7 +84,6 @@ class ParseError(JamnetError):
 class MonteCarloConfig:
     samples: int
     seed: int
-    chunks: int = 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -203,14 +202,11 @@ def parse_config(document: str, command: str) -> RunConfig:
         if "samples" not in node or "seed" not in node:
             raise ParseError("monte_carlo requires 'samples' and 'seed'")
         samples, seed = node["samples"], node["seed"]
-        chunks = node.get("chunks", 1)
         if not _is_int(samples) or samples < 1:
             raise ParseError("monte_carlo.samples must be a positive integer")
         if not _is_int(seed) or not 0 <= seed < 2**64:
             raise ParseError("monte_carlo.seed must be an unsigned 64-bit integer")
-        if not _is_int(chunks) or chunks < 1:
-            raise ParseError("monte_carlo.chunks must be a positive integer")
-        mc = MonteCarloConfig(samples=samples, seed=seed, chunks=chunks)
+        mc = MonteCarloConfig(samples=samples, seed=seed)
 
     sweep = None
     if "sweep" in raw:
@@ -303,9 +299,8 @@ def _run_solve_asym(cfg: RunConfig):
         raise InvalidScenario("solve-asym handles AsymI/AsymII; use closed-form")
     report = equilibrium_report(s)
     mult = report.multipliers
-    adv = report.profile.adversary
-    adv_coeffs = list(getattr(adv, "coeffs", ())) or [0.0] * s.num_adversaries
-    coeffs = list(report.profile.transmit_coeffs) + adv_coeffs
+    rows, _ = report.profile.adversary.lower(s.adversaries)
+    coeffs = list(report.profile.transmit_coeffs) + [b for _, b, _, _ in rows]
     max_res = max((abs(r) for r in report.kkt_residuals), default=0.0)
     header = (
         ["lambda1", "lambda2", "lambda3", "lambda4"]
@@ -323,7 +318,7 @@ def _run_simulate(cfg: RunConfig):
     s = cfg.scenario
     mc = cfg.monte_carlo
     report = equilibrium_report(s)
-    result = simulate.run_monte_carlo(s, report.profile, mc.samples, mc.seed, mc.chunks)
+    result = simulate.run_monte_carlo(s, report.profile, mc.samples, mc.seed)
     analytic = report.oracle_cost
     header = ["samples", "seed", "empirical_mse", "standard_error", "analytic_mse"]
     rows = [[result.samples, result.seed, result.empirical_mse,
@@ -462,6 +457,7 @@ def run_command(cfg: RunConfig) -> int:
             "residuals": list(getattr(exc, "residuals", ())),
         }
         json_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        csv_path.unlink(missing_ok=True)
         print(f"jamnet {cfg.command}: FAILED ({type(exc).__name__}: {exc})")
         return 2
 

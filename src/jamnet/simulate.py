@@ -2,16 +2,19 @@
 
 Sampling is organized in fixed 65536-sample blocks; block j draws from its
 own Philox stream keyed by (seed, j) and partial sums are reduced in block
-order, so the result is bit-identical for any chunk count and any degree of
-parallelism.  The ``chunks`` knob only groups blocks for thread-pool
-execution (capped by the JAMNET_THREADS environment variable).
+order, so ``(seed, samples)`` determines the result bit-for-bit.  The blocks
+run on one thread pool of min(blocks, CPUs this process may use) workers;
+the worker count never changes the result.
 
 Per block of n samples the draws are, in order: the source (n normals), the
-M+K sensing noises (transmitters first, then adversaries; n each), the
-channel noise (n), the randomization coin (n uniforms), then the adversary
-strategy's J noises theta_0..theta_{J-1} (n each) from its linear-Gaussian
-form (see ``model``): J = 1+K-n_coord for CoordinatedNoise, K for
-IndependentNoise and GeneralLinearGaussian, 0 for LinearMirror.
+M+K sensing-noise rows (transmitters first, then adversaries; one n-normal
+draw per sensor, each added to the transmitter or adversary part of the
+received signal as it is drawn), the channel noise (n), the randomization
+coin (n uniforms), then the adversary strategy's J noises
+theta_0..theta_{J-1} (n each) from its linear-Gaussian form (see ``model``):
+J = 1+K-n_coord for CoordinatedNoise, K for IndependentNoise and
+GeneralLinearGaussian, 0 for LinearMirror.  A block holds a few n-vectors,
+never a row per sensor.
 
 The verification half probes the two saddle inequalities: a grid sweep over
 the linear-Gaussian deviation class for the adversary (maximizer) and
@@ -61,7 +64,6 @@ class MonteCarloResult:
     standard_error: float
     samples: int
     seed: int
-    chunks: int
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,46 +74,54 @@ class BestResponseReport:
     direction: str  # "AdversaryMax" or "TransmitterMin"
 
 
-def _worker_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("JAMNET_THREADS", "1")))
-    except ValueError:
-        return 1
+def _block_gains(s: NetworkScenario, p: StrategyProfile):
+    """(tx_src, tx_w, adv_src, adv_w, amps): the received-signal gains every
+    block uses.  The transmitter part of Y is tx_src*S + sum_m tx_w[m]*W_m,
+    the adversary part adv_src*S + sum_k adv_w[k]*W_{M+k} +
+    sum_j amps[j]*theta_j.  Computed once on the calling thread, so the
+    worker threads call only numpy and a tracer wrapping the package's
+    public functions (perfbench) never sees a call from them.
+    """
+    rows, n_noises = p.adversary.lower(s.adversaries)
+    amps = [0.0] * n_noises
+    for q, (_, _, ss, j) in zip(s.adversaries, rows):
+        if ss:
+            amps[j] += q.alpha * ss
+    tx = list(zip(s.transmitters, p.transmit_coeffs))
+    adv = list(zip(s.adversaries, rows))
+    return (sum(q.alpha * c * q.beta for q, c in tx), [q.alpha * c for q, c in tx],
+            sum(q.alpha * a for q, (a, _, _, _) in adv), [q.alpha * b for q, (_, b, _, _) in adv],
+            amps)
 
 
 def _simulate_block(
-    s: NetworkScenario, p: StrategyProfile, n: int, seed: int, block: int
+    p: StrategyProfile, gains, n: int, seed: int, block: int
 ) -> tuple[float, float]:
     """Sum of squared errors and of their squares for one sample block.
 
     Draw order per block is fixed (see the module docstring) so results are
-    reproducible for a given (seed, block) pair.
+    reproducible for a given (seed, block) pair.  ``gains`` comes from
+    ``_block_gains``.
     """
     g = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
-    M, K = s.num_transmitters, s.num_adversaries
+    tx_src, tx_w, adv_src, adv_w, amps = gains
 
     src = g.standard_normal(n)
-    w = g.standard_normal((M + K, n))
-    z = g.standard_normal(n)
+    tx = tx_src * src
+    adv = adv_src * src
+    for part, row_gains in ((tx, tx_w), (adv, adv_w)):
+        for gain in row_gains:
+            w = g.standard_normal(n)
+            if gain:
+                part += gain * w
+    y = g.standard_normal(n)
     coin = g.random(n)
     gamma = np.where(coin < 0.5, 1.0, -1.0)
 
-    y = z.copy()
-    tx = np.zeros(n)
-    for m, (params, c) in enumerate(zip(s.transmitters, p.transmit_coeffs)):
-        if c != 0.0:
-            tx += params.alpha * c * (params.beta * src + w[m])
     if p.randomized:
         tx *= gamma
     y += tx
-
-    rows, n_noises = p.adversary.lower(s.adversaries)
-    amps = [0.0] * n_noises
-    for k, (params, (a, b, ss, j)) in enumerate(zip(s.adversaries, rows)):
-        if a or b:
-            y += params.alpha * a * src + params.alpha * b * w[M + k]
-        if ss:
-            amps[j] += params.alpha * ss
+    y += adv
     for amp in amps:
         theta = g.standard_normal(n)
         if amp:
@@ -123,38 +133,29 @@ def _simulate_block(
 
 
 def run_monte_carlo(
-    s: NetworkScenario, p: StrategyProfile, samples: int, seed: int, chunks: int = 1
+    s: NetworkScenario, p: StrategyProfile, samples: int, seed: int
 ) -> MonteCarloResult:
     """Empirical MSE of ``p`` from ``samples`` i.i.d. channel uses.
 
-    Identical (seed, samples) give bit-identical results regardless of
-    ``chunks``; the standard error is the sample standard deviation of the
+    Identical (seed, samples) give bit-identical results for any number of
+    workers; the standard error is the sample standard deviation of the
     squared errors divided by sqrt(samples).
     """
     if samples < 1:
         raise InvalidProfile("samples must be >= 1")
     if not 0 <= seed < 2**64:
         raise InvalidProfile("seed must be an unsigned 64-bit integer")
-    if chunks < 1:
-        raise InvalidProfile("chunks must be >= 1")
     validate_profile(s, p)
+    gains = _block_gains(s, p)
 
     n_blocks = (samples + BLOCK_SIZE - 1) // BLOCK_SIZE
-    sizes = [min(BLOCK_SIZE, samples - j * BLOCK_SIZE) for j in range(n_blocks)]
 
-    partials: list[tuple[float, float]] = [None] * n_blocks  # type: ignore[list-item]
-    workers = min(chunks, _worker_cap())
-    if workers > 1 and n_blocks > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_simulate_block, s, p, sizes[j], seed, j): j
-                for j in range(n_blocks)
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                partials[futures[fut]] = fut.result()
-    else:
-        for j in range(n_blocks):
-            partials[j] = _simulate_block(s, p, sizes[j], seed, j)
+    def block(j: int) -> tuple[float, float]:
+        return _simulate_block(p, gains, min(BLOCK_SIZE, samples - j * BLOCK_SIZE), seed, j)
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with concurrent.futures.ThreadPoolExecutor(max_workers=min(n_blocks, cpus or 1)) as pool:
+        partials = list(pool.map(block, range(n_blocks)))
 
     sum_e2 = 0.0
     sum_e4 = 0.0
@@ -167,9 +168,7 @@ def run_monte_carlo(
         se = math.sqrt(var / samples)
     else:
         se = 0.0
-    return MonteCarloResult(
-        empirical_mse=mean, standard_error=se, samples=samples, seed=seed, chunks=chunks
-    )
+    return MonteCarloResult(empirical_mse=mean, standard_error=se, samples=samples, seed=seed)
 
 
 # -- adversary-side verification ---------------------------------------------

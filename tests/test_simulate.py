@@ -33,25 +33,27 @@ def test_monte_carlo_zero_gain_decoder():
     assert _agrees(r, 1.0)
 
 
-def test_monte_carlo_reproducible_across_chunks():
+def test_monte_carlo_pool_equals_block_ordered_serial_reduction(monkeypatch):
     s = make_symmetric(2, 1, 1.0, 1.0, 1.0, Setting.SYM_I)
     p = sym.theorem1_profile(s)
-    # 70000 samples span two internal blocks.
-    r1 = simulate.run_monte_carlo(s, p, 70_000, seed=7, chunks=1)
-    r8 = simulate.run_monte_carlo(s, p, 70_000, seed=7, chunks=8)
-    again = simulate.run_monte_carlo(s, p, 70_000, seed=7, chunks=1)
-    assert r1.empirical_mse == r8.empirical_mse == again.empirical_mse
-    assert r1.standard_error == r8.standard_error
+    samples, seed = 200_000, 7  # four blocks, the last one short
+    # Four usable CPUs give a four-worker pool on any machine.
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    pooled = simulate.run_monte_carlo(s, p, samples, seed=seed)
 
-
-def test_monte_carlo_thread_pool_is_deterministic(monkeypatch):
-    s = make_symmetric(2, 1, 1.0, 1.0, 1.0, Setting.SYM_I)
-    p = sym.theorem1_profile(s)
-    serial = simulate.run_monte_carlo(s, p, 300_000, seed=7, chunks=1)
-    monkeypatch.setenv("JAMNET_THREADS", "4")
-    threaded = simulate.run_monte_carlo(s, p, 300_000, seed=7, chunks=4)
-    assert threaded.empirical_mse == serial.empirical_mse
-    assert threaded.standard_error == serial.standard_error
+    gains = simulate._block_gains(s, p)
+    sum_e2 = sum_e4 = 0.0
+    for j in range(4):
+        n = min(simulate.BLOCK_SIZE, samples - j * simulate.BLOCK_SIZE)
+        e2, e4 = simulate._simulate_block(p, gains, n, seed, j)
+        sum_e2 += e2
+        sum_e4 += e4
+    mean = sum_e2 / samples
+    se = math.sqrt(max(0.0, (sum_e4 - samples * mean * mean) / (samples - 1)) / samples)
+    assert pooled.empirical_mse == mean
+    assert pooled.standard_error == se
+    assert simulate.run_monte_carlo(s, p, samples, seed=seed) == pooled
 
 
 def test_monte_carlo_seed_changes_stream():
@@ -90,6 +92,27 @@ def test_monte_carlo_all_strategy_kinds_match_oracle():
     )
     glg = dataclasses.replace(glg, decoder_gain=asym.bayes_decoder_gain(sg, glg))
     cases.append((sg, glg, 24))
+
+    # Distinct gains on every sensor and nonzero (a, b, s) differing per
+    # adversary, over four blocks: a gain taken from the wrong sensor shows
+    # up here.
+    sd = make_symmetric(3, 2, 1.0, 1.0, 1.0, Setting.ASYM_I,
+                        sum_power_transmit=5.0, sum_power_attack=2.0)
+    sd = dataclasses.replace(
+        sd,
+        transmitters=tuple(dataclasses.replace(q, alpha=a, beta=b) for q, a, b in
+                           zip(sd.transmitters, (0.5, 1.0, 2.0), (2.0, 0.3, 1.0))),
+        adversaries=tuple(dataclasses.replace(q, alpha=a, beta=b) for q, a, b in
+                          zip(sd.adversaries, (1.5, 0.7), (0.4, 1.2))),
+    )
+    distinct = StrategyProfile(
+        transmit_coeffs=(0.9, -0.6, 0.3),
+        randomized=False,
+        adversary=GeneralLinearGaussian(triples=((-0.5, 0.3, 0.8), (0.3, -0.8, 0.1))),
+        decoder_gain=0.0,
+    )
+    distinct = dataclasses.replace(distinct, decoder_gain=asym.bayes_decoder_gain(sd, distinct))
+    cases.append((sd, distinct, 25))
 
     for s, p, seed in cases:
         analytic = asym.direct_mmse_cost(s, p)
