@@ -2,10 +2,18 @@
 
 ``direct_mmse_cost`` evaluates any strategy profile exactly from second-order
 statistics under the adopted observation model U = beta*S + W; it is the
-authoritative cost everywhere in the package.  ``solve_theorem4`` handles the
-coordinated (saddle-point) power-allocation setting in closed form;
-``solve_theorem5`` solves the no-coordination Stackelberg multiplier system
-numerically by nested bracketed root-finding.
+authoritative cost everywhere in the package.  It is one cost core applied to
+one profile: the core takes five sufficient statistics (two of the
+transmitters, three of the adversaries) as floats or as arrays over many
+candidates, so batched searches cost every candidate with the same bits.
+
+``solve_theorem4`` handles the coordinated (saddle-point) power-allocation
+setting in closed form.  ``solve_theorem5`` solves the no-coordination
+Stackelberg multiplier system by nested bracketed root-finding: the outer
+residual is evaluated at every point of a fixed scan grid in one array pass
+(the inner adversary root-finds run as scipy's Brent steps on all grid points
+at once), every sign change is counted, and scalar Brent then solves the
+first bracket.
 """
 
 from __future__ import annotations
@@ -45,50 +53,81 @@ OUTER_SCAN_POINTS = 96
 
 
 # -- channel output statistics ----------------------------------------------
+#
+# The statistics and the cost work on floats or on arrays of candidate lanes
+# with one operation order, so a lane costs the bits its profile costs alone.
 
-def _adversary_output_stats(
-    s: NetworkScenario, strategy: AdversaryStrategy
-) -> tuple[float, float, float]:
-    """Second-order statistics of the adversaries' channel contribution.
+def _transmit_stats(s: NetworkScenario, coeffs):
+    """(r_t, own_t): the transmitters' source coefficient and own-noise power
+    in Y.  ``coeffs`` holds one float, or one array of lanes, per sensor."""
+    r_t = own_t = 0.0
+    for p, c in zip(s.transmitters, coeffs):
+        r_t = r_t + p.beta * c * p.alpha
+        own_t = own_t + p.alpha ** 2 * c * c
+    return r_t, own_t
 
-    Returns (signal_coeff, own_noise_var, jam_var) where the received
-    adversary sum is signal_coeff*S + (own sensing-noise part with variance
-    own_noise_var) + (source-independent jamming with variance jam_var).
-    Jamming amplitudes add within one noise index before squaring; the
-    indices' variances add.
+
+def _adversary_output_stats(s: NetworkScenario, rows, n_noises: int):
+    """(sig, own, jam) of the adversaries' channel contribution, from the
+    rows (a_k, b_k, s_k, j_k) and noise count J of ``lower()``.
+
+    The received adversary sum is sig*S + (own sensing-noise part with
+    variance own) + (source-independent jamming with variance jam).  Jamming
+    amplitudes add within one noise index before squaring; the indices'
+    variances add.  a_k, b_k and s_k may be arrays of lanes; j_k may not.
     """
-    rows, n_noises = strategy.lower(s.adversaries)
     sig = own = 0.0
     amps = [0.0] * n_noises
     for p, (a, b, ss, j) in zip(s.adversaries, rows):
         alpha = p.alpha
-        sig += alpha * a
-        own += alpha * alpha * b * b
-        if ss:
-            amps[j] += alpha * ss
-    return sig, own, sum(amp * amp for amp in amps)
+        sig = sig + alpha * a
+        own = own + alpha * alpha * b * b
+        # j_k is unused where s_k = 0 (LinearMirror has no noises); adding a
+        # zero amplitude changes no amplitude.
+        if j < n_noises:
+            amps[j] = amps[j] + alpha * ss
+    jam = 0.0
+    for amp in amps:
+        jam = jam + amp * amp
+    return sig, own, jam
 
 
-def channel_moments(s: NetworkScenario, p: StrategyProfile) -> tuple[float, float]:
-    """(E{S * Y_dec}, E{Y^2}) for the decoder-visible received signal.
+def _moments(r_t, own_t, sig, own, jam, randomized: bool):
+    """(E{S * Y_dec}, E{Y^2}) from the five statistics, lane by lane.
 
     For randomized profiles the receiver works with gamma*Y; the shared coin
     decorrelates the adversary's source/sensing components from the decoded
     signal, so only their power survives.  Raises NumericalFailure when
-    E{Y^2} overflows (e.g. alpha^2*P beyond the float range).
+    E{Y^2} overflows (e.g. alpha^2*P beyond the float range) in any lane.
     """
-    r_t = sum(p_.beta * c * p_.alpha for p_, c in zip(s.transmitters, p.transmit_coeffs))
-    own_t = sum(p_.alpha ** 2 * c * c for p_, c in zip(s.transmitters, p.transmit_coeffs))
-    sig_a, own_a, jam_a = _adversary_output_stats(s, p.adversary)
-    if p.randomized:
+    if randomized:
         r = r_t
-        total = r_t * r_t + own_t + sig_a * sig_a + own_a + jam_a + 1.0
+        total = r_t * r_t + own_t + sig * sig + own + jam + 1.0
     else:
-        r = r_t + sig_a
-        total = r * r + own_t + own_a + jam_a + 1.0
-    if not math.isfinite(total):
+        r = r_t + sig
+        total = r * r + own_t + own + jam + 1.0
+    finite = math.isfinite(total) if isinstance(total, float) else np.isfinite(total).all()
+    if not finite:
         raise NumericalFailure("E{Y^2} is not finite: a gain-power product overflows")
     return r, total
+
+
+def _cost(r_t, own_t, sig, own, jam, randomized: bool):
+    """The MMSE 1 - E{SY}^2/E{Y^2} from the five statistics, lane by lane."""
+    r, total = _moments(r_t, own_t, sig, own, jam, randomized)
+    return 1.0 - (r * r) / total
+
+
+def _profile_stats(s: NetworkScenario, p: StrategyProfile):
+    """The five statistics of profile ``p`` and its ``randomized`` flag."""
+    return (*_transmit_stats(s, p.transmit_coeffs),
+            *_adversary_output_stats(s, *p.adversary.lower(s.adversaries)), p.randomized)
+
+
+def channel_moments(s: NetworkScenario, p: StrategyProfile) -> tuple[float, float]:
+    """(E{S * Y_dec}, E{Y^2}) for the decoder-visible received signal of
+    profile ``p``; see ``_moments``."""
+    return _moments(*_profile_stats(s, p))
 
 
 def direct_mmse_cost(s: NetworkScenario, p: StrategyProfile) -> float:
@@ -96,8 +135,7 @@ def direct_mmse_cost(s: NetworkScenario, p: StrategyProfile) -> float:
 
     Invariant under a global sign flip of all coefficients.
     """
-    r, total = channel_moments(s, p)
-    return 1.0 - (r * r) / total
+    return _cost(*_profile_stats(s, p))
 
 
 def bayes_decoder_gain(s: NetworkScenario, p: StrategyProfile) -> float:
@@ -214,20 +252,24 @@ def solve_theorem4(s: NetworkScenario) -> EquilibriumReport:
 
 # -- Theorem 5: no coordination, coupled multiplier system -------------------
 
-def _transmit_side(s: NetworkScenario, lam3: float, p_t: float) -> tuple[float, np.ndarray]:
+def _transmit_side(s: NetworkScenario, lam3, p_t: float):
     """lambda4 and the transmit coefficients for a trial lambda3 > 0, with the
-    sum power constraint met with equality (lambda4 > 0 sign convention)."""
-    denoms = np.array([p.input_second_moment + lam3 * p.alpha ** 2 for p in s.transmitters])
-    if np.any(np.abs(denoms) < DENOM_FLOOR):
-        raise SingularDenominator(f"transmit denominator below {DENOM_FLOOR} at lambda3={lam3}")
-    ab = np.array([p.alpha * p.beta for p in s.transmitters])
+    sum power constraint met with equality (lambda4 > 0 sign convention).
+    ``lam3`` may be an array of lanes; the outputs then gain a leading lane
+    axis."""
+    lam3 = np.asarray(lam3)
     one_b2 = np.array([p.input_second_moment for p in s.transmitters])
-    t2 = float(np.sum(one_b2 * ab * ab / denoms**2))
-    if t2 <= 0.0:
-        raise DegenerateInput("no information path: all alpha*beta vanish")
-    lam4 = 2.0 * math.sqrt(p_t / t2)
-    coeffs = lam4 * ab / (2.0 * denoms)
-    return lam4, coeffs
+    a2 = np.array([p.alpha ** 2 for p in s.transmitters])
+    ab = np.array([p.alpha * p.beta for p in s.transmitters])
+    with np.errstate(over="ignore"):  # overflow gives inf, as float arithmetic does
+        denoms = one_b2 + lam3[..., None] * a2
+        if np.any(np.abs(denoms) < DENOM_FLOOR):
+            raise SingularDenominator(f"transmit denominator below {DENOM_FLOOR} at lambda3={lam3}")
+        t2 = np.sum(one_b2 * ab * ab / denoms**2, axis=-1)
+        if np.any(t2 <= 0.0):
+            raise DegenerateInput("no information path: all alpha*beta vanish")
+        lam4 = 2.0 * np.sqrt(p_t / t2)
+        return lam4, lam4[..., None] * ab / (2.0 * denoms)
 
 
 def adversary_linear_response(
@@ -292,6 +334,111 @@ def adversary_linear_response(
     return float(lam1), float(lam2), c_k
 
 
+def _brentq_lanes(f, xa: float, xb: float, fa, fb, todo):
+    """``brentq(f, xa, xb, xtol=1e-15, rtol=8.9e-16, maxiter=256)`` on every
+    lane where ``todo`` holds, all lanes at once.
+
+    The steps are scipy's (Brent 1973, as in scipy/optimize/Zeros/brentq.c)
+    in the same double arithmetic, so each lane's root has the bits that
+    brentq gives for that lane alone.  ``f(x, live)`` maps an array of
+    abscissae, one per lane, to the lane values; ``live`` marks the lanes
+    whose value brentq would ask for.  fa and fb are f at xa and xb, nonzero
+    and of opposite signs on every lane in ``todo``.  Other lanes give NaN.
+    """
+    xtol, rtol = 1e-15, 8.9e-16
+    xpre, xcur = np.full(fa.shape, xa), np.full(fa.shape, xb)
+    fpre, fcur = fa, fb
+    xblk = fblk = spre = scur = np.zeros(fa.shape)
+    root = np.full(fa.shape, np.nan)
+    todo = todo.copy()
+    for _ in range(256):
+        if not todo.any():
+            return root
+        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+        fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+
+        delta = (xtol + rtol * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = todo & ((fcur == 0) | (np.abs(sbis) < delta))
+        root[done] = xcur[done]
+        todo &= ~done
+
+        interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
+        dpre = (fpre - fcur) / (xpre - xcur)
+        dblk = (fblk - fcur) / (xblk - xcur)
+        extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, interpolate, extrapolate)
+        limit = np.where(np.abs(spre) < 3 * np.abs(sbis) - delta,
+                         np.abs(spre), 3 * np.abs(sbis) - delta)
+        short = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) & (2 * np.abs(stry) < limit)
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur = f(xcur, todo)
+    if todo.any():
+        raise RuntimeError("Failed to converge after 256 iterations")
+    return root
+
+
+def _outer_residual_scan(s: NetworkScenario, grid: np.ndarray, p_t: float, p_a: float):
+    """The outer residual lambda4*lambda1 + lambda2*lambda3 at every lambda3 in
+    ``grid``, in one array pass: (values, ok).
+
+    Lane i repeats the arithmetic of ``_transmit_side`` and
+    ``adversary_linear_response`` at lambda3 = grid[i], so its value has the
+    scalar residual's bits.  ok is False where the scalar residual raises
+    NonConvergence or SingularDenominator: |r_m| below DENOM_FLOOR, no
+    bracket for the power gap, or a singular adversary denominator at the
+    root.  Where the scalar path's float ``**`` would overflow, this raises
+    the same OverflowError.
+    """
+    with np.errstate(all="ignore"):
+        lam4, c_m = _transmit_side(s, grid, p_t)
+        ab_t = np.array([p.alpha * p.beta for p in s.transmitters])
+        a2_t = np.array([p.alpha ** 2 for p in s.transmitters])
+        # Running sums add the sensors one at a time, in order, as sum() does.
+        r_m = np.add.accumulate(ab_t * c_m, axis=1)[:, -1]
+        s_own = np.add.accumulate(a2_t * c_m * c_m, axis=1)[:, -1]
+
+        a_adv = np.array([p.alpha for p in s.adversaries])
+        b2_adv = np.array([p.input_second_moment for p in s.adversaries])
+        ab_adv = np.array([p.alpha * p.beta for p in s.adversaries])
+        lam1_max = float(np.min(b2_adv / a_adv**2))
+
+        def lam2_of(lam1):
+            return -(2.0 * p_a + 2.0 * lam1 * (1.0 + s_own)) / r_m
+
+        def power_gap(lam1, live):
+            d = b2_adv - lam1[:, None] * a_adv**2
+            a2 = np.sum(b2_adv * ab_adv**2 / d**2, axis=1)
+            # float_power is libm pow, as the scalar path's float ** is;
+            # numpy's ** 2 is x*x, which differs from it in the last bit for
+            # about 1 in 1000 x.  Float ** raises where the square overflows.
+            lam2 = lam2_of(lam1)
+            square = np.float_power(lam2, 2.0)
+            if np.any(live & np.isfinite(lam2) & np.isinf(square)):
+                raise OverflowError(34, "Numerical result out of range")
+            return square / 4.0 * a2 - p_a
+
+        lo = lam1_max * 1e-14
+        hi = lam1_max * (1.0 - 1e-9)
+        ok = ~(np.abs(r_m) < DENOM_FLOOR)
+        g_lo = power_gap(np.full(len(grid), lo), ok)
+        ok &= ~(g_lo >= 0.0)
+        g_hi = power_gap(np.full(len(grid), hi), ok)
+        ok &= g_hi > 0.0
+        lam1 = _brentq_lanes(power_gap, lo, hi, g_lo, g_hi, ok)
+        lam2 = lam2_of(lam1)
+        d = b2_adv - lam1[:, None] * a_adv**2
+        ok &= ~np.any(np.abs(d) < DENOM_FLOOR, axis=1)
+        return lam4 * lam1 + lam2 * grid, ok
+
+
 def kkt_residuals(s: NetworkScenario, lambdas, transmit_coeffs, adversary_coeffs) -> list[float]:
     """Left-hand sides of every first-order condition and constraint of the
     no-coordination system, evaluated at the multipliers
@@ -337,15 +484,46 @@ def kkt_residuals(s: NetworkScenario, lambdas, transmit_coeffs, adversary_coeffs
     return [float(r) for r in res]
 
 
+def _scan_grid(p_t: float) -> np.ndarray:
+    """The outer scan's lambda3 grid on (0, P_T); geometric points resolve
+    roots near 0."""
+    n = OUTER_SCAN_POINTS
+    return np.unique(
+        np.concatenate(
+            [
+                np.geomspace(1e-8, 0.5, n // 2),
+                np.linspace(1e-3, 1.0 - 1e-10, n // 2),
+            ]
+        )
+    ) * p_t
+
+
+def _sign_changes(values: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Every i where the scanned residual is zero at grid point i or changes
+    sign between points i and i+1, both evaluated, ascending."""
+    v0, v1 = values[:-1], values[1:]
+    with np.errstate(all="ignore"):  # overflowing products as float products do
+        return np.flatnonzero(ok[:-1] & ok[1:] & ((v0 == 0.0) | (v0 * v1 < 0.0)))
+
+
+def _outer_residual(s: NetworkScenario, lam3: float, p_t: float, p_a: float) -> float:
+    """F(lambda3) = lambda4*lambda1 + lambda2*lambda3 at one trial lambda3."""
+    lam4, c_m = _transmit_side(s, lam3, p_t)
+    lam1, lam2, _ = adversary_linear_response(s, c_m, p_a)
+    return float(lam4) * lam1 + lam2 * lam3
+
+
 def solve_theorem5(s: NetworkScenario) -> EquilibriumReport:
     """Stackelberg equilibrium of the no-coordination asymmetric setting.
 
     Outer bracketed Brent root-find on lambda3 in (0, P_T) with residual
     F(lambda3) = lambda4*lambda1 + lambda2*lambda3; each evaluation solves
     the adversary subsystem exactly for (lambda1, lambda2, c_k) given the
-    trial transmit coefficients.  Convergence requires every first-order
-    residual below ``KKT_TOL``; otherwise NonConvergence carries the
-    residual vector.
+    trial transmit coefficients.  F is first evaluated on the whole scan grid
+    in one array pass; scalar Brent then solves the first bracket where it
+    changes sign, and a note tagged [asym2-multiple-roots] records any
+    further sign changes.  Convergence requires every first-order residual
+    below ``KKT_TOL``; otherwise NonConvergence carries the residual vector.
     """
     if s.setting is not Setting.ASYM_II:
         raise InvalidScenario(f"solve_theorem5 requires AsymII, got {s.setting.value}")
@@ -360,8 +538,6 @@ def solve_theorem5(s: NetworkScenario) -> EquilibriumReport:
     if p_a <= 0.0:
         raise InvalidScenario("solve_theorem5 requires P_A > 0")
 
-    evals = 0
-
     def outer_residual(lam3: float) -> float:
         nonlocal evals
         evals += 1
@@ -369,54 +545,29 @@ def solve_theorem5(s: NetworkScenario) -> EquilibriumReport:
             raise NonConvergence(
                 f"outer iteration budget {MAX_OUTER_EVALS} exhausted", iterations=evals
             )
-        lam4, c_m = _transmit_side(s, lam3, p_t)
-        lam1, lam2, _ = adversary_linear_response(s, c_m, p_a)
-        return lam4 * lam1 + lam2 * lam3
+        return _outer_residual(s, lam3, p_t, p_a)
 
-    # Scan (0, P_T) for a sign change; geometric points resolve roots near 0.
-    n = OUTER_SCAN_POINTS
-    grid = np.unique(
-        np.concatenate(
-            [
-                np.geomspace(1e-8, 0.5, n // 2),
-                np.linspace(1e-3, 1.0 - 1e-10, n // 2),
-            ]
-        )
-    ) * p_t
-    values: list[float | None] = []
-    for x in grid:
-        try:
-            values.append(outer_residual(float(x)))
-        except (NonConvergence, SingularDenominator):
-            values.append(None)
-
-    bracket = None
-    for i in range(len(grid) - 1):
-        vi, vj = values[i], values[i + 1]
-        if vi is None or vj is None:
-            continue
-        if vi == 0.0:
-            bracket = (grid[i], grid[i])
-            break
-        if vi * vj < 0.0:
-            bracket = (grid[i], grid[i + 1])
-            break
-    if bracket is None:
-        finite = [v for v in values if v is not None]
+    grid = _scan_grid(p_t)
+    values, ok = _outer_residual_scan(s, grid, p_t, p_a)
+    evals = len(grid)
+    roots = _sign_changes(values, ok)
+    if len(roots) == 0:
+        # The exit-2 report holds exactly what the scalar residual computes.
+        finite = [_outer_residual(s, float(x), p_t, p_a) for x in grid[ok][:8]]
         raise NonConvergence(
             "no sign change for the outer multiplier residual on (0, P_T)",
             iterations=evals,
-            residuals=tuple(finite[:8]),
+            residuals=tuple(finite),
         )
 
-    if bracket[0] == bracket[1]:
-        lam3 = float(bracket[0])
+    lo, hi = float(grid[roots[0]]), float(grid[roots[0] + 1])
+    if values[roots[0]] == 0.0:
+        lam3 = lo
     else:
-        lam3 = float(
-            brentq(outer_residual, bracket[0], bracket[1], xtol=1e-15, rtol=8.9e-16, maxiter=256)
-        )
+        lam3 = float(brentq(outer_residual, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=256))
 
     lam4, c_m = _transmit_side(s, lam3, p_t)
+    lam4 = float(lam4)
     lam1, lam2, c_k = adversary_linear_response(s, c_m, p_a)
 
     transmit_coeffs = tuple(float(c) for c in c_m)
@@ -467,6 +618,11 @@ def solve_theorem5(s: NetworkScenario) -> EquilibriumReport:
         f"published identity P_T/l1 + P_A/l3 = {printed_identity!r} (consistent form "
         f"P_T/l3 - P_A/l1 = {p_t / lam3 - p_a / lam1!r}) [asym2-multiplier-identity]",
     )
+    if len(roots) > 1:
+        notes += (
+            f"outer residual changes sign {len(roots)} times on the {len(grid)}-point scan; "
+            f"solved the first bracket [{lo!r}, {hi!r}] [asym2-multiple-roots]",
+        )
     return EquilibriumReport(
         cost=oracle,
         profile=profile,

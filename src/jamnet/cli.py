@@ -5,8 +5,9 @@ run writes `<out>.csv` (tabular results) and `<out>.json` (the full report
 with strategies, multipliers and discrepancy notes).  Identical config and
 seed produce byte-identical outputs.
 
-Exit codes: 0 success, 1 invalid config/scenario, 2 solver non-convergence
-or numerical failure (diagnostics still written to the JSON report).
+Exit codes: 0 success, 1 invalid config/scenario/profile, 2 any other
+package error or float overflow: solver non-convergence, numerical failure
+(diagnostics still written to the JSON report).
 """
 
 from __future__ import annotations
@@ -21,17 +22,12 @@ from pathlib import Path
 from . import asym, bounds, simulate, symmetric
 from .model import (
     KNOWN_DISCREPANCY_TAGS,
-    DegenerateInput,
     InvalidProfile,
     InvalidScenario,
     JamnetError,
     NetworkScenario,
-    NoRoot,
-    NonConvergence,
-    NumericalFailure,
     SensorParams,
     Setting,
-    SingularDenominator,
     profile_to_dict,
     scenario_to_dict,
     validate_scenario,
@@ -448,8 +444,9 @@ def run_command(cfg: RunConfig) -> int:
     }
     try:
         header, rows, extra, summary = _RUNNERS[cfg.command](cfg)
-    except (NonConvergence, SingularDenominator, NoRoot, NumericalFailure, DegenerateInput,
-            OverflowError) as exc:
+    except (ParseError, InvalidScenario, InvalidProfile):
+        raise  # exit 1 in main
+    except (JamnetError, OverflowError) as exc:
         payload["error"] = {
             "type": type(exc).__name__,
             "message": str(exc),

@@ -246,7 +246,8 @@ class EquilibriumReport:
 
 
 # Stable tags attached to reports whenever a published closed form and the
-# direct oracle are both evaluated and differ.
+# direct oracle are both evaluated and differ, or a solver had to choose
+# between several candidate solutions.
 KNOWN_DISCREPANCY_TAGS = {
     "observation-model": "sensing model fixed as U = beta*S + W (the form all moment algebra requires)",
     "jammer-gain-alpha": "coordinated-jammer received power carries the channel gain: alpha^2*K^2*P",
@@ -255,6 +256,7 @@ KNOWN_DISCREPANCY_TAGS = {
     "asym2-cost-closed-form": "setting-II power-allocation cost closed form carries a spurious factor 2 per denominator",
     "asym2-multiplier-equation-sign": "published multiplier equation has (1 - sum a^2 c^2); stationarity forces (1 + sum a^2 c^2)",
     "asym2-multiplier-identity": "published identity 1 = P_T/l1 + P_A/l3; the consistent system satisfies 1 = P_T/l3 - P_A/l1",
+    "asym2-multiple-roots": "the Theorem-5 outer residual changes sign more than once on the scan grid; the first bracket is solved",
 }
 
 

@@ -19,7 +19,11 @@ never a row per sensor.
 The verification half probes the two saddle inequalities: a grid sweep over
 the linear-Gaussian deviation class for the adversary (maximizer) and
 projected random perturbations with exact follower re-solves for the
-transmitters (minimizer).
+transmitters (minimizer).  Candidates are evaluated from their sufficient
+statistics with ``asym``'s cost core, not as profiles: each deviation grid
+is one array pass, and the SymII follower's scalar search adds one
+adversary's terms to sums cached per sign split.  Every candidate costs the
+bits the per-profile oracle gives it, and ties keep the first candidate.
 """
 
 from __future__ import annotations
@@ -173,13 +177,12 @@ def run_monte_carlo(
 
 # -- adversary-side verification ---------------------------------------------
 
-def _disc_grid(points: int) -> list[tuple[float, float]]:
+def _disc_grid(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) of the grid points in the unit disc, u-major."""
     axis = np.linspace(-1.0, 1.0, points)
-    return [(float(u), float(v)) for u in axis for v in axis if u * u + v * v <= 1.0 + 1e-12]
-
-
-def _with_adversary(p: StrategyProfile, strategy) -> StrategyProfile:
-    return dataclasses.replace(p, adversary=strategy)
+    u, v = (x.ravel() for x in np.meshgrid(axis, axis, indexing="ij"))
+    inside = u * u + v * v <= 1.0 + 1e-12
+    return u[inside], v[inside]
 
 
 def best_response_adversary_search(s: NetworkScenario, p: StrategyProfile) -> BestResponseReport:
@@ -198,59 +201,53 @@ def best_response_adversary_search(s: NetworkScenario, p: StrategyProfile) -> Be
     K = s.num_adversaries
     if K == 0:
         return BestResponseReport(base, base, "no adversaries", "AdversaryMax")
+    r_t, own_t = asym._transmit_stats(s, p.transmit_coeffs)
 
-    candidates: list[tuple[str, object]] = []
-    if s.setting.is_symmetric:
-        budget = s.adversaries[0].power
-        root = math.sqrt(budget)
-        candidates.append(
-            ("shared triple (a=0, b=0, s=full)", GeneralLinearGaussian(
-                triples=((0.0, 0.0, root),) * K))
-        )
-        candidates.append(("coordinated full-power noise", CoordinatedNoise(variance=budget)))
-        candidates.append(
-            ("independent full-power noise", IndependentNoise(variances=(budget,) * K))
-        )
-        for u, v in _disc_grid(GRID_POINTS_PER_AXIS):
-            a = u * root
-            b = v * root
-            ss = math.sqrt(max(budget - a * a - b * b, 0.0))
-            candidates.append(
-                (f"shared triple (a={a:.6g}, b={b:.6g}, s={ss:.6g})",
-                 GeneralLinearGaussian(triples=((a, b, ss),) * K))
-            )
-    else:
-        budget = s.sum_power_attack or 0.0
-        root = math.sqrt(budget)
-        for j in range(K):
-            variances = [0.0] * K
-            variances[j] = budget
-            candidates.append(
-                (f"all noise power on adversary {j}", IndependentNoise(variances=tuple(variances)))
-            )
-        candidates.append(
-            ("uniform coordinated noise", CoordinatedNoise(variance=budget / K))
-        )
-        for j in range(K):
-            for u, v in _disc_grid(GRID_POINTS_PER_AXIS):
-                a = u * root
-                b = v * root
-                ss = math.sqrt(max(budget - a * a - b * b, 0.0))
-                triples = [(0.0, 0.0, 0.0)] * K
-                triples[j] = (a, b, ss)
-                candidates.append(
-                    (f"adversary {j} triple (a={a:.6g}, b={b:.6g}, s={ss:.6g})",
-                     GeneralLinearGaussian(triples=tuple(triples)))
-                )
+    def cost(lowered) -> np.ndarray:
+        stats = asym._adversary_output_stats(s, *lowered)
+        return np.atleast_1d(asym._cost(r_t, own_t, *stats, p.randomized))
 
-    best_cost = base
-    best_desc = "no deviation improves on the profile"
-    for desc, strategy in candidates:
-        cost = asym.direct_mmse_cost(s, _with_adversary(p, strategy))
-        if cost > best_cost:
-            best_cost = cost
-            best_desc = desc
-    return BestResponseReport(base, best_cost, best_desc, "AdversaryMax")
+    families = []  # (costs, description of candidate i) per family, in sweep order
+    symmetric = s.setting.is_symmetric
+    budget = s.adversaries[0].power if symmetric else s.sum_power_attack or 0.0
+    root = math.sqrt(budget)
+    u, v = _disc_grid(GRID_POINTS_PER_AXIS)
+    a, b = u * root, v * root
+    ss = np.sqrt(np.maximum(budget - a * a - b * b, 0.0))
+
+    def triple(prefix: str):
+        return lambda i: (f"{prefix} triple (a={float(a[i]):.6g}, b={float(b[i]):.6g}, "
+                          f"s={float(ss[i]):.6g})")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        if symmetric:
+            families.append((cost(GeneralLinearGaussian(triples=((0.0, 0.0, root),) * K)
+                                  .lower(s.adversaries)),
+                             lambda i: "shared triple (a=0, b=0, s=full)"))
+            families.append((cost(CoordinatedNoise(variance=budget).lower(s.adversaries)),
+                             lambda i: "coordinated full-power noise"))
+            families.append((cost(IndependentNoise(variances=(budget,) * K).lower(s.adversaries)),
+                             lambda i: "independent full-power noise"))
+            families.append((cost(([(a, b, ss, k) for k in range(K)], K)), triple("shared")))
+        else:
+            # Lane j: all the noise power on adversary j.
+            single = [(0.0, 0.0, np.where(np.arange(K) == k, root, 0.0), k) for k in range(K)]
+            families.append((cost((single, K)), lambda j: f"all noise power on adversary {j}"))
+            families.append((cost(CoordinatedNoise(variance=budget / K).lower(s.adversaries)),
+                             lambda i: "uniform coordinated noise"))
+            for j in range(K):
+                rows = [(a, b, ss, k) if k == j else (0.0, 0.0, 0.0, k) for k in range(K)]
+                families.append((cost((rows, K)), triple(f"adversary {j}")))
+
+    costs = np.concatenate([c for c, _ in families])
+    i = int(np.argmax(costs))
+    if not costs[i] > base:
+        return BestResponseReport(base, base, "no deviation improves on the profile", "AdversaryMax")
+    best = float(costs[i])
+    for family, describe in families:
+        if i < len(family):
+            return BestResponseReport(base, best, describe(i), "AdversaryMax")
+        i -= len(family)
 
 
 def adversary_local_probe(s: NetworkScenario, p: StrategyProfile) -> BestResponseReport:
@@ -261,6 +258,7 @@ def adversary_local_probe(s: NetworkScenario, p: StrategyProfile) -> BestRespons
     if not isinstance(p.adversary, LinearMirror):
         raise InvalidProfile("adversary_local_probe needs a linear adversary")
     base = asym.direct_mmse_cost(s, p)
+    r_t, own_t = asym._transmit_stats(s, p.transmit_coeffs)
     coeffs = np.asarray(p.adversary.coeffs, dtype=float)
     m2 = np.array([q.input_second_moment for q in s.adversaries])
     power = float(np.sum(m2 * coeffs**2))
@@ -274,9 +272,8 @@ def adversary_local_probe(s: NetworkScenario, p: StrategyProfile) -> BestRespons
         if norm <= 0.0:
             continue
         trial = trial * math.sqrt(power / norm)
-        cost = asym.direct_mmse_cost(
-            s, _with_adversary(p, LinearMirror(coeffs=tuple(float(c) for c in trial)))
-        )
+        lowered = LinearMirror(coeffs=tuple(float(c) for c in trial)).lower(s.adversaries)
+        cost = asym._cost(r_t, own_t, *asym._adversary_output_stats(s, *lowered), p.randomized)
         if cost > best_cost:
             best_cost = cost
             best_desc = f"coefficient perturbation #{i}"
@@ -293,53 +290,56 @@ def follower_best_response_sym2(
     The cost is increasing in the adversaries' total squared coefficient at a
     fixed coefficient sum, so the optimum is bang-bang: all coefficients at
     the per-sensor cap except at most one interior.  Enumerate sign splits
-    and optimize the single interior coefficient.
+    and optimize the single interior coefficient (the last adversary's), with
+    the others' statistics summed once per split.
     """
     K = s.num_adversaries
     if K == 0:
         return ()
     cap = math.sqrt(s.adversaries[0].power / s.adversaries[0].input_second_moment)
+    r_t, own_t = asym._transmit_stats(s, transmit_coeffs)
+    last = s.adversaries[-1]
 
-    def cost_of(coeffs: tuple[float, ...]) -> float:
-        prof = StrategyProfile(
-            transmit_coeffs=tuple(transmit_coeffs),
-            randomized=False,
-            adversary=LinearMirror(coeffs=coeffs),
-            decoder_gain=0.0,
-        )
-        return asym.direct_mmse_cost(s, prof)
+    def prefix_stats(fixed: tuple[float, ...]) -> tuple[float, float]:
+        """(sig, own) of adversaries 0..K-2 playing ``fixed``."""
+        rows, _ = LinearMirror(coeffs=fixed + (0.0,)).lower(s.adversaries)
+        sig, own, _ = asym._adversary_output_stats(s, rows[:-1], 0)
+        return sig, own
+
+    def cost_of(prefix: tuple[float, float], t: float) -> float:
+        # The last adversary adds its LinearMirror row (t*beta, t, 0, 0).
+        sig, own = prefix
+        return asym._cost(r_t, own_t, sig + last.alpha * (t * last.beta),
+                          own + last.alpha * last.alpha * t * t, 0.0, False)
 
     best_coeffs = (-cap,) * K
-    best = cost_of(best_coeffs)
+    best = cost_of(prefix_stats(best_coeffs[:-1]), -cap)
     for n_minus in range(K):
         fixed = (-cap,) * n_minus + (cap,) * (K - 1 - n_minus)
-
-        def neg_cost(t: float) -> float:
-            return -cost_of(fixed + (t,))
-
-        res = minimize_scalar(neg_cost, bounds=(-cap, cap), method="bounded",
-                              options={"xatol": 1e-12})
+        prefix = prefix_stats(fixed)
+        res = minimize_scalar(lambda t: -cost_of(prefix, t), bounds=(-cap, cap),
+                              method="bounded", options={"xatol": 1e-12})
         for t in (float(res.x), -cap, cap):
-            val = cost_of(fixed + (t,))
+            val = cost_of(prefix, t)
             if val > best:
                 best = val
                 best_coeffs = fixed + (t,)
     return best_coeffs
 
 
-def _follower_cost(s: NetworkScenario, p: StrategyProfile, coeffs: np.ndarray) -> float:
-    """Leader objective at perturbed transmit coefficients, with the follower
-    re-solved within its class where the response depends on the leader."""
-    trial = dataclasses.replace(p, transmit_coeffs=tuple(float(c) for c in coeffs))
+def _follower_stats(s: NetworkScenario, coeffs: np.ndarray, fixed):
+    """Adversary statistics of the follower re-solved within its class
+    against transmit coefficients ``coeffs``, or ``fixed`` where the follower
+    does not depend on them (SymI, SymIII, AsymI: full-power noise or
+    best-channel allocation)."""
     if s.setting is Setting.SYM_II:
-        response = follower_best_response_sym2(s, trial.transmit_coeffs)
-        trial = _with_adversary(trial, LinearMirror(coeffs=response))
+        response = follower_best_response_sym2(s, tuple(float(c) for c in coeffs))
     elif s.setting is Setting.ASYM_II:
         _, _, c_k = asym.adversary_linear_response(s, coeffs, s.sum_power_attack)
-        trial = _with_adversary(trial, LinearMirror(coeffs=tuple(float(c) for c in c_k)))
-    # SymI, SymIII and AsymI followers do not depend on the transmit
-    # coefficients (full-power noise / best-channel allocation): keep p's.
-    return asym.direct_mmse_cost(s, trial)
+        response = tuple(float(c) for c in c_k)
+    else:
+        return fixed
+    return asym._adversary_output_stats(s, *LinearMirror(coeffs=response).lower(s.adversaries))
 
 
 def best_response_transmitter_search(s: NetworkScenario, p: StrategyProfile) -> BestResponseReport:
@@ -358,6 +358,11 @@ def best_response_transmitter_search(s: NetworkScenario, p: StrategyProfile) -> 
     if M == 0:
         return BestResponseReport(base, base, "no transmitters", "TransmitterMin")
 
+    if s.setting.is_symmetric:
+        caps = np.array([math.sqrt(q.power / q.input_second_moment) for q in s.transmitters])
+    else:
+        m2 = np.array([q.input_second_moment for q in s.transmitters])
+    fixed = asym._adversary_output_stats(s, *p.adversary.lower(s.adversaries))
     rng = np.random.default_rng(PROBE_SEED)
     best_cost = base
     best_desc = "no perturbation lowers the cost"
@@ -365,20 +370,18 @@ def best_response_transmitter_search(s: NetworkScenario, p: StrategyProfile) -> 
         d = rng.standard_normal(M)
         trial = coeffs + PROBE_STEP * d
         if s.setting.is_symmetric:
-            caps = np.array(
-                [math.sqrt(q.power / q.input_second_moment) for q in s.transmitters]
-            )
             trial = np.clip(trial, -caps, caps)
         else:
-            m2 = np.array([q.input_second_moment for q in s.transmitters])
             norm = float(np.sum(m2 * trial**2))
             if norm <= 0.0:
                 continue
             trial = trial * math.sqrt(s.sum_power_transmit / norm)
         try:
-            cost = _follower_cost(s, p, trial)
+            stats = _follower_stats(s, trial, fixed)
         except (NonConvergence, SingularDenominator):
             continue
+        cost = asym._cost(*asym._transmit_stats(s, tuple(float(c) for c in trial)), *stats,
+                          p.randomized)
         if cost < best_cost:
             best_cost = cost
             best_desc = f"coefficient perturbation #{i}"

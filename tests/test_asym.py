@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -6,17 +7,22 @@ import pytest
 from scipy.optimize import minimize
 
 from jamnet import (
+    CoordinatedNoise,
     EmptyAdversarySet,
+    GeneralLinearGaussian,
+    IndependentNoise,
     InvalidScenario,
     LinearMirror,
     NetworkScenario,
     NonConvergence,
     SensorParams,
     Setting,
+    SingularDenominator,
     StrategyProfile,
     make_symmetric,
     validate_scenario,
 )
+from jamnet.model import KNOWN_DISCREPANCY_TAGS
 from jamnet import asym, symmetric as sym
 from conftest import random_asym_scenario
 
@@ -302,3 +308,160 @@ def test_theorem5_multiplier_identities():
     )
     assert any("asym2-multiplier-identity" in n for n in rep.discrepancy_notes)
     assert any("asym2-cost-closed-form" in n for n in rep.discrepancy_notes)
+
+
+# -- batched cost core and the Theorem-5 array scan ---------------------------
+
+def _random_profiles(rng, s, kind, randomized, n):
+    """n random profiles of one adversary strategy kind (budgets ignored: the
+    oracle does not check them)."""
+    M, K = s.num_transmitters, s.num_adversaries
+    coordinated = int(rng.integers(0, K + 1))
+    profiles = []
+    for _ in range(n):
+        if kind is CoordinatedNoise:
+            adversary = CoordinatedNoise(variance=float(rng.uniform(0.0, 2.0)),
+                                         coordinated_count=coordinated)
+        elif kind is IndependentNoise:
+            adversary = IndependentNoise(variances=tuple(rng.uniform(0.0, 2.0, K).tolist()))
+        elif kind is LinearMirror:
+            adversary = LinearMirror(coeffs=tuple(rng.uniform(-1.0, 1.0, K).tolist()))
+        else:
+            adversary = GeneralLinearGaussian(
+                triples=tuple(tuple(t) for t in rng.uniform(-1.0, 1.0, (K, 3)).tolist()))
+        profiles.append(StrategyProfile(
+            transmit_coeffs=tuple(rng.uniform(-1.0, 1.0, M).tolist()), randomized=randomized,
+            adversary=adversary, decoder_gain=0.0))
+    return profiles
+
+
+def _batched_costs(s, profiles, sign=1.0):
+    """The cost core on all ``profiles`` at once: one lane per profile, every
+    coefficient multiplied by ``sign``."""
+    lowered = [p.adversary.lower(s.adversaries) for p in profiles]
+    (rows0, n_noises), K = lowered[0], s.num_adversaries
+    assert all(n == n_noises and [r[3] for r in rows] == [r[3] for r in rows0]
+               for rows, n in lowered)
+    rows = [tuple(sign * np.array([lw[0][k][i] for lw in lowered]) for i in range(3))
+            + (rows0[k][3],) for k in range(K)]
+    coeffs = [sign * np.array([p.transmit_coeffs[m] for p in profiles])
+              for m in range(s.num_transmitters)]
+    stats = asym._transmit_stats(s, coeffs) + asym._adversary_output_stats(s, rows, n_noises)
+    return asym._cost(*stats, profiles[0].randomized)
+
+
+def _ref_direct_cost(s, p):
+    """The oracle as a per-profile scalar loop, in its original operation
+    order (the sums add in sensor order, as sum() does up to Python 3.11)."""
+    r_t = own_t = 0.0
+    for q, c in zip(s.transmitters, p.transmit_coeffs):
+        r_t += q.beta * c * q.alpha
+        own_t += q.alpha ** 2 * c * c
+    rows, n_noises = p.adversary.lower(s.adversaries)
+    sig = own = jam = 0.0
+    amps = [0.0] * n_noises
+    for q, (a, b, ss, j) in zip(s.adversaries, rows):
+        sig += q.alpha * a
+        own += q.alpha * q.alpha * b * b
+        if ss:
+            amps[j] += q.alpha * ss
+    for amp in amps:
+        jam += amp * amp
+    if p.randomized:
+        r, total = r_t, r_t * r_t + own_t + sig * sig + own + jam + 1.0
+    else:
+        r = r_t + sig
+        total = r * r + own_t + own + jam + 1.0
+    return 1.0 - (r * r) / total
+
+
+@pytest.mark.parametrize("kind", [CoordinatedNoise, IndependentNoise, LinearMirror,
+                                  GeneralLinearGaussian])
+@pytest.mark.parametrize("randomized", [True, False])
+@pytest.mark.parametrize("setting", [Setting.SYM_II, Setting.ASYM_II])
+def test_batched_cost_core_equals_direct_mmse_cost(rng, kind, randomized, setting):
+    for _ in range(5):
+        if setting.is_symmetric:
+            s = make_symmetric(4, 3, float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.2, 3.0)),
+                               1.0, setting)
+        else:
+            s = random_asym_scenario(rng, setting)
+        profiles = _random_profiles(rng, s, kind, randomized, 40)
+        batched = _batched_costs(s, profiles)
+        assert batched.tolist() == [asym.direct_mmse_cost(s, p) for p in profiles]
+        assert batched.tolist() == [_ref_direct_cost(s, p) for p in profiles]
+        # Sign-flip invariance and MSE in [0, 1] on the batched path.
+        assert np.array_equal(_batched_costs(s, profiles, sign=-1.0), batched)
+        assert np.all((0.0 <= batched) & (batched <= 1.0))
+
+
+def _scalar_scan(s, grid):
+    """The outer residual at each grid point through the scalar path, None
+    where it raises."""
+    values = []
+    for x in grid:
+        try:
+            values.append(asym._outer_residual(s, float(x), s.sum_power_transmit,
+                                               s.sum_power_attack))
+        except (NonConvergence, SingularDenominator):
+            values.append(None)
+    return values
+
+
+def test_theorem5_array_scan_matches_scalar_residual():
+    rng = np.random.default_rng(5)
+    brackets = 0
+    for _ in range(100):
+        s = random_asym_scenario(rng, Setting.ASYM_II)
+        grid = asym._scan_grid(s.sum_power_transmit)
+        values, ok = asym._outer_residual_scan(s, grid, s.sum_power_transmit,
+                                               s.sum_power_attack)
+        scalar = _scalar_scan(s, grid)
+        assert ok.tolist() == [v is not None for v in scalar]
+        # Each lane repeats the scalar arithmetic: the same bits.
+        assert values[ok].tolist() == [v for v in scalar if v is not None]
+        roots = asym._sign_changes(values, ok)
+        first = next((i for i in range(len(grid) - 1)
+                      if scalar[i] is not None and scalar[i + 1] is not None
+                      and (scalar[i] == 0.0 or scalar[i] * scalar[i + 1] < 0.0)), None)
+        assert (roots[0] if len(roots) else None) == first
+        brackets += first is not None
+    assert brackets > 50
+
+
+def test_theorem5_outer_residual_has_one_sign_change_on_random_instances():
+    rng = np.random.default_rng(20240818)
+    counts = collections.Counter()
+    for _ in range(200):
+        s = random_asym_scenario(rng, Setting.ASYM_II)
+        grid = asym._scan_grid(s.sum_power_transmit)
+        counts[len(asym._sign_changes(*asym._outer_residual_scan(
+            s, grid, s.sum_power_transmit, s.sum_power_attack)))] += 1
+    print(f"sign changes of the outer residual over 200 AsymII instances: {dict(counts)}")
+    # No sign change is the jam-dominant exit 2; none of these has two roots.
+    assert set(counts) <= {0, 1} and counts[1] > 100
+
+
+def test_theorem5_multiple_sign_changes_add_a_tagged_note(monkeypatch):
+    s = make_symmetric(2, 1, 1.0, 1.0, 1.0, Setting.ASYM_II)
+    plain = asym.solve_theorem5(s)
+    assert not any("asym2-multiple-roots" in n for n in plain.discrepancy_notes)
+    scan = asym._outer_residual_scan
+
+    def with_a_late_sign_change(s, grid, p_t, p_a):
+        values, ok = scan(s, grid, p_t, p_a)
+        assert ok[-2:].all() and len(asym._sign_changes(values, ok)) == 1
+        values = values.copy()
+        values[-1] = -values[-2]
+        return values, ok
+
+    monkeypatch.setattr(asym, "_outer_residual_scan", with_a_late_sign_change)
+    rep = asym.solve_theorem5(s)
+    grid = asym._scan_grid(s.sum_power_transmit)
+    first = int(asym._sign_changes(*scan(s, grid, s.sum_power_transmit, s.sum_power_attack))[0])
+    assert rep.multipliers == plain.multipliers
+    assert rep.discrepancy_notes[:-1] == plain.discrepancy_notes
+    assert rep.discrepancy_notes[-1] == (
+        f"outer residual changes sign 2 times on the {len(grid)}-point scan; solved the first "
+        f"bracket [{float(grid[first])!r}, {float(grid[first + 1])!r}] [asym2-multiple-roots]")
+    assert "asym2-multiple-roots" in KNOWN_DISCREPANCY_TAGS

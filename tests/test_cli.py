@@ -3,7 +3,10 @@ import json
 
 import pytest
 
+from jamnet import cli
 from jamnet.cli import main, parse_config, ParseError
+from jamnet.model import (EmptyAdversarySet, InvalidProfile, InvalidScenario, JamnetError,
+                          NoRoot)
 
 
 def _write_config(tmp_path, name="cfg.json", **overrides):
@@ -250,11 +253,17 @@ _MC = {"monte_carlo": {"samples": 1000, "seed": 1}}
         ("solve-asym", {**_ASYM_BUDGETS, "transmitters": _sensors(1e200, 1.0)}, "OverflowError"),
         ("solve-asym", {**_ASYM_BUDGETS, "setting": "AsymII",
                         "transmitters": _sensors(1e200, 1.0)}, "OverflowError"),
+        # lambda1 reaches 1e200 and lambda2^2 overflows in the outer scan.
+        ("solve-asym", {**_ASYM_BUDGETS, "setting": "AsymII",
+                        "transmitters": [{"alpha": 1e-100, "beta": 1e-100, "power": 0.0},
+                                         {"alpha": 1.0, "beta": 1.0, "power": 0.0}],
+                        "adversaries": _sensors(1e-100, 1e-100)}, "OverflowError"),
     ]
     + [(command, {**_OVERFLOWING_PRODUCT[setting], **_MC}, "NumericalFailure")
        for setting in ("SymI", "SymII") for command in ("closed-form", "simulate", "verify")],
     ids=["SymI-gain-1e200", "SymI-alpha-1e170", "AsymI-no-information-path",
-         "AsymII-no-information-path", "AsymI-alpha-1e200", "AsymII-alpha-1e200"]
+         "AsymII-no-information-path", "AsymI-alpha-1e200", "AsymII-alpha-1e200",
+         "AsymII-scan-square-overflow"]
     + [f"{setting}-{command}-alpha2P-overflow"
        for setting in ("SymI", "SymII") for command in ("closed-form", "simulate", "verify")],
 )
@@ -303,3 +312,38 @@ def test_seed_without_monte_carlo_changes_nothing(tmp_path):
     plain = [(tmp_path / name).read_bytes() for name in ("run.csv", "run.json")]
     assert main(["closed-form", "--config", str(cfg), "--seed", "9"]) == 0
     assert [(tmp_path / name).read_bytes() for name in ("run.csv", "run.json")] == plain
+
+
+@pytest.mark.parametrize("error", [EmptyAdversarySet, NoRoot, JamnetError])
+@pytest.mark.parametrize("command, overrides", [
+    ("closed-form", {}),
+    ("simulate", _MC),
+    ("verify", {}),
+    ("sweep", {"sweep": {"param": "alpha", "from": 1.0, "to": 2.0, "steps": 2}}),
+])
+def test_any_package_error_exits_2_with_error_block(tmp_path, capsys, monkeypatch, error,
+                                                    command, overrides):
+    def fail(s):
+        raise error("no adversarial sensors")
+
+    monkeypatch.setattr(cli, "equilibrium_report", fail)
+    cfg = _write_config(tmp_path, **overrides)
+    (tmp_path / "run.csv").write_text("left by an earlier run\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"jamnet {command}: FAILED ({error.__name__}: no adversarial sensors)"]
+    report = json.loads((tmp_path / "run.json").read_text())
+    assert report["error"] == {"type": error.__name__, "message": "no adversarial sensors",
+                               "iterations": None, "residuals": []}
+    assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize("error", [InvalidProfile, InvalidScenario, ParseError])
+def test_invalid_input_errors_keep_exit_1(tmp_path, capsys, monkeypatch, error):
+    def fail(s):
+        raise error("bad input")
+
+    monkeypatch.setattr(cli, "equilibrium_report", fail)
+    assert main(["verify", "--config", str(_write_config(tmp_path))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "jamnet: invalid config: bad input\n"

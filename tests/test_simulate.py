@@ -2,15 +2,20 @@ import dataclasses
 import math
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from jamnet import (
+    CoordinatedNoise,
     GeneralLinearGaussian,
     IndependentNoise,
+    LinearMirror,
+    NonConvergence,
     Setting,
+    SingularDenominator,
     StrategyProfile,
     make_symmetric,
 )
-from jamnet import asym, simulate, symmetric as sym
+from jamnet import asym, cli, simulate, symmetric as sym
 
 SAMPLES = 200_000
 
@@ -216,3 +221,203 @@ def test_theorem5_local_probe_suites():
     assert tx.best_deviation_cost >= tx.base_cost - 1e-8
     adv = simulate.adversary_local_probe(s, rep.profile)
     assert adv.best_deviation_cost <= adv.base_cost + 1e-8
+
+
+# -- batched searches against the scalar loops they replaced ------------------
+#
+# Reference copies of the per-candidate loops: one profile object and one
+# oracle call per candidate.  The batched searches must report the same bits.
+
+def _ref_disc_grid(points):
+    axis = np.linspace(-1.0, 1.0, points)
+    return [(float(u), float(v)) for u in axis for v in axis if u * u + v * v <= 1.0 + 1e-12]
+
+
+def _ref_adversary_search(s, p):
+    base = asym.direct_mmse_cost(s, p)
+    K = s.num_adversaries
+    if K == 0:
+        return simulate.BestResponseReport(base, base, "no adversaries", "AdversaryMax")
+    candidates = []
+    if s.setting.is_symmetric:
+        budget = s.adversaries[0].power
+        root = math.sqrt(budget)
+        candidates.append(("shared triple (a=0, b=0, s=full)",
+                           GeneralLinearGaussian(triples=((0.0, 0.0, root),) * K)))
+        candidates.append(("coordinated full-power noise", CoordinatedNoise(variance=budget)))
+        candidates.append(("independent full-power noise",
+                           IndependentNoise(variances=(budget,) * K)))
+        for u, v in _ref_disc_grid(simulate.GRID_POINTS_PER_AXIS):
+            a, b = u * root, v * root
+            ss = math.sqrt(max(budget - a * a - b * b, 0.0))
+            candidates.append((f"shared triple (a={a:.6g}, b={b:.6g}, s={ss:.6g})",
+                               GeneralLinearGaussian(triples=((a, b, ss),) * K)))
+    else:
+        budget = s.sum_power_attack or 0.0
+        root = math.sqrt(budget)
+        for j in range(K):
+            variances = [0.0] * K
+            variances[j] = budget
+            candidates.append((f"all noise power on adversary {j}",
+                               IndependentNoise(variances=tuple(variances))))
+        candidates.append(("uniform coordinated noise", CoordinatedNoise(variance=budget / K)))
+        for j in range(K):
+            for u, v in _ref_disc_grid(simulate.GRID_POINTS_PER_AXIS):
+                a, b = u * root, v * root
+                ss = math.sqrt(max(budget - a * a - b * b, 0.0))
+                triples = [(0.0, 0.0, 0.0)] * K
+                triples[j] = (a, b, ss)
+                candidates.append((f"adversary {j} triple (a={a:.6g}, b={b:.6g}, s={ss:.6g})",
+                                   GeneralLinearGaussian(triples=tuple(triples))))
+    best_cost, best_desc = base, "no deviation improves on the profile"
+    for desc, strategy in candidates:
+        cost = asym.direct_mmse_cost(s, dataclasses.replace(p, adversary=strategy))
+        if cost > best_cost:
+            best_cost, best_desc = cost, desc
+    return simulate.BestResponseReport(base, best_cost, best_desc, "AdversaryMax")
+
+
+def _ref_follower_sym2(s, transmit_coeffs):
+    K = s.num_adversaries
+    if K == 0:
+        return ()
+    cap = math.sqrt(s.adversaries[0].power / s.adversaries[0].input_second_moment)
+
+    def cost_of(coeffs):
+        return asym.direct_mmse_cost(s, StrategyProfile(
+            transmit_coeffs=tuple(transmit_coeffs), randomized=False,
+            adversary=LinearMirror(coeffs=coeffs), decoder_gain=0.0))
+
+    best_coeffs = (-cap,) * K
+    best = cost_of(best_coeffs)
+    for n_minus in range(K):
+        fixed = (-cap,) * n_minus + (cap,) * (K - 1 - n_minus)
+        res = minimize_scalar(lambda t: -cost_of(fixed + (t,)), bounds=(-cap, cap),
+                              method="bounded", options={"xatol": 1e-12})
+        for t in (float(res.x), -cap, cap):
+            val = cost_of(fixed + (t,))
+            if val > best:
+                best, best_coeffs = val, fixed + (t,)
+    return best_coeffs
+
+
+def _ref_follower_cost(s, p, coeffs):
+    trial = dataclasses.replace(p, transmit_coeffs=tuple(float(c) for c in coeffs))
+    if s.setting is Setting.SYM_II:
+        response = _ref_follower_sym2(s, trial.transmit_coeffs)
+        trial = dataclasses.replace(trial, adversary=LinearMirror(coeffs=response))
+    elif s.setting is Setting.ASYM_II:
+        _, _, c_k = asym.adversary_linear_response(s, coeffs, s.sum_power_attack)
+        trial = dataclasses.replace(
+            trial, adversary=LinearMirror(coeffs=tuple(float(c) for c in c_k)))
+    return asym.direct_mmse_cost(s, trial)
+
+
+def _ref_transmitter_search(s, p):
+    coeffs = np.asarray(p.transmit_coeffs, dtype=float)
+    M = coeffs.shape[0]
+    base = asym.direct_mmse_cost(s, p)
+    if M == 0:
+        return simulate.BestResponseReport(base, base, "no transmitters", "TransmitterMin")
+    rng = np.random.default_rng(simulate.PROBE_SEED)
+    best_cost, best_desc = base, "no perturbation lowers the cost"
+    for i in range(simulate.PROBE_DIRECTIONS):
+        trial = coeffs + simulate.PROBE_STEP * rng.standard_normal(M)
+        if s.setting.is_symmetric:
+            caps = np.array([math.sqrt(q.power / q.input_second_moment) for q in s.transmitters])
+            trial = np.clip(trial, -caps, caps)
+        else:
+            m2 = np.array([q.input_second_moment for q in s.transmitters])
+            norm = float(np.sum(m2 * trial**2))
+            if norm <= 0.0:
+                continue
+            trial = trial * math.sqrt(s.sum_power_transmit / norm)
+        try:
+            cost = _ref_follower_cost(s, p, trial)
+        except (NonConvergence, SingularDenominator):
+            continue
+        if cost < best_cost:
+            best_cost, best_desc = cost, f"coefficient perturbation #{i}"
+    return simulate.BestResponseReport(base, best_cost, best_desc, "TransmitterMin")
+
+
+def _ref_local_probe(s, p):
+    base = asym.direct_mmse_cost(s, p)
+    coeffs = np.asarray(p.adversary.coeffs, dtype=float)
+    m2 = np.array([q.input_second_moment for q in s.adversaries])
+    power = float(np.sum(m2 * coeffs**2))
+    rng = np.random.default_rng(simulate.PROBE_SEED)
+    best_cost, best_desc = base, "no perturbation raises the cost"
+    for i in range(simulate.PROBE_DIRECTIONS):
+        trial = coeffs + simulate.PROBE_STEP * rng.standard_normal(coeffs.shape[0])
+        norm = float(np.sum(m2 * trial**2))
+        if norm <= 0.0:
+            continue
+        trial = trial * math.sqrt(power / norm)
+        cost = asym.direct_mmse_cost(s, dataclasses.replace(
+            p, adversary=LinearMirror(coeffs=tuple(float(c) for c in trial))))
+        if cost > best_cost:
+            best_cost, best_desc = cost, f"coefficient perturbation #{i}"
+    return simulate.BestResponseReport(base, best_cost, best_desc, "AdversaryMax")
+
+
+def _search_cases():
+    """Equilibrium profiles of every setting, and perturbed ones whose
+    searches find deviations.  The asymmetric settings come with identical
+    adversaries (deviations tie across sensors; the first must win) and with
+    distinct ones."""
+    rng = np.random.default_rng(99)
+
+    def distinct(sensors):
+        return tuple(dataclasses.replace(q, alpha=float(rng.uniform(0.5, 2.0)),
+                                         beta=float(rng.uniform(0.5, 2.0))) for q in sensors)
+
+    cases = []
+    for M, K, setting, extra in [
+        (3, 2, Setting.SYM_I, {}), (4, 3, Setting.SYM_II, {}),
+        (5, 4, Setting.SYM_III, {"epsilon": 0.6, "eta": 0.5}),
+        (3, 2, Setting.ASYM_I, {}), (3, 2, Setting.ASYM_II, {}),
+        (2, 3, Setting.ASYM_I, {"sum_power_attack": 2.0}),
+        (3, 3, Setting.ASYM_II, {"sum_power_attack": 0.5}),
+    ]:
+        s = make_symmetric(M, K, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)),
+                           float(rng.uniform(0.5, 2.0)), setting, **extra)
+        if not setting.is_symmetric:
+            s = dataclasses.replace(s, transmitters=distinct(s.transmitters))
+            if K == 3:
+                s = dataclasses.replace(s, adversaries=distinct(s.adversaries))
+            if K == 3 and setting is Setting.ASYM_I:
+                # Adversary 0's channel dominates: its noise alone beats any split.
+                s = dataclasses.replace(s, adversaries=(
+                    dataclasses.replace(s.adversaries[0], alpha=4.0),) + s.adversaries[1:])
+        p = cli.equilibrium_report(s).profile
+        shaken = dataclasses.replace(p, transmit_coeffs=tuple(
+            0.8 * c + 0.1 * float(rng.standard_normal()) for c in p.transmit_coeffs))
+        silent = IndependentNoise(variances=(0.0,) * K)
+        cases += [(s, p), (s, shaken), (s, dataclasses.replace(p, randomized=not p.randomized)),
+                  (s, dataclasses.replace(p, adversary=silent))]
+    return cases
+
+
+def test_batched_searches_equal_the_scalar_loops():
+    found = set()
+    for s, p in _search_cases():
+        adv = simulate.best_response_adversary_search(s, p)
+        assert adv == _ref_adversary_search(s, p)
+        tx = simulate.best_response_transmitter_search(s, p)
+        assert tx == _ref_transmitter_search(s, p)
+        found.add((adv.deviation_params.startswith("no "), tx.deviation_params.startswith("no ")))
+        if isinstance(p.adversary, LinearMirror):
+            assert simulate.adversary_local_probe(s, p) == _ref_local_probe(s, p)
+    # Both outcomes occur on both sides.
+    assert {a for a, _ in found} == {True, False} and {t for _, t in found} == {True, False}
+
+
+def test_follower_sym2_equals_the_scalar_loop():
+    rng = np.random.default_rng(7)
+    for K in (1, 2, 3, 5):
+        s = make_symmetric(K + 2, K, float(rng.uniform(0.3, 2.5)), float(rng.uniform(0.3, 2.5)),
+                           float(rng.uniform(0.3, 3.0)), Setting.SYM_II)
+        for _ in range(4):
+            coeffs = tuple(rng.uniform(-1.0, 1.0, K + 2).tolist())
+            assert simulate.follower_best_response_sym2(s, coeffs) == _ref_follower_sym2(s, coeffs)
