@@ -11,9 +11,14 @@ candidates, so batched searches cost every candidate with the same bits.
 setting in closed form.  ``solve_theorem5`` solves the no-coordination
 Stackelberg multiplier system by nested bracketed root-finding: the outer
 residual is evaluated at every point of a fixed scan grid in one array pass
-(the inner adversary root-finds run as scipy's Brent steps on all grid points
-at once), every sign change is counted, and scalar Brent then solves the
-first bracket.
+(``_adversary_response_lanes`` runs the inner adversary root-finds as Brent
+steps on all grid points at once), every sign change is counted, and scalar
+Brent then solves the first bracket.
+
+Both root-finders are in-repo ports of scipy's ``brentq.c`` (Brent 1973):
+``_brentq`` on floats and ``_brentq_lanes`` on arrays of lanes.  They take
+scipy's steps in the same double arithmetic, so every root has the bits
+scipy's ``brentq`` gives, and the package needs no optimization library.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import (
     AdversaryStrategy,
@@ -325,7 +329,7 @@ def adversary_linear_response(
             "adversary power-equality equation has no bracket",
             residuals=(g_lo, g_hi),
         )
-    lam1 = brentq(power_gap, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=256)
+    lam1 = _brentq(power_gap, lo, hi)
     lam2 = lam2_of(lam1)
     d = b2_adv - lam1 * a_adv**2
     if np.any(np.abs(d) < DENOM_FLOOR):
@@ -334,13 +338,76 @@ def adversary_linear_response(
     return float(lam1), float(lam2), c_k
 
 
+def _brentq(f, xa: float, xb: float) -> float:
+    """The root of ``f`` on [xa, xb] with scipy's ``brentq`` at xtol=1e-15,
+    rtol=8.9e-16 and maxiter=256: the steps of scipy/optimize/Zeros/brentq.c
+    (Brent 1973) in float arithmetic, so the root has brentq's bits.
+
+    Like brentq it evaluates f at both ends first, returns an end where f is
+    zero, and raises ValueError on a NaN value or a same-sign bracket and
+    RuntimeError when the iterations run out.
+    """
+    xtol, rtol, maxiter = 1e-15, 8.9e-16, 256
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # In C the step is then infinite or NaN, which always bisects.
+                stry = math.inf
+            limit = abs(spre) if abs(spre) < 3 * abs(sbis) - delta else 3 * abs(sbis) - delta
+            if 2 * abs(stry) < limit:  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def _brentq_lanes(f, xa: float, xb: float, fa, fb, todo):
-    """``brentq(f, xa, xb, xtol=1e-15, rtol=8.9e-16, maxiter=256)`` on every
-    lane where ``todo`` holds, all lanes at once.
+    """``_brentq`` on every lane where ``todo`` holds, all lanes at once.
 
     The steps are scipy's (Brent 1973, as in scipy/optimize/Zeros/brentq.c)
     in the same double arithmetic, so each lane's root has the bits that
-    brentq gives for that lane alone.  ``f(x, live)`` maps an array of
+    ``_brentq`` gives for that lane alone.  ``f(x, live)`` maps an array of
     abscissae, one per lane, to the lane values; ``live`` marks the lanes
     whose value brentq would ask for.  fa and fb are f at xa and xb, nonzero
     and of opposite signs on every lane in ``todo``.  Other lanes give NaN.
@@ -385,20 +452,21 @@ def _brentq_lanes(f, xa: float, xb: float, fa, fb, todo):
     return root
 
 
-def _outer_residual_scan(s: NetworkScenario, grid: np.ndarray, p_t: float, p_a: float):
-    """The outer residual lambda4*lambda1 + lambda2*lambda3 at every lambda3 in
-    ``grid``, in one array pass: (values, ok).
+def _adversary_response_lanes(s: NetworkScenario, c_m: np.ndarray, p_a: float):
+    """``adversary_linear_response`` to every row of the transmit coefficient
+    lanes ``c_m`` (lanes x M), in one array pass: (lam1, lam2, c_k, ok).
 
-    Lane i repeats the arithmetic of ``_transmit_side`` and
-    ``adversary_linear_response`` at lambda3 = grid[i], so its value has the
-    scalar residual's bits.  ok is False where the scalar residual raises
-    NonConvergence or SingularDenominator: |r_m| below DENOM_FLOOR, no
-    bracket for the power gap, or a singular adversary denominator at the
-    root.  Where the scalar path's float ``**`` would overflow, this raises
-    the same OverflowError.
+    Lane i repeats the scalar arithmetic on row i, so its multipliers and
+    coefficients have the scalar solve's bits.  ok is False where the scalar
+    solve raises NonConvergence or SingularDenominator: |r_m| below
+    DENOM_FLOOR, no bracket for the power gap, or a singular adversary
+    denominator at the root; those lanes hold no meaningful values.  Where
+    the scalar path's float ``**`` would overflow on a lane it would solve,
+    this raises the same OverflowError.
     """
+    if s.num_adversaries < 1:
+        raise EmptyAdversarySet("no adversarial sensors")
     with np.errstate(all="ignore"):
-        lam4, c_m = _transmit_side(s, grid, p_t)
         ab_t = np.array([p.alpha * p.beta for p in s.transmitters])
         a2_t = np.array([p.alpha ** 2 for p in s.transmitters])
         # Running sums add the sensors one at a time, in order, as sum() does.
@@ -425,17 +493,32 @@ def _outer_residual_scan(s: NetworkScenario, grid: np.ndarray, p_t: float, p_a: 
                 raise OverflowError(34, "Numerical result out of range")
             return square / 4.0 * a2 - p_a
 
+        lanes = len(c_m)
         lo = lam1_max * 1e-14
         hi = lam1_max * (1.0 - 1e-9)
         ok = ~(np.abs(r_m) < DENOM_FLOOR)
-        g_lo = power_gap(np.full(len(grid), lo), ok)
+        g_lo = power_gap(np.full(lanes, lo), ok)
         ok &= ~(g_lo >= 0.0)
-        g_hi = power_gap(np.full(len(grid), hi), ok)
+        g_hi = power_gap(np.full(lanes, hi), ok)
         ok &= g_hi > 0.0
         lam1 = _brentq_lanes(power_gap, lo, hi, g_lo, g_hi, ok)
         lam2 = lam2_of(lam1)
         d = b2_adv - lam1[:, None] * a_adv**2
         ok &= ~np.any(np.abs(d) < DENOM_FLOOR, axis=1)
+        return lam1, lam2, lam2[:, None] * ab_adv / (2.0 * d), ok
+
+
+def _outer_residual_scan(s: NetworkScenario, grid: np.ndarray, p_t: float, p_a: float):
+    """The outer residual lambda4*lambda1 + lambda2*lambda3 at every lambda3 in
+    ``grid``, in one array pass: (values, ok).
+
+    Lane i repeats the arithmetic of ``_transmit_side`` and
+    ``adversary_linear_response`` at lambda3 = grid[i], so its value has the
+    scalar residual's bits; ok is ``_adversary_response_lanes``'s mask.
+    """
+    with np.errstate(all="ignore"):
+        lam4, c_m = _transmit_side(s, grid, p_t)
+        lam1, lam2, _, ok = _adversary_response_lanes(s, c_m, p_a)
         return lam4 * lam1 + lam2 * grid, ok
 
 
@@ -564,7 +647,7 @@ def solve_theorem5(s: NetworkScenario) -> EquilibriumReport:
     if values[roots[0]] == 0.0:
         lam3 = lo
     else:
-        lam3 = float(brentq(outer_residual, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=256))
+        lam3 = _brentq(outer_residual, lo, hi)
 
     lam4, c_m = _transmit_side(s, lam3, p_t)
     lam4 = float(lam4)

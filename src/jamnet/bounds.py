@@ -100,7 +100,8 @@ def discretized_correlation_operator(
     each variable (hence the discrete maximal correlation approaches |rho|
     from below as the grid refines).  Cell masses come from per-cell
     Gauss-Legendre quadrature of phi(x) * [Phi ranges of Y | x], exact to
-    quadrature precision.  Returns (grid, px, py, B) with
+    quadrature precision; the conditional normal CDF is evaluated once per
+    interior edge and node.  Returns (grid, px, py, B) with
     B = P / sqrt(px py^T); the singular values of B are 1 (constants)
     followed by the maximal correlation of the quantized pair.
     """
@@ -126,20 +127,13 @@ def discretized_correlation_operator(
     t = mid[:, None] + half[:, None] * nodes[None, :]  # (cells, order)
     w = half[:, None] * weights[None, :] * np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
 
+    # Cell j of Y spans (edge j-1, edge j]: the conditional CDF at each
+    # interior edge, padded with 0 and 1 for the infinite ends, differenced.
     s = math.sqrt(1.0 - rho * rho)
-    upper = np.concatenate((edges, [np.inf]))
-    lower = np.concatenate(([-np.inf], edges))
-    cdf_hi = np.where(
-        np.isinf(upper[None, None, :]),
-        1.0,
-        ndtr((upper[None, None, :] - rho * t[:, :, None]) / s),
-    )
-    cdf_lo = np.where(
-        np.isinf(lower[None, None, :]),
-        0.0,
-        ndtr((lower[None, None, :] - rho * t[:, :, None]) / s),
-    )
-    mass = np.einsum("cq,cqj->cj", w, cdf_hi - cdf_lo)
+    cdf = ndtr((edges[None, None, :] - rho * t[:, :, None]) / s)
+    pad = np.zeros(cdf.shape[:2] + (1,))
+    cdf = np.concatenate((pad, cdf, pad + 1.0), axis=2)
+    mass = np.einsum("cq,cqj->cj", w, np.diff(cdf, axis=2))
 
     total = mass.sum()
     if not np.isfinite(total) or total <= 0.0:

@@ -21,9 +21,11 @@ the linear-Gaussian deviation class for the adversary (maximizer) and
 projected random perturbations with exact follower re-solves for the
 transmitters (minimizer).  Candidates are evaluated from their sufficient
 statistics with ``asym``'s cost core, not as profiles: each deviation grid
-is one array pass, and the SymII follower's scalar search adds one
-adversary's terms to sums cached per sign split.  Every candidate costs the
-bits the per-profile oracle gives it, and ties keep the first candidate.
+is one array pass, and so are the transmitter probes, one lane each.  The
+probes' followers are exact: the SymII follower is a closed form, and the
+AsymII one is ``asym``'s adversary root-find run on all probes at once.
+Every candidate costs the bits the per-profile oracle gives it, and ties
+keep the first candidate.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import math
 import os
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import asym
 from .model import (
@@ -44,9 +45,7 @@ from .model import (
     InvalidProfile,
     LinearMirror,
     NetworkScenario,
-    NonConvergence,
     Setting,
-    SingularDenominator,
     StrategyProfile,
     validate_profile,
 )
@@ -285,61 +284,56 @@ def adversary_local_probe(s: NetworkScenario, p: StrategyProfile) -> BestRespons
 def follower_best_response_sym2(
     s: NetworkScenario, transmit_coeffs
 ) -> tuple[float, ...]:
-    """Exact best deterministic-linear follower for setting II.
+    """Exact best deterministic-linear follower for setting II, in closed form.
 
-    The cost is increasing in the adversaries' total squared coefficient at a
-    fixed coefficient sum, so the optimum is bang-bang: all coefficients at
-    the per-sensor cap except at most one interior.  Enumerate sign splits
-    and optimize the single interior coefficient (the last adversary's), with
-    the others' statistics summed once per split.
+    The adversaries are identical, so the cost depends on their coefficients
+    only through sum c_k (which moves the source coefficient
+    x = r_t + alpha*beta*sum c_k) and sum c_k^2 (their own-noise power), and
+    it rises as |x| falls and as sum c_k^2 grows.  When
+    K*cap*alpha*beta < |r_t| the follower cannot cancel x: every coefficient
+    sits at -sign(r_t)*cap.  Otherwise it cancels x and the cost is 1; the
+    answer is the first sign split (n_minus = 0..K-1 coefficients at -cap,
+    the rest but the last at +cap) whose last coefficient
+    t = -r_t/(alpha*beta) - sum(fixed) lies in [-cap, cap].
     """
     K = s.num_adversaries
     if K == 0:
         return ()
-    cap = math.sqrt(s.adversaries[0].power / s.adversaries[0].input_second_moment)
-    r_t, own_t = asym._transmit_stats(s, transmit_coeffs)
-    last = s.adversaries[-1]
-
-    def prefix_stats(fixed: tuple[float, ...]) -> tuple[float, float]:
-        """(sig, own) of adversaries 0..K-2 playing ``fixed``."""
-        rows, _ = LinearMirror(coeffs=fixed + (0.0,)).lower(s.adversaries)
-        sig, own, _ = asym._adversary_output_stats(s, rows[:-1], 0)
-        return sig, own
-
-    def cost_of(prefix: tuple[float, float], t: float) -> float:
-        # The last adversary adds its LinearMirror row (t*beta, t, 0, 0).
-        sig, own = prefix
-        return asym._cost(r_t, own_t, sig + last.alpha * (t * last.beta),
-                          own + last.alpha * last.alpha * t * t, 0.0, False)
-
-    best_coeffs = (-cap,) * K
-    best = cost_of(prefix_stats(best_coeffs[:-1]), -cap)
+    q = s.adversaries[0]
+    cap = math.sqrt(q.power / q.input_second_moment)
+    ab = q.alpha * q.beta
+    r_t, _ = asym._transmit_stats(s, transmit_coeffs)
+    saturated = (-math.copysign(cap, r_t),) * K
+    # ab is 0 only where alpha*beta underflows: the coefficients then move x
+    # by no more than rounding, and the cancelling split would divide by 0.
+    if ab == 0.0 or K * cap * ab < abs(r_t):
+        return saturated
+    target = -r_t / ab
     for n_minus in range(K):
-        fixed = (-cap,) * n_minus + (cap,) * (K - 1 - n_minus)
-        prefix = prefix_stats(fixed)
-        res = minimize_scalar(lambda t: -cost_of(prefix, t), bounds=(-cap, cap),
-                              method="bounded", options={"xatol": 1e-12})
-        for t in (float(res.x), -cap, cap):
-            val = cost_of(prefix, t)
-            if val > best:
-                best = val
-                best_coeffs = fixed + (t,)
-    return best_coeffs
+        t = target - (K - 1 - 2 * n_minus) * cap
+        if -cap <= t <= cap:
+            return (-cap,) * n_minus + (cap,) * (K - 1 - n_minus) + (t,)
+    return saturated  # |r_t| = K*cap*alpha*beta up to rounding: x is 0 there too
 
 
-def _follower_stats(s: NetworkScenario, coeffs: np.ndarray, fixed):
-    """Adversary statistics of the follower re-solved within its class
-    against transmit coefficients ``coeffs``, or ``fixed`` where the follower
-    does not depend on them (SymI, SymIII, AsymI: full-power noise or
-    best-channel allocation)."""
+def _follower_stats(s: NetworkScenario, trials: np.ndarray, fixed):
+    """(stats, ok): the adversary statistics of the follower re-solved within
+    its class against each row of the transmit coefficient lanes ``trials``,
+    over the lanes where ok holds.  ok is False where the AsymII adversary
+    system has no root or a singular denominator.  Where the follower does
+    not depend on the transmit coefficients (SymI, SymIII, AsymI: full-power
+    noise or best-channel allocation) the statistics are ``fixed``."""
+    ok = np.ones(len(trials), dtype=bool)
     if s.setting is Setting.SYM_II:
-        response = follower_best_response_sym2(s, tuple(float(c) for c in coeffs))
+        response = np.array([follower_best_response_sym2(s, tuple(t.tolist())) for t in trials])
     elif s.setting is Setting.ASYM_II:
-        _, _, c_k = asym.adversary_linear_response(s, coeffs, s.sum_power_attack)
-        response = tuple(float(c) for c in c_k)
+        _, _, c_k, ok = asym._adversary_response_lanes(s, trials, s.sum_power_attack)
+        response = c_k[ok]
     else:
-        return fixed
-    return asym._adversary_output_stats(s, *LinearMirror(coeffs=response).lower(s.adversaries))
+        return fixed, ok
+    # One coefficient lane array per adversary, lowered as LinearMirror rows.
+    lowered = LinearMirror(coeffs=tuple(response.T)).lower(s.adversaries)
+    return asym._adversary_output_stats(s, *lowered), ok
 
 
 def best_response_transmitter_search(s: NetworkScenario, p: StrategyProfile) -> BestResponseReport:
@@ -350,7 +344,9 @@ def best_response_transmitter_search(s: NetworkScenario, p: StrategyProfile) -> 
     Feasibility is preserved by projection: per-sensor box clipping in the
     symmetric settings, rescaling to the sum-power sphere in the asymmetric
     ones.  The adversary best-responds within its allowed class for every
-    probe.
+    probe.  The probes run as lanes of one array pass; probes whose rescaling
+    or follower does not exist are skipped, and the first strict minimum
+    wins.
     """
     coeffs = np.asarray(p.transmit_coeffs, dtype=float)
     M = coeffs.shape[0]
@@ -358,34 +354,27 @@ def best_response_transmitter_search(s: NetworkScenario, p: StrategyProfile) -> 
     if M == 0:
         return BestResponseReport(base, base, "no transmitters", "TransmitterMin")
 
+    rng = np.random.default_rng(PROBE_SEED)
+    trials = coeffs + PROBE_STEP * rng.standard_normal((PROBE_DIRECTIONS, M))
+    lanes = np.arange(PROBE_DIRECTIONS)
     if s.setting.is_symmetric:
         caps = np.array([math.sqrt(q.power / q.input_second_moment) for q in s.transmitters])
+        trials = np.clip(trials, -caps, caps)
     else:
         m2 = np.array([q.input_second_moment for q in s.transmitters])
+        norms = np.sum(m2 * trials**2, axis=1)
+        lanes = lanes[norms > 0.0]
+        trials = trials[lanes] * np.sqrt(s.sum_power_transmit / norms[lanes])[:, None]
     fixed = asym._adversary_output_stats(s, *p.adversary.lower(s.adversaries))
-    rng = np.random.default_rng(PROBE_SEED)
-    best_cost = base
-    best_desc = "no perturbation lowers the cost"
-    for i in range(PROBE_DIRECTIONS):
-        d = rng.standard_normal(M)
-        trial = coeffs + PROBE_STEP * d
-        if s.setting.is_symmetric:
-            trial = np.clip(trial, -caps, caps)
-        else:
-            norm = float(np.sum(m2 * trial**2))
-            if norm <= 0.0:
-                continue
-            trial = trial * math.sqrt(s.sum_power_transmit / norm)
-        try:
-            stats = _follower_stats(s, trial, fixed)
-        except (NonConvergence, SingularDenominator):
-            continue
-        cost = asym._cost(*asym._transmit_stats(s, tuple(float(c) for c in trial)), *stats,
-                          p.randomized)
-        if cost < best_cost:
-            best_cost = cost
-            best_desc = f"coefficient perturbation #{i}"
-    return BestResponseReport(base, best_cost, best_desc, "TransmitterMin")
+    stats, ok = _follower_stats(s, trials, fixed)
+    costs = asym._cost(*asym._transmit_stats(s, trials[ok].T), *stats, p.randomized)
+    if costs.size:
+        i = int(np.argmin(costs))
+        if costs[i] < base:
+            return BestResponseReport(base, float(costs[i]),
+                                      f"coefficient perturbation #{lanes[ok][i]}",
+                                      "TransmitterMin")
+    return BestResponseReport(base, base, "no perturbation lowers the cost", "TransmitterMin")
 
 
 def verify_saddle_point(

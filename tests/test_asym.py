@@ -429,6 +429,30 @@ def test_theorem5_array_scan_matches_scalar_residual():
     assert brackets > 50
 
 
+def test_adversary_response_lanes_match_the_scalar_solve():
+    # Random transmit coefficient lanes, some scaled towards zero so that the
+    # attack budget dominates (no root) on a share of them.
+    rng = np.random.default_rng(8)
+    outcomes = collections.Counter()
+    for _ in range(60):
+        s = random_asym_scenario(rng, Setting.ASYM_II)
+        c_m = rng.standard_normal((20, s.num_transmitters))
+        c_m *= rng.choice([1e-3, 0.1, 1.0], size=(20, 1))
+        lam1, lam2, c_k, ok = asym._adversary_response_lanes(s, c_m, s.sum_power_attack)
+        for i, row in enumerate(c_m):
+            try:
+                want = asym.adversary_linear_response(s, row, s.sum_power_attack)
+            except (NonConvergence, SingularDenominator) as exc:
+                assert not ok[i]
+                outcomes[type(exc).__name__] += 1
+                continue
+            assert ok[i]
+            assert (lam1[i], lam2[i]) == want[:2]
+            assert c_k[i].tolist() == want[2].tolist()
+            outcomes["root"] += 1
+    assert outcomes["root"] > 100 and outcomes["NonConvergence"] > 100, outcomes
+
+
 def test_theorem5_outer_residual_has_one_sign_change_on_random_instances():
     rng = np.random.default_rng(20240818)
     counts = collections.Counter()
@@ -465,3 +489,61 @@ def test_theorem5_multiple_sign_changes_add_a_tagged_note(monkeypatch):
         f"outer residual changes sign 2 times on the {len(grid)}-point scan; solved the first "
         f"bracket [{float(grid[first])!r}, {float(grid[first + 1])!r}] [asym2-multiple-roots]")
     assert "asym2-multiple-roots" in KNOWN_DISCREPANCY_TAGS
+
+
+# -- the in-repo Brent port against scipy's brentq -------------------------
+
+def _scipy_brentq(f, a, b):
+    from scipy.optimize import brentq
+
+    return brentq(f, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=256)
+
+
+def test_brentq_port_equals_scipy_bit_for_bit():
+    cases = [
+        (lambda x: x * x - 2.0, 0.0, 2.0),  # smooth
+        (lambda x: math.cos(x) - x, -1.0, 1.0),
+        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+        (lambda x: math.exp(x) - 1e6, 0.0, 50.0),
+        (lambda x: (x - 1.0) ** 9, 0.0, 3.0),  # flat at the root
+        (lambda x: math.tanh(1e-3 * (x - 0.3)), -5.0, 5.0),
+        (lambda x: 1e-12 * (x - 0.7), 0.0, 1.0),
+        (lambda x: math.atan(1e8 * (x - 0.123)), -1.0, 1.0),  # steep
+        (lambda x: math.exp(50.0 * x) - 2.0, -1.0, 1.0),
+        (lambda x: 1.0 if x > 0.25 else -1.0, -3.0, 7.0),  # a step: pure bisection
+        (lambda x: 1.0 / x - 3.0, 0.01, 10.0),
+    ]
+    rng = np.random.default_rng(5)
+    for _ in range(40):  # random cubics with a root in the bracket
+        r, c2, c1 = rng.uniform(-2.0, 2.0, 3)
+        cases.append((lambda x, r=r, c2=c2, c1=c1: (x - r) * (x * x + c2 * x + c1 * c1 + 1.0),
+                      float(r - rng.uniform(0.1, 3.0)), float(r + rng.uniform(0.1, 3.0))))
+    for f, a, b in cases:
+        ours, theirs = [], []
+        got = asym._brentq(lambda x: ours.append(x) or f(x), a, b)
+        want = _scipy_brentq(lambda x: theirs.append(x) or f(x), a, b)
+        assert type(got) is float
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert ours == theirs  # the same abscissae, in the same order
+
+
+def test_brentq_port_edge_behaviour():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 1.0
+
+    assert asym._brentq(f, 1.0, 3.0) == 1.0  # a root at an end is returned
+    assert asym._brentq(f, -2.0, 1.0) == 1.0
+    assert calls == [1.0, 3.0, -2.0, 1.0]
+    with pytest.raises(ValueError, match="different signs"):
+        asym._brentq(f, 2.0, 3.0)
+    with pytest.raises(ValueError, match="NaN"):
+        asym._brentq(lambda x: math.nan, 0.0, 1.0)
+    # A step across a bracket of width 2e300 takes about a thousand
+    # bisections, beyond the 256-iteration budget.
+    with pytest.raises(RuntimeError, match="256 iterations"):
+        asym._brentq(lambda x: 1.0 if x > 0.5 else -1.0, -1e300, 1e300)
+    with pytest.raises(RuntimeError, match="256 iterations"):
+        _scipy_brentq(lambda x: 1.0 if x > 0.5 else -1.0, -1e300, 1e300)

@@ -86,3 +86,38 @@ def test_maximal_correlation_input_guards():
         bounds.maximal_correlation_discrete(0.5, grid_n=2)
     with pytest.raises(NumericalFailure):
         bounds.maximal_correlation_discrete(0.5, 257, range_sigmas=0.0)
+
+
+def _ref_correlation_operator(rho, grid_n, range_sigmas):
+    """The operator with the conditional CDF evaluated at both ends of every
+    cell and the infinite ends masked: the build before the shared-edge form."""
+    from scipy.special import ndtr
+
+    edges = np.linspace(-range_sigmas, range_sigmas, grid_n - 1)
+    far = max(range_sigmas + 1.0, 9.0)
+    bounds_x = np.concatenate(([-far], edges, [far]))
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    lo, hi = bounds_x[:-1], bounds_x[1:]
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    t = mid[:, None] + half[:, None] * nodes[None, :]
+    w = half[:, None] * weights[None, :] * np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    s = math.sqrt(1.0 - rho * rho)
+    upper = np.concatenate((edges, [np.inf]))
+    lower = np.concatenate(([-np.inf], edges))
+    cdf_hi = np.where(np.isinf(upper[None, None, :]), 1.0,
+                      ndtr((upper[None, None, :] - rho * t[:, :, None]) / s))
+    cdf_lo = np.where(np.isinf(lower[None, None, :]), 0.0,
+                      ndtr((lower[None, None, :] - rho * t[:, :, None]) / s))
+    mass = np.einsum("cq,cqj->cj", w, cdf_hi - cdf_lo)
+    mass /= mass.sum()
+    px, py = mass.sum(axis=1), mass.sum(axis=0)
+    return px, py, mass / np.sqrt(np.outer(px, py))
+
+
+def test_correlation_operator_equals_the_two_sided_cdf_build():
+    for rho in (0.0, 0.3, 0.5, 0.9, -0.7):
+        for grid_n, sigmas in ((bounds.MAXCORR_GRID_N, bounds.MAXCORR_RANGE_SIGMAS), (65, 3.0)):
+            _, px, py, b = bounds.discretized_correlation_operator(rho, grid_n, sigmas)
+            ref_px, ref_py, ref_b = _ref_correlation_operator(rho, grid_n, sigmas)
+            assert (px == ref_px).all() and (py == ref_py).all()
+            assert (b == ref_b).all(), rho

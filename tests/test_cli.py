@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jamnet
 from jamnet import cli
 from jamnet.cli import main, parse_config, ParseError
 from jamnet.model import (EmptyAdversarySet, InvalidProfile, InvalidScenario, JamnetError,
@@ -347,3 +352,28 @@ def test_invalid_input_errors_keep_exit_1(tmp_path, capsys, monkeypatch, error):
     assert main(["verify", "--config", str(_write_config(tmp_path))]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "jamnet: invalid config: bad input\n"
+
+
+def test_cli_runs_without_scipy_optimize(tmp_path):
+    # A fresh interpreter: the package's solvers and certificates load no
+    # optimization library (only maxcorr uses scipy, for its normal CDF).
+    sym2 = _write_config(tmp_path, "sym2.json", setting="SymII",
+                         transmitters={"count": 3, "alpha": 1.0, "beta": 1.0, "power": 1.0},
+                         adversaries={"count": 2, "alpha": 1.0, "beta": 1.0, "power": 1.0})
+    asym2 = _write_config(tmp_path, "asym2.json", setting="AsymII", sum_power_transmit=2.0,
+                          sum_power_attack=1.0)
+    code = "\n".join([
+        "import sys",
+        "from jamnet import cli",
+        f"assert cli.main(['verify', '--config', {str(sym2)!r}]) == 0",
+        f"assert cli.main(['solve-asym', '--config', {str(asym2)!r}]) == 0",
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))",
+    ])
+    src = str(Path(jamnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "run.json").exists()

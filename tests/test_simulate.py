@@ -396,16 +396,111 @@ def _search_cases():
         silent = IndependentNoise(variances=(0.0,) * K)
         cases += [(s, p), (s, shaken), (s, dataclasses.replace(p, randomized=not p.randomized)),
                   (s, dataclasses.replace(p, adversary=silent))]
+    return cases + _asym2_follower_failure_cases() + [_tied_probe_case()]
+
+
+def _with_gains(sensors, alphas, betas):
+    return tuple(dataclasses.replace(q, alpha=a, beta=b) for q, a, b in zip(sensors, alphas, betas))
+
+
+def _asym2_follower_failure_cases():
+    """AsymII profiles whose transmitter probes meet every outcome of the
+    adversary solve: some followers raise NonConvergence or
+    SingularDenominator and are skipped, and in the last case every one
+    raises OverflowError."""
+    cases = []
+    # The attack budget sits where the adversaries can just null the base
+    # profile's source term, so about half the probes' followers have no
+    # root.  The base adversary is that nulling mirror (cost 1), so a probe
+    # with a follower lowers the cost.
+    s = make_symmetric(3, 2, 1.0, 1.0, 1.0, Setting.ASYM_II, sum_power_transmit=2.0)
+    s = dataclasses.replace(s, transmitters=_with_gains(s.transmitters, (0.7, 1.3, 2.0),
+                                                        (1.5, 0.6, 1.1)))
+    c = np.array([0.3, -0.5, 0.8])
+    c *= math.sqrt(2.0 / sum(q.input_second_moment * x * x for q, x in zip(s.transmitters, c)))
+    r_m = float(sum(q.alpha * q.beta * x for q, x in zip(s.transmitters, c)))
+    weights = [q.alpha * q.beta / q.input_second_moment for q in s.adversaries]
+    null_power = sum(q.alpha * q.beta * w for q, w in zip(s.adversaries, weights))
+    s = dataclasses.replace(s, sum_power_attack=r_m**2 / null_power)
+    nulling = LinearMirror(coeffs=tuple(-r_m * w / null_power for w in weights))
+    cases.append((s, StrategyProfile(transmit_coeffs=tuple(c.tolist()), randomized=False,
+                                     adversary=nulling, decoder_gain=0.0)))
+    # Transmit gains of 1e-7 and opposite coefficients put |r_m| around the
+    # 1e-10 floor: SingularDenominator, NonConvergence and roots all occur.
+    s = make_symmetric(2, 2, 1.0, 1.0, 1.0, Setting.ASYM_II, sum_power_transmit=2.0,
+                       sum_power_attack=1e-8)
+    s = dataclasses.replace(s, transmitters=_with_gains(s.transmitters, (1e-7,) * 2, (1.0,) * 2),
+                            adversaries=_with_gains(s.adversaries, (1.0,) * 2, (1e-6,) * 2))
+    cases.append((s, StrategyProfile(transmit_coeffs=(1.0, -1.0), randomized=False,
+                                     adversary=LinearMirror(coeffs=(0.0, 0.0)), decoder_gain=0.0)))
+    # An adversary with alpha = beta = 1e-100: the power gap's square overflows.
+    s = make_symmetric(2, 1, 1.0, 1.0, 1.0, Setting.ASYM_II, sum_power_transmit=2.0,
+                       sum_power_attack=1.0)
+    s = dataclasses.replace(s, adversaries=_with_gains(s.adversaries, (1e-100,), (1e-100,)))
+    cases.append((s, StrategyProfile(transmit_coeffs=(1.0, 0.0), randomized=False,
+                                     adversary=LinearMirror(coeffs=(0.5,)), decoder_gain=0.0)))
     return cases
+
+
+def _tied_probe_case():
+    """SymII transmit coefficients twice the cap: every probe clips to the
+    same corner of the box, so all probes tie.  The base's loud adversary
+    makes the tie a strict improvement, and the first probe must win."""
+    s = make_symmetric(3, 2, 1.0, 1.0, 1.0, Setting.SYM_II)
+    cap = math.sqrt(s.transmitters[0].power / s.transmitters[0].input_second_moment)
+    return s, StrategyProfile(transmit_coeffs=(2.0 * cap,) * 3, randomized=False,
+                              adversary=IndependentNoise(variances=(100.0, 100.0)),
+                              decoder_gain=0.0)
+
+
+def _outcome(search, s, p):
+    """The search's report, or the type and text of what it raised."""
+    try:
+        return search(s, p)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def _probe_follower_outcomes(s, p):
+    """Which errors the scalar adversary solve raises over the probes."""
+    rng = np.random.default_rng(simulate.PROBE_SEED)
+    coeffs = np.asarray(p.transmit_coeffs, dtype=float)
+    m2 = np.array([q.input_second_moment for q in s.transmitters])
+    seen = set()
+    for _ in range(simulate.PROBE_DIRECTIONS):
+        trial = coeffs + simulate.PROBE_STEP * rng.standard_normal(coeffs.shape[0])
+        trial = trial * math.sqrt(s.sum_power_transmit / float(np.sum(m2 * trial**2)))
+        try:
+            asym.adversary_linear_response(s, trial, s.sum_power_attack)
+            seen.add(None)
+        except (NonConvergence, SingularDenominator, OverflowError) as exc:
+            seen.add(type(exc))
+    return seen
+
+
+def test_asym2_follower_failure_cases_skip_and_raise():
+    outcomes = [_probe_follower_outcomes(s, p) for s, p in _asym2_follower_failure_cases()]
+    assert outcomes == [{None, NonConvergence}, {None, NonConvergence, SingularDenominator},
+                        {OverflowError}]
+
+
+def test_tied_probes_keep_the_first():
+    s, p = _tied_probe_case()
+    tx = simulate.best_response_transmitter_search(s, p)
+    assert tx.deviation_params == "coefficient perturbation #0"
+    assert tx.best_deviation_cost < tx.base_cost
 
 
 def test_batched_searches_equal_the_scalar_loops():
     found = set()
     for s, p in _search_cases():
-        adv = simulate.best_response_adversary_search(s, p)
-        assert adv == _ref_adversary_search(s, p)
-        tx = simulate.best_response_transmitter_search(s, p)
-        assert tx == _ref_transmitter_search(s, p)
+        adv = _outcome(simulate.best_response_adversary_search, s, p)
+        assert adv == _outcome(_ref_adversary_search, s, p)
+        tx = _outcome(simulate.best_response_transmitter_search, s, p)
+        assert tx == _outcome(_ref_transmitter_search, s, p)
+        if isinstance(tx, tuple):
+            assert tx[0] is OverflowError
+            continue
         found.add((adv.deviation_params.startswith("no "), tx.deviation_params.startswith("no ")))
         if isinstance(p.adversary, LinearMirror):
             assert simulate.adversary_local_probe(s, p) == _ref_local_probe(s, p)
@@ -413,11 +508,79 @@ def test_batched_searches_equal_the_scalar_loops():
     assert {a for a, _ in found} == {True, False} and {t for _, t in found} == {True, False}
 
 
+def _follower_cost(s, transmit_coeffs, response):
+    return asym.direct_mmse_cost(s, StrategyProfile(
+        transmit_coeffs=tuple(transmit_coeffs), randomized=False,
+        adversary=LinearMirror(coeffs=response), decoder_gain=0.0))
+
+
+def _check_follower_sym2(s, coeffs):
+    """The closed-form follower against the bounded-minimizer loop; returns
+    whether the follower can cancel the source term.
+
+    Where it cannot, both give the same tuple.  Where it can, the follower
+    is not unique and the minimizer's tuple is accurate to only about 1e-8:
+    the closed form's cost is exactly 1, never below the loop's, and its
+    coefficients sum to -r_t/(alpha*beta), up to the rounding of a sum of K
+    terms of size cap."""
+    got = simulate.follower_best_response_sym2(s, coeffs)
+    ref = _ref_follower_sym2(s, coeffs)
+    q = s.adversaries[0]
+    cap = math.sqrt(q.power / q.input_second_moment)
+    ab = q.alpha * q.beta
+    r_t = sum(t.beta * c * t.alpha for t, c in zip(s.transmitters, coeffs))
+    if s.num_adversaries * cap * ab < abs(r_t):
+        assert got == ref
+        return False
+    assert len(got) == s.num_adversaries and all(abs(c) <= cap for c in got)
+    assert _follower_cost(s, coeffs, got) == 1.0
+    assert _follower_cost(s, coeffs, got) >= _follower_cost(s, coeffs, ref)
+    target = -r_t / ab
+    assert abs(math.fsum(got) - target) <= 1e-12 * max(abs(target), cap)
+    return True
+
+
 def test_follower_sym2_equals_the_scalar_loop():
     rng = np.random.default_rng(7)
+    cancels = []
     for K in (1, 2, 3, 5):
-        s = make_symmetric(K + 2, K, float(rng.uniform(0.3, 2.5)), float(rng.uniform(0.3, 2.5)),
-                           float(rng.uniform(0.3, 3.0)), Setting.SYM_II)
-        for _ in range(4):
-            coeffs = tuple(rng.uniform(-1.0, 1.0, K + 2).tolist())
-            assert simulate.follower_best_response_sym2(s, coeffs) == _ref_follower_sym2(s, coeffs)
+        for _ in range(10):
+            s = make_symmetric(K + 2, K, float(rng.uniform(0.3, 2.5)),
+                               float(rng.uniform(0.3, 2.5)), float(rng.uniform(0.3, 3.0)),
+                               Setting.SYM_II)
+            for _ in range(5):
+                coeffs = tuple(rng.uniform(-1.0, 1.0, K + 2).tolist())
+                cancels.append(_check_follower_sym2(s, coeffs))
+    # Both regimes occur.
+    assert 0 < sum(cancels) < len(cancels)
+
+
+def test_follower_sym2_edge_cases():
+    # alpha = 2, beta = 0.5 and power 5 give cap = 2 and alpha*beta = 1, so
+    # K full-cap transmit coefficients put |r_t| exactly at K*cap*alpha*beta.
+    for K in (1, 2, 3, 4):
+        s = make_symmetric(K + 2, K, 2.0, 0.5, 5.0, Setting.SYM_II)
+        for sign in (1.0, -1.0):
+            coeffs = (sign * 2.0,) * K + (0.0, 0.0)
+            assert _check_follower_sym2(s, coeffs)
+            assert simulate.follower_best_response_sym2(s, coeffs) == (-sign * 2.0,) * K
+            # Just beyond the edge the follower saturates.  Costs there round
+            # to 1, so the loop's tuple is one of many ties.
+            beyond = (sign * 2.0,) * K + (sign * 1e-9, 0.0)
+            got = simulate.follower_best_response_sym2(s, beyond)
+            assert got == (-sign * 2.0,) * K
+            assert _follower_cost(s, beyond, got) >= _follower_cost(
+                s, beyond, _ref_follower_sym2(s, beyond))
+        # r_t = 0: nothing to cancel but the adversaries' own sum.
+        for coeffs in ((0.0,) * (K + 2), (0.5, -0.5) + (0.0,) * K):
+            assert _check_follower_sym2(s, coeffs)
+    # Where two sign splits can cancel, the first (fewest -cap) wins.
+    s = make_symmetric(5, 3, 2.0, 0.5, 5.0, Setting.SYM_II)
+    assert simulate.follower_best_response_sym2(s, (2.0, 0.0, 0.0, 0.0, 0.0)) == (-2.0, 2.0, -2.0)
+    assert simulate.follower_best_response_sym2(s, (1.0, 0.0, 0.0, 0.0, 0.0)) == (-2.0, 2.0, -1.0)
+    assert simulate.follower_best_response_sym2(s, (-3.0, 0.0, 0.0, 0.0, 0.0)) == (2.0, 2.0, -1.0)
+    # K = 1: the single coefficient is -r_t/(alpha*beta) whenever it fits.
+    s = make_symmetric(3, 1, 2.0, 0.5, 5.0, Setting.SYM_II)
+    assert simulate.follower_best_response_sym2(s, (0.5, 0.25, 0.0)) == (-0.75,)
+    assert simulate.follower_best_response_sym2(s, (2.0, 0.5, 0.0)) == (-2.0,)
+    assert simulate.follower_best_response_sym2(s, (2.0, -0.5, 0.0)) == (-1.5,)
