@@ -3,8 +3,9 @@
 Sampling is organized in fixed 65536-sample blocks; block j draws from its
 own Philox stream keyed by (seed, j) and partial sums are reduced in block
 order, so ``(seed, samples)`` determines the result bit-for-bit.  The blocks
-run on one thread pool of min(blocks, CPUs this process may use) workers;
-the worker count never changes the result.
+run on one thread pool of min(blocks, CPUs this process may use) workers,
+worker w taking blocks w, w + workers, ...; the worker count never changes
+the result.
 
 Per block of n samples the draws are, in order: the source (n normals), the
 M+K sensing-noise rows (transmitters first, then adversaries; one n-normal
@@ -13,8 +14,9 @@ received signal as it is drawn), the channel noise (n), the randomization
 coin (n uniforms), then the adversary strategy's J noises
 theta_0..theta_{J-1} (n each) from its linear-Gaussian form (see ``model``):
 J = 1+K-n_coord for CoordinatedNoise, K for IndependentNoise and
-GeneralLinearGaussian, 0 for LinearMirror.  A block holds a few n-vectors,
-never a row per sensor.
+GeneralLinearGaussian, 0 for LinearMirror.  A block holds SCRATCH_ROWS
+n-vectors, never a row per sensor, and draws and computes into them in place;
+the calling thread allocates them, one set per worker.
 
 The verification half probes the two saddle inequalities: a grid sweep over
 the linear-Gaussian deviation class for the adversary (maximizer) and
@@ -51,6 +53,7 @@ from .model import (
 )
 
 BLOCK_SIZE = 1 << 16
+SCRATCH_ROWS = 6  # src, tx, adv, y, gamma, w: the n-vectors a block holds
 
 # Certificate constants: points per axis of the adversary deviation grid over
 # the power disc, and the transmitter-side (and linear-adversary) local
@@ -98,41 +101,52 @@ def _block_gains(s: NetworkScenario, p: StrategyProfile):
 
 
 def _simulate_block(
-    p: StrategyProfile, gains, n: int, seed: int, block: int
+    p: StrategyProfile, gains, n: int, seed: int, block: int, scratch: np.ndarray
 ) -> tuple[float, float]:
     """Sum of squared errors and of their squares for one sample block.
 
     Draw order per block is fixed (see the module docstring) so results are
     reproducible for a given (seed, block) pair.  ``gains`` comes from
-    ``_block_gains``.
+    ``_block_gains``.  ``scratch`` is a (SCRATCH_ROWS, >= n) float array the
+    block works in; every draw and product is written into it in place, so
+    the block allocates nothing n-sized itself.
     """
     g = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
     tx_src, tx_w, adv_src, adv_w, amps = gains
+    src, tx, adv, y, gamma, w = scratch[:, :n]
 
-    src = g.standard_normal(n)
-    tx = tx_src * src
-    adv = adv_src * src
+    g.standard_normal(out=src)
+    np.multiply(src, tx_src, out=tx)
+    np.multiply(src, adv_src, out=adv)
     for part, row_gains in ((tx, tx_w), (adv, adv_w)):
         for gain in row_gains:
-            w = g.standard_normal(n)
+            g.standard_normal(out=w)
             if gain:
-                part += gain * w
-    y = g.standard_normal(n)
-    coin = g.random(n)
-    gamma = np.where(coin < 0.5, 1.0, -1.0)
+                w *= gain
+                part += w
+    g.standard_normal(out=y)
+    g.random(out=gamma)  # the coin; drawn in every setting to keep the order
 
     if p.randomized:
+        np.less(gamma, 0.5, out=gamma)  # 1 where coin < 1/2, else 0
+        gamma *= 2.0
+        gamma -= 1.0
         tx *= gamma
     y += tx
     y += adv
     for amp in amps:
-        theta = g.standard_normal(n)
+        g.standard_normal(out=w)  # theta_j
         if amp:
-            y += amp * theta
+            w *= amp
+            y += w
 
-    decoded = p.decoder_gain * (gamma * y if p.randomized else y)
-    err2 = (src - decoded) ** 2
-    return float(np.sum(err2)), float(np.sum(err2**2))
+    if p.randomized:
+        y *= gamma
+    y *= p.decoder_gain  # y is now the decoded estimate
+    np.subtract(src, y, out=y)
+    np.square(y, out=y)  # squared errors
+    np.square(y, out=w)
+    return float(np.sum(y)), float(np.sum(w))
 
 
 def run_monte_carlo(
@@ -153,12 +167,23 @@ def run_monte_carlo(
 
     n_blocks = (samples + BLOCK_SIZE - 1) // BLOCK_SIZE
 
-    def block(j: int) -> tuple[float, float]:
-        return _simulate_block(p, gains, min(BLOCK_SIZE, samples - j * BLOCK_SIZE), seed, j)
-
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with concurrent.futures.ThreadPoolExecutor(max_workers=min(n_blocks, cpus or 1)) as pool:
-        partials = list(pool.map(block, range(n_blocks)))
+    workers = min(n_blocks, cpus or 1)
+    # Worker w runs blocks w, w + workers, ... in its own scratch rows.  The
+    # scratch is allocated here, on the calling thread, so the workers'
+    # per-thread malloc arenas never hold block-sized arrays: the process's
+    # memory then does not depend on which thread ran which block, or on how
+    # many arenas the short-lived pool threads happened to create.
+    scratch = np.empty((workers, SCRATCH_ROWS, min(BLOCK_SIZE, samples)))
+    partials = [(0.0, 0.0)] * n_blocks
+
+    def stripe(w: int) -> None:
+        for j in range(w, n_blocks, workers):
+            n = min(BLOCK_SIZE, samples - j * BLOCK_SIZE)
+            partials[j] = _simulate_block(p, gains, n, seed, j, scratch[w])
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(stripe, range(workers)))
 
     sum_e2 = 0.0
     sum_e4 = 0.0

@@ -42,23 +42,100 @@ def test_monte_carlo_pool_equals_block_ordered_serial_reduction(monkeypatch):
     s = make_symmetric(2, 1, 1.0, 1.0, 1.0, Setting.SYM_I)
     p = sym.theorem1_profile(s)
     samples, seed = 200_000, 7  # four blocks, the last one short
-    # Four usable CPUs give a four-worker pool on any machine.
-    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
-                        raising=False)
-    pooled = simulate.run_monte_carlo(s, p, samples, seed=seed)
-
     gains = simulate._block_gains(s, p)
     sum_e2 = sum_e4 = 0.0
     for j in range(4):
         n = min(simulate.BLOCK_SIZE, samples - j * simulate.BLOCK_SIZE)
-        e2, e4 = simulate._simulate_block(p, gains, n, seed, j)
+        e2, e4 = simulate._simulate_block(p, gains, n, seed, j,
+                                          np.empty((simulate.SCRATCH_ROWS, n)))
         sum_e2 += e2
         sum_e4 += e4
     mean = sum_e2 / samples
     se = math.sqrt(max(0.0, (sum_e4 - samples * mean * mean) / (samples - 1)) / samples)
-    assert pooled.empirical_mse == mean
-    assert pooled.standard_error == se
-    assert simulate.run_monte_carlo(s, p, samples, seed=seed) == pooled
+
+    # One to four usable CPUs give one- to four-worker pools on any machine;
+    # with two and three, some worker runs more than one block.
+    for cpus in ({0}, {0, 1}, {0, 1, 2}, {0, 1, 2, 3}):
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid, c=cpus: c,
+                            raising=False)
+        pooled = simulate.run_monte_carlo(s, p, samples, seed=seed)
+        assert pooled.empirical_mse == mean
+        assert pooled.standard_error == se
+        assert simulate.run_monte_carlo(s, p, samples, seed=seed) == pooled
+
+
+def _ref_simulate_block(p, gains, n, seed, block):
+    """The block with every intermediate a fresh array: the reference the
+    in-place block must match bit for bit."""
+    g = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
+    tx_src, tx_w, adv_src, adv_w, amps = gains
+    src = g.standard_normal(n)
+    tx = tx_src * src
+    adv = adv_src * src
+    for part, row_gains in ((tx, tx_w), (adv, adv_w)):
+        for gain in row_gains:
+            w = g.standard_normal(n)
+            if gain:
+                part += gain * w
+    y = g.standard_normal(n)
+    coin = g.random(n)
+    gamma = np.where(coin < 0.5, 1.0, -1.0)
+    if p.randomized:
+        tx *= gamma
+    y += tx
+    y += adv
+    for amp in amps:
+        theta = g.standard_normal(n)
+        if amp:
+            y += amp * theta
+    decoded = p.decoder_gain * (gamma * y if p.randomized else y)
+    err2 = (src - decoded) ** 2
+    return float(np.sum(err2)), float(np.sum(err2**2))
+
+
+def _block_cases():
+    si = make_symmetric(3, 2, 1.0, 1.0, 1.0, Setting.SYM_I)
+    s2 = make_symmetric(3, 2, 1.3, 0.7, 2.0, Setting.SYM_II)
+    s3 = make_symmetric(5, 4, 1.0, 1.0, 1.0, Setting.SYM_III, epsilon=0.6, eta=0.25)
+    sd = make_symmetric(3, 2, 1.0, 1.0, 1.0, Setting.ASYM_I,
+                        sum_power_transmit=5.0, sum_power_attack=2.0)
+    sd = dataclasses.replace(
+        sd,
+        transmitters=tuple(dataclasses.replace(q, alpha=a, beta=b) for q, a, b in
+                           zip(sd.transmitters, (0.5, 1.0, 2.0), (2.0, 0.3, 1.0))),
+        adversaries=tuple(dataclasses.replace(q, alpha=a, beta=b) for q, a, b in
+                          zip(sd.adversaries, (1.5, 0.7), (0.4, 1.2))),
+    )
+    p1 = sym.theorem1_profile(si)
+    distinct = StrategyProfile(
+        transmit_coeffs=(0.9, 0.0, 0.3),  # a zero gain skips its noise row's add
+        randomized=True,
+        adversary=GeneralLinearGaussian(triples=((-0.5, 0.3, 0.8), (0.0, 0.0, 0.0))),
+        decoder_gain=0.7,
+    )
+    return [
+        (si, p1),
+        (si, dataclasses.replace(p1, randomized=False,
+                                 adversary=IndependentNoise(variances=(1.0, 0.0)))),
+        (si, dataclasses.replace(p1, decoder_gain=0.0)),
+        (s2, sym.theorem2_profile(s2)),
+        (s3, sym.solve_setting3(s3).profile),
+        (sd, distinct),
+        (sd, dataclasses.replace(distinct, randomized=False, decoder_gain=-1.2)),
+    ]
+
+
+def test_in_place_block_equals_the_allocating_reference():
+    for s, p in _block_cases():
+        gains = simulate._block_gains(s, p)
+        # A reused scratch is longer than a short block and holds the last
+        # block's values; neither may leak into the result.
+        dirty = np.full((simulate.SCRATCH_ROWS, simulate.BLOCK_SIZE), np.nan)
+        for n, block in ((simulate.BLOCK_SIZE, 0), (1000, 3), (1, 5)):
+            ref = _ref_simulate_block(p, gains, n, 9, block)
+            fresh = np.empty((simulate.SCRATCH_ROWS, n))
+            assert simulate._simulate_block(p, gains, n, 9, block, fresh) == ref
+            assert simulate._simulate_block(p, gains, n, 9, block, dirty) == ref
 
 
 def test_monte_carlo_seed_changes_stream():
