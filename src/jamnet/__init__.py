@@ -40,9 +40,7 @@ from .asym import (
     solve_theorem5,
 )
 from .symmetric import (
-    SymmetricCostInputs,
     coordination_gap,
-    cost_inputs,
     cost_setting1,
     cost_setting2,
     decoder_gain_setting1,

@@ -13,7 +13,13 @@ Stackelberg multiplier system by nested bracketed root-finding: the outer
 residual is evaluated at every point of a fixed scan grid in one array pass
 (``_adversary_response_lanes`` runs the inner adversary root-finds as Brent
 steps on all grid points at once), every sign change is counted, and scalar
-Brent then solves the first bracket.
+Brent then solves the first bracket.  Without a sign change the exit-2
+report carries the first scanned residuals, which have the scalar residual's
+bits.
+
+Every equilibrium profile of the package, the symmetric solvers' included,
+is built by one helper, ``_bayes_profile``, which attaches the Bayes
+decoder gain.
 
 Both root-finders are in-repo ports of scipy's ``brentq.c`` (Brent 1973):
 ``_brentq`` on floats and ``_brentq_lanes`` on arrays of lanes.  They take
@@ -49,9 +55,8 @@ from .model import (
 DENOM_FLOOR = 1e-10
 
 
-# Theorem-5 solver constants: outer residual evaluation budget, the bound on
-# every first-order residual at a solution, and the outer scan's grid size.
-MAX_OUTER_EVALS = 10_000
+# Theorem-5 solver constants: the bound on every first-order residual at a
+# solution, and the outer scan's grid size.
 KKT_TOL = 1e-8
 OUTER_SCAN_POINTS = 96
 
@@ -148,6 +153,16 @@ def bayes_decoder_gain(s: NetworkScenario, p: StrategyProfile) -> float:
     return r / total
 
 
+def _bayes_profile(
+    s: NetworkScenario, coeffs: tuple, randomized: bool, adversary: AdversaryStrategy
+) -> StrategyProfile:
+    """The profile of the given strategies with its Bayes decoder gain."""
+    draft = StrategyProfile(
+        transmit_coeffs=coeffs, randomized=randomized, adversary=adversary, decoder_gain=0.0
+    )
+    return dataclasses.replace(draft, decoder_gain=bayes_decoder_gain(s, draft))
+
+
 # -- Theorem 4: coordinated transmitters, optimal power scheduling ----------
 
 def attacker_best_channel(
@@ -202,20 +217,10 @@ def solve_theorem4(s: NetworkScenario) -> EquilibriumReport:
         lam2 * p.alpha * p.beta / (2.0 * d) for p, d in zip(s.transmitters, denoms)
     )
 
-    if k_star is None:
-        adv: AdversaryStrategy = IndependentNoise(variances=())
-    else:
-        variances = [0.0] * s.num_adversaries
-        variances[k_star] = p_a
-        adv = IndependentNoise(variances=tuple(variances))
-
-    profile = StrategyProfile(
-        transmit_coeffs=coeffs,
-        randomized=True,
-        adversary=adv,
-        decoder_gain=0.0,
+    adv = IndependentNoise(
+        variances=tuple(p_a if k == k_star else 0.0 for k in range(s.num_adversaries))
     )
-    profile = dataclasses.replace(profile, decoder_gain=bayes_decoder_gain(s, profile))
+    profile = _bayes_profile(s, coeffs, True, adv)
     validate_profile(s, profile)
     oracle = direct_mmse_cost(s, profile)
 
@@ -244,14 +249,9 @@ def solve_theorem4(s: NetworkScenario) -> EquilibriumReport:
     if k_star is not None:
         multipliers["attacker_index"] = float(k_star)
     multipliers["attacker_received_power"] = pa_recv
-    return EquilibriumReport(
-        cost=oracle,
-        profile=profile,
-        multipliers=multipliers,
-        kkt_residuals=residuals,
-        oracle_cost=oracle,
-        discrepancy_notes=notes,
-    )
+    return EquilibriumReport(cost=oracle, profile=profile, multipliers=multipliers,
+                             kkt_residuals=residuals, oracle_cost=oracle,
+                             discrepancy_notes=notes)
 
 
 # -- Theorem 5: no coordination, coupled multiplier system -------------------
@@ -624,10 +624,6 @@ def solve_theorem5(s: NetworkScenario) -> EquilibriumReport:
     def outer_residual(lam3: float) -> float:
         nonlocal evals
         evals += 1
-        if evals > MAX_OUTER_EVALS:
-            raise NonConvergence(
-                f"outer iteration budget {MAX_OUTER_EVALS} exhausted", iterations=evals
-            )
         return _outer_residual(s, lam3, p_t, p_a)
 
     grid = _scan_grid(p_t)
@@ -635,12 +631,11 @@ def solve_theorem5(s: NetworkScenario) -> EquilibriumReport:
     evals = len(grid)
     roots = _sign_changes(values, ok)
     if len(roots) == 0:
-        # The exit-2 report holds exactly what the scalar residual computes.
-        finite = [_outer_residual(s, float(x), p_t, p_a) for x in grid[ok][:8]]
+        # Each scanned value has the bits of the scalar residual at its point.
         raise NonConvergence(
             "no sign change for the outer multiplier residual on (0, P_T)",
             iterations=evals,
-            residuals=tuple(finite),
+            residuals=tuple(float(v) for v in values[ok][:8]),
         )
 
     lo, hi = float(grid[roots[0]]), float(grid[roots[0] + 1])
@@ -663,13 +658,7 @@ def solve_theorem5(s: NetworkScenario) -> EquilibriumReport:
             residuals=tuple(residuals),
         )
 
-    profile = StrategyProfile(
-        transmit_coeffs=transmit_coeffs,
-        randomized=False,
-        adversary=LinearMirror(coeffs=adversary_coeffs),
-        decoder_gain=0.0,
-    )
-    profile = dataclasses.replace(profile, decoder_gain=bayes_decoder_gain(s, profile))
+    profile = _bayes_profile(s, transmit_coeffs, False, LinearMirror(coeffs=adversary_coeffs))
     validate_profile(s, profile)
     oracle = direct_mmse_cost(s, profile)
 
@@ -706,12 +695,8 @@ def solve_theorem5(s: NetworkScenario) -> EquilibriumReport:
             f"outer residual changes sign {len(roots)} times on the {len(grid)}-point scan; "
             f"solved the first bracket [{lo!r}, {hi!r}] [asym2-multiple-roots]",
         )
-    return EquilibriumReport(
-        cost=oracle,
-        profile=profile,
-        multipliers={"lambda1": lam1, "lambda2": lam2, "lambda3": lam3, "lambda4": lam4},
-        kkt_residuals=tuple(residuals),
-        oracle_cost=oracle,
-        discrepancy_notes=notes,
-    )
+    multipliers = {"lambda1": lam1, "lambda2": lam2, "lambda3": lam3, "lambda4": lam4}
+    return EquilibriumReport(cost=oracle, profile=profile, multipliers=multipliers,
+                             kkt_residuals=tuple(residuals), oracle_cost=oracle,
+                             discrepancy_notes=notes)
 

@@ -30,16 +30,24 @@ class RDPoint:
     distortion: float
 
 
+def _sum_beta2(betas) -> float:
+    """sum(beta^2), or NumericalFailure when it overflows the float range."""
+    sb2 = float(sum(b * b for b in betas))
+    if not math.isfinite(sb2):
+        raise NumericalFailure("sum(beta^2) is not finite: a sensing gain overflows")
+    return sb2
+
+
 def ceo_sigma_t(betas, sigma_s2: float = 1.0) -> float:
     """Variance of the MMSE estimate of S from all observations:
     sigma_S^2 * sum(beta^2) / (1 + sum(beta^2))."""
-    sb2 = float(sum(b * b for b in betas))
+    sb2 = _sum_beta2(betas)
     return sigma_s2 * sb2 / (1.0 + sb2)
 
 
 def ceo_estimation_floor(betas, sigma_s2: float = 1.0) -> float:
     """Residual MMSE with unlimited rate: sigma_S^2 / (1 + sum(beta^2))."""
-    sb2 = float(sum(b * b for b in betas))
+    sb2 = _sum_beta2(betas)
     return sigma_s2 / (1.0 + sb2)
 
 
@@ -53,7 +61,7 @@ def ceo_distortion(rate: float, betas, sigma_s2: float = 1.0) -> float:
         raise ValueError("rate must be nonnegative")
     if len(tuple(betas)) == 0:
         raise ValueError("betas must be nonempty")
-    sb2 = float(sum(b * b for b in betas))
+    sb2 = _sum_beta2(betas)
     frac = sb2 / (1.0 + sb2)
     # Grouped so D(0) is exactly sigma_S^2.
     return sigma_s2 * (1.0 + frac * (2.0 ** (-2.0 * rate) - 1.0))

@@ -43,7 +43,6 @@ from . import asym
 from .model import (
     CoordinatedNoise,
     GeneralLinearGaussian,
-    IndependentNoise,
     InvalidProfile,
     LinearMirror,
     NetworkScenario,
@@ -216,10 +215,11 @@ def best_response_adversary_search(s: NetworkScenario, p: StrategyProfile) -> Be
     a*S + b*W_k + s*theta_k with the noise component saturating the power
     budget (pure-noise deviations never benefit from slack power).  In the
     symmetric settings all adversaries share the triple against per-sensor
-    budgets; explicit coordinated/independent full-power noise candidates are
-    added so coordinated optima outside the independent-theta class are
-    covered.  In the asymmetric settings the sum budget is swept across
-    single sensors and uniform splits.
+    budgets, and a coordinated full-power noise candidate covers coordinated
+    optima outside the independent-theta class (independent full-power noise
+    is the first candidate, the shared triple (0, 0, sqrt(P))).  In the
+    asymmetric settings the sum budget is swept across single sensors and
+    uniform splits.
     """
     base = asym.direct_mmse_cost(s, p)
     K = s.num_adversaries
@@ -250,8 +250,6 @@ def best_response_adversary_search(s: NetworkScenario, p: StrategyProfile) -> Be
                              lambda i: "shared triple (a=0, b=0, s=full)"))
             families.append((cost(CoordinatedNoise(variance=budget).lower(s.adversaries)),
                              lambda i: "coordinated full-power noise"))
-            families.append((cost(IndependentNoise(variances=(budget,) * K).lower(s.adversaries)),
-                             lambda i: "independent full-power noise"))
             families.append((cost(([(a, b, ss, k) for k in range(K)], K)), triple("shared")))
         else:
             # Lane j: all the noise power on adversary j.

@@ -3,18 +3,21 @@
 Setting I (everyone can coordinate) is a saddle point: randomized uncoded
 transmission against coordinated Gaussian jamming.  Setting II (nobody can)
 is a Stackelberg equilibrium: deterministic uncoded transmission mirrored
-with opposite sign by the adversaries.  Setting III interpolates through the
-threshold fraction epsilon0 of coordination-capable transmitters.
+with opposite sign by the adversaries.  Setting III switches between the
+two at the threshold fraction epsilon0 of coordination-capable transmitters:
+above it, setting I's saddle with M*epsilon transmitters against the
+eta-mixed jammer; below it, setting II's Stackelberg point, built by the same
+helper ``solve_setting2`` uses.
 
 Published closed forms are evaluated verbatim where they exist; every report
 pairs them with the direct MMSE oracle and records the delta when the two
 disagree (the oracle counts each sensor's own observation noise, which the
-setting-II closed form does not).
+setting-II closed form does not).  Every profile carries its Bayes decoder
+gain, from ``asym``'s profile builder.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 from . import asym
@@ -34,61 +37,43 @@ TIE_TOL = 1e-12
 _MAX_DOUBLINGS = 64
 
 
-@dataclasses.dataclass(frozen=True)
-class SymmetricCostInputs:
-    """Arguments of the setting-I cost evaluator.
-
-    m_eff is the effective transmitter count (real-valued so the threshold
-    search can relax it); q_adv is the adversaries' total received noise power
-    at the channel output (alpha^2*K^2*P coordinated, alpha^2*K*P independent);
-    c is the uncoded gain sqrt(P/(1+beta^2)).
-    """
-
-    m_eff: float
-    q_adv: float
-    alpha: float
-    beta: float
-    power: float
-    c: float
-
-    def __post_init__(self):
-        if self.m_eff < 0 or self.q_adv < 0:
-            raise InvalidScenario("m_eff and q_adv must be nonnegative")
-        budget = self.c * self.c * (1.0 + self.beta * self.beta)
-        if abs(budget - self.power) > 1e-12 * max(1.0, abs(self.power)):
-            raise InvalidScenario(
-                f"c^2*(1+beta^2) = {budget} inconsistent with power {self.power}"
-            )
+def _uncoded_gain(beta: float, power: float) -> float:
+    """The power-saturating uncoded coefficient sqrt(P/(1+beta^2))."""
+    return math.sqrt(power / (1.0 + beta * beta))
 
 
-def cost_inputs(
-    m_eff: float, q_adv: float, alpha: float, beta: float, power: float
-) -> SymmetricCostInputs:
-    """Build SymmetricCostInputs with the power-saturating uncoded gain."""
-    c = math.sqrt(power / (1.0 + beta * beta))
-    return SymmetricCostInputs(m_eff=m_eff, q_adv=q_adv, alpha=alpha, beta=beta, power=power, c=c)
+def _setting1_terms(m_eff: float, q_adv: float, alpha: float, beta: float, power: float):
+    """(c, c^2 alpha^2) of the setting-I cost with the uncoded gain c."""
+    if m_eff < 0 or q_adv < 0:
+        raise InvalidScenario("m_eff and q_adv must be nonnegative")
+    c = _uncoded_gain(beta, power)
+    return c, c * c * alpha * alpha
 
 
-def cost_setting1(inputs: SymmetricCostInputs) -> float:
+def cost_setting1(m_eff: float, q_adv: float, alpha: float, beta: float, power: float) -> float:
     """Saddle-point cost of setting I for an effective transmitter count and
-    received jamming power: (m c^2 a^2 + Q + 1)/(m^2 a^2 b^2 c^2 + m c^2 a^2 + Q + 1).
+    received jamming power: (m c^2 a^2 + Q + 1)/(m^2 a^2 b^2 c^2 + m c^2 a^2 + Q + 1)
+    with the uncoded gain c = sqrt(P/(1+beta^2)).
 
-    Strictly decreasing in m_eff, strictly increasing in q_adv; equals the
-    direct MMSE oracle on the corresponding randomized profile.
+    m_eff is real-valued so the threshold search can relax it; q_adv is the
+    adversaries' total received noise power at the channel output
+    (alpha^2*K^2*P coordinated, alpha^2*K*P independent).  Strictly
+    decreasing in m_eff, strictly increasing in q_adv; equals the direct MMSE
+    oracle on the corresponding randomized profile.
     """
-    m, q = inputs.m_eff, inputs.q_adv
-    ca2 = inputs.c * inputs.c * inputs.alpha * inputs.alpha
-    signal = m * m * ca2 * inputs.beta * inputs.beta
-    num = m * ca2 + q + 1.0
+    _, ca2 = _setting1_terms(m_eff, q_adv, alpha, beta, power)
+    signal = m_eff * m_eff * ca2 * beta * beta
+    num = m_eff * ca2 + q_adv + 1.0
     return num / (signal + num)
 
 
-def decoder_gain_setting1(inputs: SymmetricCostInputs) -> float:
+def decoder_gain_setting1(
+    m_eff: float, q_adv: float, alpha: float, beta: float, power: float
+) -> float:
     """Bayes gain for the setting-I receiver: E{S gammaY}/E{Y^2}."""
-    m, q = inputs.m_eff, inputs.q_adv
-    ca2 = inputs.c * inputs.c * inputs.alpha * inputs.alpha
-    denom = m * m * ca2 * inputs.beta * inputs.beta + m * ca2 + q + 1.0
-    return m * inputs.c * inputs.alpha * inputs.beta / denom
+    c, ca2 = _setting1_terms(m_eff, q_adv, alpha, beta, power)
+    denom = m_eff * m_eff * ca2 * beta * beta + m_eff * ca2 + q_adv + 1.0
+    return m_eff * c * alpha * beta / denom
 
 
 def setting2_formula(M: float, K: float, alpha: float, beta: float, power: float) -> float:
@@ -119,8 +104,8 @@ def coordination_gap(
     if K >= 1 and K >= M:
         raise InvalidScenario(f"K must be < M (got K={K}, M={M})")
     a2p = alpha * alpha * power
-    coord = cost_setting1(cost_inputs(M, K * K * a2p, alpha, beta, power))
-    indep = cost_setting1(cost_inputs(M, K * a2p, alpha, beta, power))
+    coord = cost_setting1(M, K * K * a2p, alpha, beta, power)
+    indep = cost_setting1(M, K * a2p, alpha, beta, power)
     return coord, indep
 
 
@@ -149,7 +134,7 @@ def epsilon_threshold(
     q = effective_jam_power(K, eta, alpha, power)
 
     def gap(m: float) -> float:
-        return cost_setting1(cost_inputs(m, q, alpha, beta, power)) - target
+        return cost_setting1(m, q, alpha, beta, power) - target
 
     lo = 1e-12
     if gap(lo) <= 0.0:
@@ -187,15 +172,11 @@ def _common_params(s: NetworkScenario):
 def theorem1_profile(s: NetworkScenario) -> StrategyProfile:
     """Setting-I saddle strategies: randomized uncoded transmitters at full
     power, all adversaries emitting one shared Gaussian noise realization."""
-    alpha, beta, power = _common_params(s)
-    c = math.sqrt(power / (1.0 + beta * beta))
-    profile = StrategyProfile(
-        transmit_coeffs=(c,) * s.num_transmitters,
-        randomized=True,
-        adversary=CoordinatedNoise(variance=power if s.num_adversaries else 0.0),
-        decoder_gain=0.0,
+    _, beta, power = _common_params(s)
+    return asym._bayes_profile(
+        s, (_uncoded_gain(beta, power),) * s.num_transmitters, True,
+        CoordinatedNoise(variance=power if s.num_adversaries else 0.0),
     )
-    return dataclasses.replace(profile, decoder_gain=asym.bayes_decoder_gain(s, profile))
 
 
 def theorem2_profile(s: NetworkScenario) -> StrategyProfile:
@@ -203,15 +184,11 @@ def theorem2_profile(s: NetworkScenario) -> StrategyProfile:
     adversaries mirroring with the opposite sign.  The stored decoder gain is
     the Bayes gain under the adopted observation model; the published decoder
     is recorded by solve_setting2."""
-    alpha, beta, power = _common_params(s)
-    c = math.sqrt(power / (1.0 + beta * beta))
-    profile = StrategyProfile(
-        transmit_coeffs=(c,) * s.num_transmitters,
-        randomized=False,
-        adversary=LinearMirror(coeffs=(-c,) * s.num_adversaries),
-        decoder_gain=0.0,
+    _, beta, power = _common_params(s)
+    c = _uncoded_gain(beta, power)
+    return asym._bayes_profile(
+        s, (c,) * s.num_transmitters, False, LinearMirror(coeffs=(-c,) * s.num_adversaries)
     )
-    return dataclasses.replace(profile, decoder_gain=asym.bayes_decoder_gain(s, profile))
 
 
 def solve_setting1(s: NetworkScenario) -> EquilibriumReport:
@@ -219,26 +196,28 @@ def solve_setting1(s: NetworkScenario) -> EquilibriumReport:
     if s.setting is not Setting.SYM_I:
         raise InvalidScenario(f"solve_setting1 requires SymI, got {s.setting.value}")
     M, K = s.num_transmitters, s.num_adversaries
-    if M + K == 0:
-        raise InvalidScenario("scenario has no sensors")
     alpha, beta, power = _common_params(s)
-    inputs = cost_inputs(M, alpha * alpha * K * K * power, alpha, beta, power)
-    cost = cost_setting1(inputs)
+    cost = cost_setting1(M, alpha * alpha * K * K * power, alpha, beta, power)
     profile = theorem1_profile(s)
     oracle = asym.direct_mmse_cost(s, profile)
-    notes = [f"|closed-form - oracle| = {abs(cost - oracle):.3e}"]
+    notes = (f"|closed-form - oracle| = {abs(cost - oracle):.3e}",)
     if alpha != 1.0:
-        notes.append(
-            "received jamming power evaluated as alpha^2*K^2*P [jammer-gain-alpha]"
-        )
-    return EquilibriumReport(
-        cost=cost,
-        profile=profile,
-        multipliers={},
-        kkt_residuals=(),
-        oracle_cost=oracle,
-        discrepancy_notes=tuple(notes),
-    )
+        notes += ("received jamming power evaluated as alpha^2*K^2*P [jammer-gain-alpha]",)
+    return EquilibriumReport(cost=cost, profile=profile, multipliers={},
+                             kkt_residuals=(), oracle_cost=oracle,
+                             discrepancy_notes=notes)
+
+
+def _stackelberg(s: NetworkScenario):
+    """The setting-II Stackelberg point of ``s``: (published cost, profile,
+    oracle cost, the note recording the delta between the two)."""
+    alpha, beta, power = _common_params(s)
+    printed = cost_setting2(s.num_transmitters, s.num_adversaries, alpha, beta, power)
+    profile = theorem2_profile(s)
+    oracle = asym.direct_mmse_cost(s, profile)
+    note = (f"published cost = {printed!r}, oracle = {oracle!r}, "
+            f"delta = {printed - oracle!r} [sym2-noise-term]")
+    return printed, profile, oracle, note
 
 
 def solve_setting2(s: NetworkScenario) -> EquilibriumReport:
@@ -246,30 +225,19 @@ def solve_setting2(s: NetworkScenario) -> EquilibriumReport:
     alongside, and the delta between them recorded."""
     if s.setting is not Setting.SYM_II:
         raise InvalidScenario(f"solve_setting2 requires SymII, got {s.setting.value}")
-    M, K = s.num_transmitters, s.num_adversaries
-    alpha, beta, power = _common_params(s)
-    printed = cost_setting2(M, K, alpha, beta, power)
-    profile = theorem2_profile(s)
-    oracle = asym.direct_mmse_cost(s, profile)
+    printed, profile, oracle, note = _stackelberg(s)
+    alpha, beta, _ = _common_params(s)
     c = profile.transmit_coeffs[0]
-    n = M - K
+    n = s.num_transmitters - s.num_adversaries
     printed_gain = (
         n * c * alpha * beta
         / (n * n * (alpha * beta * c) ** 2 + n * c * c * alpha * alpha + 1.0)
     )
-    notes = (
-        f"published cost = {printed!r}, oracle = {oracle!r}, delta = {printed - oracle!r} "
-        f"[sym2-noise-term]",
-        f"published decoder gain = {printed_gain!r}, Bayes gain = {profile.decoder_gain!r}",
-    )
-    return EquilibriumReport(
-        cost=printed,
-        profile=profile,
-        multipliers={},
-        kkt_residuals=(),
-        oracle_cost=oracle,
-        discrepancy_notes=notes,
-    )
+    notes = (note, f"published decoder gain = {printed_gain!r}, "
+                   f"Bayes gain = {profile.decoder_gain!r}")
+    return EquilibriumReport(cost=printed, profile=profile, multipliers={},
+                             kkt_residuals=(), oracle_cost=oracle,
+                             discrepancy_notes=notes)
 
 
 def setting3_branch(s: NetworkScenario) -> tuple[str, float]:
@@ -291,18 +259,13 @@ def theorem3_profile(s: NetworkScenario) -> StrategyProfile:
     transmitters send randomized uncoded symbols, the rest stay silent; the
     first K*eta adversaries share one noise realization, the rest jam
     independently."""
-    alpha, beta, power = _common_params(s)
+    _, beta, power = _common_params(s)
     M, K = s.num_transmitters, s.num_adversaries
     m_used = round(M * s.epsilon)
-    k_coord = round(K * s.eta)
-    c = math.sqrt(power / (1.0 + beta * beta))
-    profile = StrategyProfile(
-        transmit_coeffs=(c,) * m_used + (0.0,) * (M - m_used),
-        randomized=True,
-        adversary=CoordinatedNoise(variance=power, coordinated_count=k_coord),
-        decoder_gain=0.0,
+    return asym._bayes_profile(
+        s, (_uncoded_gain(beta, power),) * m_used + (0.0,) * (M - m_used), True,
+        CoordinatedNoise(variance=power, coordinated_count=round(K * s.eta)),
     )
-    return dataclasses.replace(profile, decoder_gain=asym.bayes_decoder_gain(s, profile))
 
 
 def solve_setting3(s: NetworkScenario) -> EquilibriumReport:
@@ -318,59 +281,27 @@ def solve_setting3(s: NetworkScenario) -> EquilibriumReport:
     M, K = s.num_transmitters, s.num_adversaries
     alpha, beta, power = _common_params(s)
     m_eps0 = eps0 * M
-    feasibility = (
+    notes = (
         f"epsilon0 = {eps0!r} (M*epsilon0 = {m_eps0!r}, "
-        f"{'integer' if abs(m_eps0 - round(m_eps0)) < 1e-9 else 'non-integer'})"
+        f"{'integer' if abs(m_eps0 - round(m_eps0)) < 1e-9 else 'non-integer'})",
     )
-
-    def saddle_report(extra_notes: tuple[str, ...] = ()) -> EquilibriumReport:
-        inputs = cost_inputs(
-            M * s.epsilon,
-            effective_jam_power(K, s.eta, alpha, power),
-            alpha,
-            beta,
-            power,
+    if branch == "stackelberg":
+        cost, profile, oracle, note = _stackelberg(s)
+        notes += ("branch = stackelberg", note)
+    else:
+        tie = ()
+        if branch == "tie":
+            other_cost, _, other_oracle, _ = _stackelberg(s)
+            tie = (
+                "tie: |epsilon - epsilon0| < 1e-12; both branches apply",
+                f"stackelberg branch cost = {other_cost!r}, oracle = {other_oracle!r}",
+            )
+        cost = cost_setting1(
+            M * s.epsilon, effective_jam_power(K, s.eta, alpha, power), alpha, beta, power
         )
-        cost = cost_setting1(inputs)
         profile = theorem3_profile(s)
         oracle = asym.direct_mmse_cost(s, profile)
-        notes = (feasibility, f"branch = saddle, |closed-form - oracle| = {abs(cost - oracle):.3e}")
-        return EquilibriumReport(
-            cost=cost,
-            profile=profile,
-            multipliers={"epsilon0": eps0},
-            kkt_residuals=(),
-            oracle_cost=oracle,
-            discrepancy_notes=notes + extra_notes,
-        )
-
-    def stackelberg_report() -> EquilibriumReport:
-        printed = cost_setting2(M, K, alpha, beta, power)
-        profile = theorem2_profile(s)
-        oracle = asym.direct_mmse_cost(s, profile)
-        notes = (
-            feasibility,
-            "branch = stackelberg",
-            f"published cost = {printed!r}, oracle = {oracle!r}, "
-            f"delta = {printed - oracle!r} [sym2-noise-term]",
-        )
-        return EquilibriumReport(
-            cost=printed,
-            profile=profile,
-            multipliers={"epsilon0": eps0},
-            kkt_residuals=(),
-            oracle_cost=oracle,
-            discrepancy_notes=notes,
-        )
-
-    if branch == "saddle":
-        return saddle_report()
-    if branch == "stackelberg":
-        return stackelberg_report()
-    other = stackelberg_report()
-    return saddle_report(
-        extra_notes=(
-            "tie: |epsilon - epsilon0| < 1e-12; both branches apply",
-            f"stackelberg branch cost = {other.cost!r}, oracle = {other.oracle_cost!r}",
-        )
-    )
+        notes += (f"branch = saddle, |closed-form - oracle| = {abs(cost - oracle):.3e}",) + tie
+    return EquilibriumReport(cost=cost, profile=profile, multipliers={"epsilon0": eps0},
+                             kkt_residuals=(), oracle_cost=oracle,
+                             discrepancy_notes=notes)

@@ -68,9 +68,7 @@ def test_criterion_01_closed_form_oracle_agreement():
 def test_criterion_02_corollary3_ordering():
     with _report(2, "coordinated saddle cost below published and oracle Stackelberg costs"):
         for M, K, alpha, beta, power in _CONFIGS:
-            coord = sym.cost_setting1(
-                sym.cost_inputs(M, alpha**2 * K**2 * power, alpha, beta, power)
-            )
+            coord = sym.cost_setting1(M, alpha**2 * K**2 * power, alpha, beta, power)
             printed = sym.cost_setting2(M, K, alpha, beta, power)
             s2 = make_symmetric(M, K, alpha, beta, power, Setting.SYM_II)
             mirror = asym.direct_mmse_cost(s2, sym.theorem2_profile(s2))
@@ -81,16 +79,16 @@ def test_criterion_02_corollary3_ordering():
 def test_criterion_02_ordering_in_validity_pocket():
     with _report(2, "coordination ordering on the instances where the published claim holds"):
         for M in (2, 3, 4, 5, 6):
-            coord = sym.cost_setting1(sym.cost_inputs(M, 1.0, 1.0, 1.0, 1.0))
+            coord = sym.cost_setting1(M, 1.0, 1.0, 1.0, 1.0)
             printed = sym.cost_setting2(M, 1, 1.0, 1.0, 1.0)
             s2 = make_symmetric(M, 1, 1.0, 1.0, 1.0, Setting.SYM_II)
             mirror = asym.direct_mmse_cost(s2, sym.theorem2_profile(s2))
             assert coord < printed
             assert coord < mirror
         # The worked instance: 0.6 < 0.75 (published) and 0.6 < 5/6 (oracle).
-        assert sym.cost_setting1(sym.cost_inputs(2, 1.0, 1.0, 1.0, 1.0)) == pytest.approx(0.6)
+        assert sym.cost_setting1(2, 1.0, 1.0, 1.0, 1.0) == pytest.approx(0.6)
         # First integer counterexample on the plainest slice: M=7, K=1.
-        coord7 = sym.cost_setting1(sym.cost_inputs(7, 1.0, 1.0, 1.0, 1.0))
+        coord7 = sym.cost_setting1(7, 1.0, 1.0, 1.0, 1.0)
         assert coord7 > sym.cost_setting2(7, 1, 1.0, 1.0, 1.0)
 
 
@@ -285,7 +283,7 @@ def test_criterion_08_epsilon_threshold():
         M, K = 4, 1
         eps0 = sym.epsilon_threshold(M, K, 1.0, 1.0, 1.0, 1.0)
         target = sym.setting2_formula(M, K, 1.0, 1.0, 1.0)
-        achieved = sym.cost_setting1(sym.cost_inputs(M * eps0, 1.0, 1.0, 1.0, 1.0))
+        achieved = sym.cost_setting1(M * eps0, 1.0, 1.0, 1.0, 1.0)
         assert abs(achieved - target) < 1e-10
 
         t = target

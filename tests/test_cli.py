@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import jamnet
 from jamnet import cli
@@ -263,12 +266,15 @@ _MC = {"monte_carlo": {"samples": 1000, "seed": 1}}
                         "transmitters": [{"alpha": 1e-100, "beta": 1e-100, "power": 0.0},
                                          {"alpha": 1.0, "beta": 1.0, "power": 0.0}],
                         "adversaries": _sensors(1e-100, 1e-100)}, "OverflowError"),
+        # sum(beta^2) overflows: every distortion would be inf/inf.
+        ("ceo-curve", {"transmitters": _sensors(1.0, 1e200), "adversaries": []},
+         "NumericalFailure"),
     ]
     + [(command, {**_OVERFLOWING_PRODUCT[setting], **_MC}, "NumericalFailure")
        for setting in ("SymI", "SymII") for command in ("closed-form", "simulate", "verify")],
     ids=["SymI-gain-1e200", "SymI-alpha-1e170", "AsymI-no-information-path",
          "AsymII-no-information-path", "AsymI-alpha-1e200", "AsymII-alpha-1e200",
-         "AsymII-scan-square-overflow"]
+         "AsymII-scan-square-overflow", "ceo-curve-beta-1e200"]
     + [f"{setting}-{command}-alpha2P-overflow"
        for setting in ("SymI", "SymII") for command in ("closed-form", "simulate", "verify")],
 )
@@ -377,3 +383,81 @@ def test_cli_runs_without_scipy_optimize(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "run.json").exists()
+
+
+# -- config fuzz: every document ends in exit 0, 1 or 2 with one line --------
+
+# Junk: wrong types, an integer beyond the float range, and nonpositive numbers.
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                  st.lists(st.integers(-1, 1), max_size=2), st.just(10**400),
+                  st.floats(-1e300, 0.0))
+_NUMBER = st.one_of(
+    st.sampled_from([1.0, 0.25, 0.8, 1.5, 3.0]),
+    st.sampled_from([1e-300, 1e-200, 1e-100, 1e-8, 1e8, 1e100, 1e170, 1e200, 1e300]),
+    st.floats(1e-300, 1e300),
+)
+_FRACTIONS = st.sampled_from([0.5, 0.25, 0.75, 1.0, 0.0])
+_FRACTION = st.one_of(_FRACTIONS, _FRACTIONS, _NUMBER)
+_SENSOR = st.fixed_dictionaries({"alpha": _NUMBER, "beta": _NUMBER, "power": _NUMBER})
+
+
+def _slots(node):
+    """Every (container, key) of a JSON document, depth first."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+@st.composite
+def _documents(draw):
+    """Config documents: both sensor groups often share one (alpha, beta,
+    power), as the symmetric settings require, and about half the documents
+    carry one junk value in a random place (or under an unknown key)."""
+    shared = draw(_SENSOR)
+
+    def group(counts):
+        shorthand = st.builds(lambda count: {**shared, "count": count}, counts)
+        return st.one_of(shorthand, shorthand, shorthand, st.lists(_SENSOR, max_size=3))
+
+    document = draw(st.fixed_dictionaries(
+        {"setting": st.sampled_from(["SymI", "SymII", "SymIII", "AsymI", "AsymII"]),
+         "transmitters": group(st.integers(1, 4)), "adversaries": group(st.integers(0, 3)),
+         "sum_power_transmit": _NUMBER, "sum_power_attack": _NUMBER,
+         "epsilon": _FRACTION, "eta": _FRACTION,
+         "monte_carlo": st.fixed_dictionaries(
+             {"samples": st.integers(1, 2000), "seed": st.integers(0, 2**64 - 1)})},
+        optional={
+            "sweep": st.fixed_dictionaries(
+                {"param": st.sampled_from(sorted(cli._SWEEP_PARAMS)),
+                 "from": _FRACTION, "to": _NUMBER, "steps": st.integers(1, 3)}),
+        },
+    ))
+    if draw(st.booleans()):
+        container, key = draw(st.sampled_from([*_slots(document), (document, "junk")]))
+        container[key] = draw(_JUNK)
+    return document
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(command=st.sampled_from(cli.COMMANDS), document=_documents())
+@example(command="ceo-curve", document={  # sum(beta^2) overflows
+    "setting": "SymI", "transmitters": _sensors(1.0, 1e200), "adversaries": []})
+def test_config_fuzz_ends_in_a_documented_exit(tmp_path_factory, command, document):
+    # Gains and powers from 1e-300 to 1e300 and junk in any field: the run exits 0,
+    # 1 or 2 with one line, and a successful run writes no NaN or infinity.
+    work = tmp_path_factory.getbasetemp() / "fuzz"
+    work.mkdir(exist_ok=True)
+    config = work / "cfg.json"
+    config.write_text(json.dumps({**document, "output_path": str(work / "run")}))
+    for name in ("run.csv", "run.json"):
+        (work / name).unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(config)])
+    assert code in (0, 1, 2)
+    lines = (out.getvalue() + err.getvalue()).splitlines()
+    assert len(lines) == 1 and lines[0]
+    if code == 0:
+        text = (work / "run.json").read_text()
+        assert "NaN" not in text and "Infinity" not in text

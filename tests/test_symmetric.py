@@ -16,25 +16,26 @@ from jamnet import asym, symmetric as sym
 
 def test_cost_setting1_examples():
     # M=2, K=1 coordinated, alpha=beta=P=1: received noise power K^2 P = 1.
-    assert sym.cost_setting1(sym.cost_inputs(2, 1.0, 1.0, 1.0, 1.0)) == pytest.approx(0.6, abs=1e-15)
-    assert sym.cost_setting1(sym.cost_inputs(0, 7.0, 1.0, 1.0, 1.0)) == 1.0
-    assert sym.cost_setting1(sym.cost_inputs(1, 0.0, 1.0, 1.0, 1.0)) == pytest.approx(0.75, abs=1e-15)
+    assert sym.cost_setting1(2, 1.0, 1.0, 1.0, 1.0) == pytest.approx(0.6, abs=1e-15)
+    assert sym.cost_setting1(0, 7.0, 1.0, 1.0, 1.0) == 1.0
+    assert sym.cost_setting1(1, 0.0, 1.0, 1.0, 1.0) == pytest.approx(0.75, abs=1e-15)
+    with pytest.raises(InvalidScenario):
+        sym.cost_setting1(-1.0, 1.0, 1.0, 1.0, 1.0)
 
 
 def test_decoder_gain_examples():
-    inputs = sym.cost_inputs(2, 1.0, 1.0, 1.0, 1.0)
-    assert sym.decoder_gain_setting1(inputs) == pytest.approx(math.sqrt(2) / 5, abs=1e-14)
-    assert sym.decoder_gain_setting1(sym.cost_inputs(0, 1.0, 1.0, 1.0, 1.0)) == 0.0
+    assert sym.decoder_gain_setting1(2, 1.0, 1.0, 1.0, 1.0) == pytest.approx(math.sqrt(2) / 5, abs=1e-14)
+    assert sym.decoder_gain_setting1(0, 1.0, 1.0, 1.0, 1.0) == 0.0
 
 
 def test_decoder_gain_is_stationary_point_of_quadratic_cost():
     # E{(S - g*gammaY)^2} = 1 - 2 g r + g^2 Q; finite-difference slope at the
     # returned gain must vanish.
     for m, q, alpha, beta, power in [(2, 1.0, 1.0, 1.0, 1.0), (5, 3.0, 0.7, 1.4, 2.0)]:
-        inputs = sym.cost_inputs(m, q, alpha, beta, power)
-        g = sym.decoder_gain_setting1(inputs)
-        r = m * inputs.c * alpha * beta
-        total = (m * inputs.c * alpha * beta) ** 2 + m * inputs.c**2 * alpha**2 + q + 1.0
+        g = sym.decoder_gain_setting1(m, q, alpha, beta, power)
+        c = math.sqrt(power / (1.0 + beta * beta))
+        r = m * c * alpha * beta
+        total = (m * c * alpha * beta) ** 2 + m * c**2 * alpha**2 + q + 1.0
 
         def cost(gain):
             return 1.0 - 2.0 * gain * r + gain * gain * total
@@ -70,10 +71,10 @@ def test_cost_setting1_monotone_in_m_and_q():
         q1, q2 = sorted(rng.uniform(0.0, 10.0, size=2))
         if m2 - m1 < 1e-6 or q2 - q1 < 1e-6:
             continue
-        c_m = sym.cost_setting1(sym.cost_inputs(m2, q1, alpha, beta, power))
-        assert c_m < sym.cost_setting1(sym.cost_inputs(m1, q1, alpha, beta, power))
-        c_q = sym.cost_setting1(sym.cost_inputs(m1, q2, alpha, beta, power))
-        assert c_q > sym.cost_setting1(sym.cost_inputs(m1, q1, alpha, beta, power))
+        c_m = sym.cost_setting1(m2, q1, alpha, beta, power)
+        assert c_m < sym.cost_setting1(m1, q1, alpha, beta, power)
+        c_q = sym.cost_setting1(m1, q2, alpha, beta, power)
+        assert c_q > sym.cost_setting1(m1, q1, alpha, beta, power)
 
 
 def test_closed_form_matches_oracle_to_1e12():
@@ -105,12 +106,12 @@ def test_transmitter_coordination_ordering_has_bounded_validity():
     # plainest slice.  The acceptance suite carries the full statement as a
     # strict expected failure.
     for M in (2, 3, 4, 5, 6):
-        coord = sym.cost_setting1(sym.cost_inputs(M, 1.0, 1.0, 1.0, 1.0))
+        coord = sym.cost_setting1(M, 1.0, 1.0, 1.0, 1.0)
         printed2 = sym.cost_setting2(M, 1, 1.0, 1.0, 1.0)
         s2 = make_symmetric(M, 1, 1.0, 1.0, 1.0, Setting.SYM_II)
         mirror = asym.direct_mmse_cost(s2, sym.theorem2_profile(s2))
         assert coord < printed2 < mirror
-    coord7 = sym.cost_setting1(sym.cost_inputs(7, 1.0, 1.0, 1.0, 1.0))
+    coord7 = sym.cost_setting1(7, 1.0, 1.0, 1.0, 1.0)
     assert coord7 > sym.cost_setting2(7, 1, 1.0, 1.0, 1.0)
 
 
@@ -121,7 +122,7 @@ def test_coordination_gap_examples():
     coord5, indep5 = sym.coordination_gap(5, 2, 1.0, 1.0, 1.0)
     assert coord5 > indep5
     c0, i0 = sym.coordination_gap(3, 0, 1.0, 1.0, 1.0)
-    base = sym.cost_setting1(sym.cost_inputs(3, 0.0, 1.0, 1.0, 1.0))
+    base = sym.cost_setting1(3, 0.0, 1.0, 1.0, 1.0)
     assert c0 == base and i0 == base
 
 
@@ -143,7 +144,7 @@ def test_epsilon_threshold_value_and_residual():
     oracle = _epsilon0_quadratic_oracle(4, 1, 1.0, 1.0, 1.0, 1.0)
     assert abs(eps0 - oracle) < 1e-9
     target = sym.setting2_formula(4, 1, 1.0, 1.0, 1.0)
-    achieved = sym.cost_setting1(sym.cost_inputs(4 * eps0, 1.0, 1.0, 1.0, 1.0))
+    achieved = sym.cost_setting1(4 * eps0, 1.0, 1.0, 1.0, 1.0)
     assert abs(achieved - target) < 1e-10
 
 
@@ -169,7 +170,7 @@ def test_setting3_branches():
     saddle = make_symmetric(4, 1, 1.0, 1.0, 1.0, Setting.SYM_III, epsilon=1.0, eta=1.0)
     rep = sym.solve_setting3(saddle)
     assert sym.setting3_branch(saddle)[0] == "saddle"
-    expected = sym.cost_setting1(sym.cost_inputs(4, 1.0, 1.0, 1.0, 1.0))
+    expected = sym.cost_setting1(4, 1.0, 1.0, 1.0, 1.0)
     assert rep.cost == pytest.approx(expected, abs=1e-15)
     assert rep.oracle_cost == pytest.approx(expected, abs=1e-12)
 
@@ -209,6 +210,6 @@ def test_setting3_mixed_jammer_profile():
     # 3 active + 2 silent transmitters; 1 coordinated + 3 independent jammers.
     assert rep.profile.transmit_coeffs[3] == 0.0 and rep.profile.transmit_coeffs[4] == 0.0
     assert rep.profile.adversary.coordinated_count == 1
-    expected = sym.cost_setting1(sym.cost_inputs(3.0, 4.0, 1.0, 1.0, 1.0))
+    expected = sym.cost_setting1(3.0, 4.0, 1.0, 1.0, 1.0)
     assert rep.cost == pytest.approx(expected, abs=1e-15)
     assert rep.oracle_cost == pytest.approx(expected, abs=1e-12)
