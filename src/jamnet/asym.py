@@ -10,12 +10,14 @@ candidates, so batched searches cost every candidate with the same bits.
 ``solve_theorem4`` handles the coordinated (saddle-point) power-allocation
 setting in closed form.  ``solve_theorem5`` solves the no-coordination
 Stackelberg multiplier system by nested bracketed root-finding: the outer
-residual is evaluated at every point of a fixed scan grid in one array pass
-(``_adversary_response_lanes`` runs the inner adversary root-finds as Brent
-steps on all grid points at once), every sign change is counted, and scalar
-Brent then solves the first bracket.  Without a sign change the exit-2
-report carries the first scanned residuals, which have the scalar residual's
-bits.
+residual is evaluated at every point of a fixed scan grid in one array pass,
+every sign change is counted, and scalar Brent then solves the first
+bracket.  The inner adversary solve, ``_adversary_response``, is one piece of
+arithmetic for one row of transmit coefficients (scalar Brent steps, inside
+the outer Brent) and for lanes of rows (Brent steps on all lanes at once, in
+the scan and the transmitter probes), so a scanned residual has the bits of
+the scalar residual at its point, and so has the exit-2 report without a
+sign change, which carries the first scanned residuals.
 
 Every equilibrium profile of the package, the symmetric solvers' included,
 is built by one helper, ``_bayes_profile``, which attaches the Bayes
@@ -276,66 +278,108 @@ def _transmit_side(s: NetworkScenario, lam3, p_t: float):
         return lam4, lam4[..., None] * ab / (2.0 * denoms)
 
 
-def adversary_linear_response(
-    s: NetworkScenario, transmit_coeffs, p_a: float
-) -> tuple[float, float, np.ndarray]:
-    """Best linear response (lambda1, lambda2, c_k) of the adversaries to the
-    given transmit coefficients.
+def _square(x, live):
+    """x**2 with libm pow's bits, as float ``**`` gives them (numpy's ``**`` 2
+    is x*x, which differs from it in the last bit for about 1 in 1000 x).  On
+    lanes it raises float ``**``'s OverflowError where the square of a finite
+    ``live`` lane overflows."""
+    if type(x) is float:
+        return x ** 2
+    square = np.float_power(x, 2.0)
+    if np.any(live & np.isfinite(x) & np.isinf(square)):
+        raise OverflowError(34, "Numerical result out of range")
+    return square
+
+
+def _adversary_response(s: NetworkScenario, c_m, p_a: float):
+    """Best linear response (lambda1, lambda2, c_k, ok) of the adversaries to
+    the transmit coefficients ``c_m``: one row of M, or lanes x M.
 
     Solves the adversary-side first-order system: lambda2 is affine in
     lambda1 via the combined stationarity/feasibility relation, and the
     power-equality equation g(lambda1) = 0 is strictly increasing on
     (0, min_k (1+beta_k^2)/alpha_k^2), so the root is unique when it exists.
     No root means the adversary can null the received signal outright with
-    slack power (no power-equality KKT point); that is reported as
-    NonConvergence, a first-class outcome.
+    slack power (no power-equality KKT point).  ``_brentq`` solves one row,
+    which raises NonConvergence or SingularDenominator where it fails;
+    ``_brentq_lanes`` solves lanes, and ok is False on the lanes that would
+    raise.  A lane has its row's bits.  Both raise float ``**``'s
+    OverflowError where lambda2^2 overflows on a row or lane being solved.
     """
     if s.num_adversaries < 1:
         raise EmptyAdversarySet("no adversarial sensors")
-    r_m = float(
-        sum(p.alpha * p.beta * c for p, c in zip(s.transmitters, transmit_coeffs))
-    )
-    s_own = float(
-        sum(p.alpha ** 2 * c * c for p, c in zip(s.transmitters, transmit_coeffs))
-    )
-    if abs(r_m) < DENOM_FLOOR:
-        raise SingularDenominator("transmit signal term vanishes; adversary system singular")
+    one = np.ndim(c_m) == 1
+    with np.errstate(all="ignore"):
+        ab_t = np.array([p.alpha * p.beta for p in s.transmitters])
+        a2_t = np.array([p.alpha ** 2 for p in s.transmitters])
+        # Running sums add the sensors one at a time, in order, as sum() does.
+        r_m = np.add.accumulate(ab_t * c_m, axis=-1)[..., -1]
+        s_own = np.add.accumulate(a2_t * c_m * c_m, axis=-1)[..., -1]
+        # On one row r_m, s_own and p_a as Python floats make lambda2 one, so
+        # _square takes float ** (lanes take np.float_power with its bits).
+        p_a = float(p_a)
+        if one:
+            r_m, s_own = float(r_m), float(s_own)
 
-    a_adv = np.array([p.alpha for p in s.adversaries])
-    b2_adv = np.array([p.input_second_moment for p in s.adversaries])
-    ab_adv = np.array([p.alpha * p.beta for p in s.adversaries])
-    lam1_max = float(np.min(b2_adv / a_adv**2))
+        a_adv = np.array([p.alpha for p in s.adversaries])
+        b2_adv = np.array([p.input_second_moment for p in s.adversaries])
+        ab_adv = np.array([p.alpha * p.beta for p in s.adversaries])
+        a2_adv, num = a_adv**2, b2_adv * ab_adv**2
+        lam1_max = float(np.min(b2_adv / a2_adv))
 
-    def lam2_of(lam1: float) -> float:
-        return -(2.0 * p_a + 2.0 * lam1 * (1.0 + s_own)) / r_m
+        def lam2_of(lam1):
+            return -(2.0 * p_a + 2.0 * lam1 * (1.0 + s_own)) / r_m
 
-    def power_gap(lam1: float) -> float:
-        d = b2_adv - lam1 * a_adv**2
-        a2 = float(np.sum(b2_adv * ab_adv**2 / d**2))
-        return lam2_of(lam1) ** 2 / 4.0 * a2 - p_a
+        def denoms(lam1):
+            return b2_adv - np.multiply.outer(lam1, a2_adv)
 
-    lo = lam1_max * 1e-14
-    hi = lam1_max * (1.0 - 1e-9)
-    g_lo = power_gap(lo)
-    if g_lo >= 0.0:
-        raise NonConvergence(
+        def power_gap(lam1, live=True):
+            a2 = np.add.reduce(num / denoms(lam1)**2, axis=-1)  # np.sum, minus its wrapper
+            return _square(lam2_of(lam1), live) / 4.0 * a2 - p_a
+
+        def require(good, error):
+            """The lanes where ``good`` holds; one row raises error() instead."""
+            if one and not good:
+                raise error()
+            return good
+
+        lo, hi = lam1_max * 1e-14, lam1_max * (1.0 - 1e-9)
+        ok = require(~(np.abs(r_m) < DENOM_FLOOR), lambda: SingularDenominator(
+            "transmit signal term vanishes; adversary system singular"))
+        g_lo = power_gap(lo, ok)
+        ok = ok & require(~(g_lo >= 0.0), lambda: NonConvergence(
             "adversary power-equality equation has no positive root "
-            "(attack budget dominates the received signal)",
-            residuals=(g_lo,),
-        )
-    g_hi = power_gap(hi)
-    if not (g_hi > 0.0):
-        raise NonConvergence(
+            "(attack budget dominates the received signal)", residuals=(float(g_lo),)))
+        g_hi = power_gap(hi, ok)
+        ok = ok & require(g_hi > 0.0, lambda: NonConvergence(
             "adversary power-equality equation has no bracket",
-            residuals=(g_lo, g_hi),
-        )
-    lam1 = _brentq(power_gap, lo, hi)
-    lam2 = lam2_of(lam1)
-    d = b2_adv - lam1 * a_adv**2
-    if np.any(np.abs(d) < DENOM_FLOOR):
-        raise SingularDenominator("adversary denominator below floor at converged lambda1")
-    c_k = lam2 * ab_adv / (2.0 * d)
-    return float(lam1), float(lam2), c_k
+            residuals=(float(g_lo), float(g_hi))))
+        if one:
+            lam1 = _brentq(power_gap, lo, hi)
+        else:
+            lam1 = _brentq_lanes(power_gap, lo, hi, g_lo, g_hi, ok)
+        lam2, d = lam2_of(lam1), denoms(lam1)
+        ok = ok & require(~np.any(np.abs(d) < DENOM_FLOOR, axis=-1), lambda: SingularDenominator(
+            "adversary denominator below floor at converged lambda1"))
+        return lam1, lam2, np.multiply.outer(lam2, ab_adv) / (2.0 * d), ok
+
+
+def adversary_linear_response(
+    s: NetworkScenario, transmit_coeffs, p_a: float
+) -> tuple[float, float, np.ndarray]:
+    """``_adversary_response`` to one row of transmit coefficients: (lambda1,
+    lambda2, c_k), or its NonConvergence or SingularDenominator."""
+    return _adversary_response(s, transmit_coeffs, p_a)[:3]
+
+
+def _outer_residual(s: NetworkScenario, lam3, p_t: float, p_a: float):
+    """(F, ok): the outer residual F = lambda4*lambda1 + lambda2*lambda3 at a
+    trial lambda3, or at each of an array of them as lanes, with
+    ``_adversary_response``'s ok."""
+    with np.errstate(all="ignore"):
+        lam4, c_m = _transmit_side(s, lam3, p_t)
+        lam1, lam2, _, ok = _adversary_response(s, c_m, p_a)
+        return lam4 * lam1 + lam2 * lam3, ok
 
 
 def _brentq(f, xa: float, xb: float) -> float:
@@ -452,76 +496,6 @@ def _brentq_lanes(f, xa: float, xb: float, fa, fb, todo):
     return root
 
 
-def _adversary_response_lanes(s: NetworkScenario, c_m: np.ndarray, p_a: float):
-    """``adversary_linear_response`` to every row of the transmit coefficient
-    lanes ``c_m`` (lanes x M), in one array pass: (lam1, lam2, c_k, ok).
-
-    Lane i repeats the scalar arithmetic on row i, so its multipliers and
-    coefficients have the scalar solve's bits.  ok is False where the scalar
-    solve raises NonConvergence or SingularDenominator: |r_m| below
-    DENOM_FLOOR, no bracket for the power gap, or a singular adversary
-    denominator at the root; those lanes hold no meaningful values.  Where
-    the scalar path's float ``**`` would overflow on a lane it would solve,
-    this raises the same OverflowError.
-    """
-    if s.num_adversaries < 1:
-        raise EmptyAdversarySet("no adversarial sensors")
-    with np.errstate(all="ignore"):
-        ab_t = np.array([p.alpha * p.beta for p in s.transmitters])
-        a2_t = np.array([p.alpha ** 2 for p in s.transmitters])
-        # Running sums add the sensors one at a time, in order, as sum() does.
-        r_m = np.add.accumulate(ab_t * c_m, axis=1)[:, -1]
-        s_own = np.add.accumulate(a2_t * c_m * c_m, axis=1)[:, -1]
-
-        a_adv = np.array([p.alpha for p in s.adversaries])
-        b2_adv = np.array([p.input_second_moment for p in s.adversaries])
-        ab_adv = np.array([p.alpha * p.beta for p in s.adversaries])
-        lam1_max = float(np.min(b2_adv / a_adv**2))
-
-        def lam2_of(lam1):
-            return -(2.0 * p_a + 2.0 * lam1 * (1.0 + s_own)) / r_m
-
-        def power_gap(lam1, live):
-            d = b2_adv - lam1[:, None] * a_adv**2
-            a2 = np.sum(b2_adv * ab_adv**2 / d**2, axis=1)
-            # float_power is libm pow, as the scalar path's float ** is;
-            # numpy's ** 2 is x*x, which differs from it in the last bit for
-            # about 1 in 1000 x.  Float ** raises where the square overflows.
-            lam2 = lam2_of(lam1)
-            square = np.float_power(lam2, 2.0)
-            if np.any(live & np.isfinite(lam2) & np.isinf(square)):
-                raise OverflowError(34, "Numerical result out of range")
-            return square / 4.0 * a2 - p_a
-
-        lanes = len(c_m)
-        lo = lam1_max * 1e-14
-        hi = lam1_max * (1.0 - 1e-9)
-        ok = ~(np.abs(r_m) < DENOM_FLOOR)
-        g_lo = power_gap(np.full(lanes, lo), ok)
-        ok &= ~(g_lo >= 0.0)
-        g_hi = power_gap(np.full(lanes, hi), ok)
-        ok &= g_hi > 0.0
-        lam1 = _brentq_lanes(power_gap, lo, hi, g_lo, g_hi, ok)
-        lam2 = lam2_of(lam1)
-        d = b2_adv - lam1[:, None] * a_adv**2
-        ok &= ~np.any(np.abs(d) < DENOM_FLOOR, axis=1)
-        return lam1, lam2, lam2[:, None] * ab_adv / (2.0 * d), ok
-
-
-def _outer_residual_scan(s: NetworkScenario, grid: np.ndarray, p_t: float, p_a: float):
-    """The outer residual lambda4*lambda1 + lambda2*lambda3 at every lambda3 in
-    ``grid``, in one array pass: (values, ok).
-
-    Lane i repeats the arithmetic of ``_transmit_side`` and
-    ``adversary_linear_response`` at lambda3 = grid[i], so its value has the
-    scalar residual's bits; ok is ``_adversary_response_lanes``'s mask.
-    """
-    with np.errstate(all="ignore"):
-        lam4, c_m = _transmit_side(s, grid, p_t)
-        lam1, lam2, _, ok = _adversary_response_lanes(s, c_m, p_a)
-        return lam4 * lam1 + lam2 * grid, ok
-
-
 def kkt_residuals(s: NetworkScenario, lambdas, transmit_coeffs, adversary_coeffs) -> list[float]:
     """Left-hand sides of every first-order condition and constraint of the
     no-coordination system, evaluated at the multipliers
@@ -589,13 +563,6 @@ def _sign_changes(values: np.ndarray, ok: np.ndarray) -> np.ndarray:
         return np.flatnonzero(ok[:-1] & ok[1:] & ((v0 == 0.0) | (v0 * v1 < 0.0)))
 
 
-def _outer_residual(s: NetworkScenario, lam3: float, p_t: float, p_a: float) -> float:
-    """F(lambda3) = lambda4*lambda1 + lambda2*lambda3 at one trial lambda3."""
-    lam4, c_m = _transmit_side(s, lam3, p_t)
-    lam1, lam2, _ = adversary_linear_response(s, c_m, p_a)
-    return float(lam4) * lam1 + lam2 * lam3
-
-
 def solve_theorem5(s: NetworkScenario) -> EquilibriumReport:
     """Stackelberg equilibrium of the no-coordination asymmetric setting.
 
@@ -624,10 +591,10 @@ def solve_theorem5(s: NetworkScenario) -> EquilibriumReport:
     def outer_residual(lam3: float) -> float:
         nonlocal evals
         evals += 1
-        return _outer_residual(s, lam3, p_t, p_a)
+        return _outer_residual(s, lam3, p_t, p_a)[0]
 
     grid = _scan_grid(p_t)
-    values, ok = _outer_residual_scan(s, grid, p_t, p_a)
+    values, ok = _outer_residual(s, grid, p_t, p_a)
     evals = len(grid)
     roots = _sign_changes(values, ok)
     if len(roots) == 0:

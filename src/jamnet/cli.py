@@ -5,9 +5,10 @@ run writes `<out>.csv` (tabular results) and `<out>.json` (the full report
 with strategies, multipliers and discrepancy notes).  Identical config and
 seed produce byte-identical outputs.
 
-Exit codes: 0 success, 1 invalid config/scenario/profile, 2 any other
-package error or float overflow: solver non-convergence, numerical failure
-(diagnostics still written to the JSON report).
+Exit codes: 0 success, 1 invalid config/scenario/profile or outputs that
+cannot be written, 2 any other package error or float overflow: solver
+non-convergence, numerical failure (diagnostics still written to the JSON
+report).
 """
 
 from __future__ import annotations
@@ -64,6 +65,11 @@ _SWEEP_PARAMS = {
     "rate": (None, frozenset()), "rho": (None, frozenset()),
 }
 _SENSOR_FIELDS = {"alpha", "beta", "power"}
+# Upper bounds on the config's integers, checked before anything is sized by
+# them: sensors per count shorthand, sweep steps, Monte Carlo samples.
+MAX_COUNT = 10**6
+MAX_STEPS = 10**6
+MAX_SAMPLES = 2**40
 # Command -> (the sweep param it takes as its axis, the test every axis value
 # must pass, that test in words).
 _AXES = {
@@ -141,8 +147,8 @@ def _parse_sensors(node, where: str) -> tuple[SensorParams, ...]:
             if key not in node:
                 raise ParseError(f"{where} shorthand missing '{key}'")
         count = node["count"]
-        if not _is_int(count) or count < 0:
-            raise ParseError(f"{where}.count must be a nonnegative integer")
+        if not _is_int(count) or not 0 <= count <= MAX_COUNT:
+            raise ParseError(f"{where}.count must be an integer from 0 to {MAX_COUNT}")
         return (_sensor(node, where),) * count
     if isinstance(node, list):
         return tuple(one(entry, f"{where}[{i}]") for i, entry in enumerate(node))
@@ -198,8 +204,8 @@ def parse_config(document: str, command: str) -> RunConfig:
         if "samples" not in node or "seed" not in node:
             raise ParseError("monte_carlo requires 'samples' and 'seed'")
         samples, seed = node["samples"], node["seed"]
-        if not _is_int(samples) or samples < 1:
-            raise ParseError("monte_carlo.samples must be a positive integer")
+        if not _is_int(samples) or not 1 <= samples <= MAX_SAMPLES:
+            raise ParseError(f"monte_carlo.samples must be an integer from 1 to {MAX_SAMPLES}")
         if not _is_int(seed) or not 0 <= seed < 2**64:
             raise ParseError("monte_carlo.seed must be an unsigned 64-bit integer")
         mc = MonteCarloConfig(samples=samples, seed=seed)
@@ -219,8 +225,8 @@ def parse_config(document: str, command: str) -> RunConfig:
         if command == "sweep" and setting not in _SWEEP_PARAMS[param][1]:
             raise ParseError(f"sweep param {param!r} does not apply to {setting.value}")
         steps = node["steps"]
-        if not _is_int(steps) or steps < 1:
-            raise ParseError("sweep.steps must be a positive integer")
+        if not _is_int(steps) or not 1 <= steps <= MAX_STEPS:
+            raise ParseError(f"sweep.steps must be an integer from 1 to {MAX_STEPS}")
         sweep = SweepConfig(param=param, start=float(_number(node["from"], "sweep.from")),
                             stop=float(_number(node["to"], "sweep.to")), steps=steps)
         if command in _AXES:
@@ -430,13 +436,15 @@ COMMANDS = tuple(_RUNNERS)
 
 
 def run_command(cfg: RunConfig) -> int:
-    """Dispatch, write `<out>.csv` and `<out>.json`, print a one-line summary."""
+    """Dispatch, write `<out>.csv` and `<out>.json`, print a one-line summary.
+
+    Outputs that cannot be written end in one stderr line and exit 1.
+    """
     out_stem = cfg.output_path
     if out_stem.endswith(".csv") or out_stem.endswith(".json"):
         out_stem = out_stem.rsplit(".", 1)[0]
     csv_path = Path(out_stem + ".csv")
     json_path = Path(out_stem + ".json")
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
 
     payload: dict = {
         "command": cfg.command,
@@ -453,25 +461,32 @@ def run_command(cfg: RunConfig) -> int:
             "iterations": getattr(exc, "iterations", None),
             "residuals": list(getattr(exc, "residuals", ())),
         }
+        rows, code = None, 2
+        line = f"jamnet {cfg.command}: FAILED ({type(exc).__name__}: {exc})"
+    else:
+        report_json = extra.get("report", {})
+        all_notes = list(report_json.get("discrepancy_notes", [])) + list(
+            extra.get("discrepancy_notes", [])
+        )
+        payload.update(extra)
+        payload["known_discrepancy_tags"] = _tags_in(all_notes)
+        code, line = 0, f"jamnet {cfg.command}: {summary} -> {csv_path}, {json_path}"
+
+    try:
+        csv_path.parent.mkdir(parents=True, exist_ok=True)
+        if rows is None:  # no CSV on failure, not even an earlier run's
+            csv_path.unlink(missing_ok=True)
+        else:
+            with csv_path.open("w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
         json_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        csv_path.unlink(missing_ok=True)
-        print(f"jamnet {cfg.command}: FAILED ({type(exc).__name__}: {exc})")
-        return 2
-
-    report_json = extra.get("report", {})
-    all_notes = list(report_json.get("discrepancy_notes", [])) + list(
-        extra.get("discrepancy_notes", [])
-    )
-    payload.update(extra)
-    payload["known_discrepancy_tags"] = _tags_in(all_notes)
-
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    json_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    print(f"jamnet {cfg.command}: {summary} -> {csv_path}, {json_path}")
-    return 0
+    except OSError as exc:
+        print(f"jamnet: cannot write outputs: {exc}", file=sys.stderr)
+        return 1
+    print(line)
+    return code
 
 
 def main(argv=None) -> int:

@@ -25,7 +25,8 @@ transmitters (minimizer).  Candidates are evaluated from their sufficient
 statistics with ``asym``'s cost core, not as profiles: each deviation grid
 is one array pass, and so are the transmitter probes, one lane each.  The
 probes' followers are exact: the SymII follower is a closed form, and the
-AsymII one is ``asym``'s adversary root-find run on all probes at once.
+AsymII one is ``asym._adversary_response``, the Theorem-5 adversary solve,
+run on all probes at once as lanes with the bits of a one-row solve.
 Every candidate costs the bits the per-profile oracle gives it, and ties
 keep the first candidate.
 """
@@ -350,7 +351,7 @@ def _follower_stats(s: NetworkScenario, trials: np.ndarray, fixed):
     if s.setting is Setting.SYM_II:
         response = np.array([follower_best_response_sym2(s, tuple(t.tolist())) for t in trials])
     elif s.setting is Setting.ASYM_II:
-        _, _, c_k, ok = asym._adversary_response_lanes(s, trials, s.sum_power_attack)
+        _, _, c_k, ok = asym._adversary_response(s, trials, s.sum_power_attack)
         response = c_k[ok]
     else:
         return fixed, ok

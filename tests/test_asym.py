@@ -402,7 +402,7 @@ def _scalar_scan(s, grid):
     for x in grid:
         try:
             values.append(asym._outer_residual(s, float(x), s.sum_power_transmit,
-                                               s.sum_power_attack))
+                                               s.sum_power_attack)[0])
         except (NonConvergence, SingularDenominator):
             values.append(None)
     return values
@@ -414,8 +414,8 @@ def test_theorem5_array_scan_matches_scalar_residual():
     for _ in range(100):
         s = random_asym_scenario(rng, Setting.ASYM_II)
         grid = asym._scan_grid(s.sum_power_transmit)
-        values, ok = asym._outer_residual_scan(s, grid, s.sum_power_transmit,
-                                               s.sum_power_attack)
+        values, ok = asym._outer_residual(s, grid, s.sum_power_transmit,
+                                          s.sum_power_attack)
         scalar = _scalar_scan(s, grid)
         assert ok.tolist() == [v is not None for v in scalar]
         # Each lane repeats the scalar arithmetic: the same bits.
@@ -430,15 +430,16 @@ def test_theorem5_array_scan_matches_scalar_residual():
 
 
 def test_adversary_response_lanes_match_the_scalar_solve():
-    # Random transmit coefficient lanes, some scaled towards zero so that the
-    # attack budget dominates (no root) on a share of them.
+    # One arithmetic, driven by _brentq_lanes on the lanes and by _brentq on
+    # each row.  Random transmit coefficient lanes, some scaled towards zero so
+    # that the attack budget dominates (no root) on a share of them.
     rng = np.random.default_rng(8)
     outcomes = collections.Counter()
     for _ in range(60):
         s = random_asym_scenario(rng, Setting.ASYM_II)
         c_m = rng.standard_normal((20, s.num_transmitters))
         c_m *= rng.choice([1e-3, 0.1, 1.0], size=(20, 1))
-        lam1, lam2, c_k, ok = asym._adversary_response_lanes(s, c_m, s.sum_power_attack)
+        lam1, lam2, c_k, ok = asym._adversary_response(s, c_m, s.sum_power_attack)
         for i, row in enumerate(c_m):
             try:
                 want = asym.adversary_linear_response(s, row, s.sum_power_attack)
@@ -459,7 +460,7 @@ def test_theorem5_outer_residual_has_one_sign_change_on_random_instances():
     for _ in range(200):
         s = random_asym_scenario(rng, Setting.ASYM_II)
         grid = asym._scan_grid(s.sum_power_transmit)
-        counts[len(asym._sign_changes(*asym._outer_residual_scan(
+        counts[len(asym._sign_changes(*asym._outer_residual(
             s, grid, s.sum_power_transmit, s.sum_power_attack)))] += 1
     print(f"sign changes of the outer residual over 200 AsymII instances: {dict(counts)}")
     # No sign change is the jam-dominant exit 2; none of these has two roots.
@@ -470,16 +471,18 @@ def test_theorem5_multiple_sign_changes_add_a_tagged_note(monkeypatch):
     s = make_symmetric(2, 1, 1.0, 1.0, 1.0, Setting.ASYM_II)
     plain = asym.solve_theorem5(s)
     assert not any("asym2-multiple-roots" in n for n in plain.discrepancy_notes)
-    scan = asym._outer_residual_scan
+    scan = asym._outer_residual
 
-    def with_a_late_sign_change(s, grid, p_t, p_a):
-        values, ok = scan(s, grid, p_t, p_a)
+    def with_a_late_sign_change(s, lam3, p_t, p_a):
+        values, ok = scan(s, lam3, p_t, p_a)
+        if np.ndim(lam3) == 0:  # the outer Brent's calls
+            return values, ok
         assert ok[-2:].all() and len(asym._sign_changes(values, ok)) == 1
         values = values.copy()
         values[-1] = -values[-2]
         return values, ok
 
-    monkeypatch.setattr(asym, "_outer_residual_scan", with_a_late_sign_change)
+    monkeypatch.setattr(asym, "_outer_residual", with_a_late_sign_change)
     rep = asym.solve_theorem5(s)
     grid = asym._scan_grid(s.sum_power_transmit)
     first = int(asym._sign_changes(*scan(s, grid, s.sum_power_transmit, s.sum_power_attack))[0])

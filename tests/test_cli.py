@@ -203,9 +203,21 @@ _SYM3_FRACTIONS = {"setting": "SymIII", "epsilon": 0.5, "eta": 1.0}
         ("simulate", {"monte_carlo": {"samples": 100, "seed": True}}),
         ("closed-form", {"transmitters": {"count": 2, "alpha": 10**400, "beta": 1.0, "power": 1.0}}),
         ("simulate", {"monte_carlo": {"samples": 100, "seed": 1, "chunks": 2}}),
+        # Integers beyond their bound, rejected before anything is sized by them.
+        ("closed-form", {"transmitters": {"count": 10**400, "alpha": 1.0, "beta": 1.0,
+                                          "power": 1.0}}),
+        ("closed-form", {"adversaries": {"count": cli.MAX_COUNT + 1, "alpha": 1.0, "beta": 1.0,
+                                         "power": 1.0}}),
+        ("maxcorr", {"sweep": {"param": "rho", "from": 0.0, "to": 0.5, "steps": 10**400}}),
+        ("ceo-curve", {"sweep": {"param": "rate", "from": 0.0, "to": 1.0, "steps": 10**400}}),
+        ("sweep", {"sweep": {"param": "P", "from": 1.0, "to": 2.0, "steps": cli.MAX_STEPS + 1}}),
+        ("simulate", {"monte_carlo": {"samples": 10**20, "seed": 1}}),
+        ("simulate", {"monte_carlo": {"samples": cli.MAX_SAMPLES + 1, "seed": 1}}),
     ],
     ids=["alpha-string", "alpha-null", "P_T-string", "epsilon-string", "count-bool", "seed-bool",
-         "alpha-int-overflow", "mc-chunks-unknown-key"],
+         "alpha-int-overflow", "mc-chunks-unknown-key", "count-10e400", "count-above-bound",
+         "maxcorr-steps-10e400", "ceo-curve-steps-10e400", "sweep-steps-above-bound",
+         "samples-10e20", "samples-above-bound"],
 )
 def test_bad_numbers_exit_1_with_one_line(tmp_path, capsys, command, overrides):
     cfg = _write_config(tmp_path, **overrides)
@@ -309,6 +321,22 @@ def test_axis_commands_validate_their_sweep(tmp_path, capsys, command, sweep):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("jamnet: invalid config:")
 
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("closed-form", {}),
+    # The exit-2 path writes its error report to the same place.
+    ("solve-asym", {"setting": "AsymII", "sum_power_transmit": 0.1, "sum_power_attack": 50.0}),
+], ids=["success", "exit-2"])
+def test_unwritable_outputs_exit_1_with_one_line(tmp_path, capsys, command, overrides):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    cfg = _write_config(tmp_path, **overrides, output_path=str(blocker / "run"))
+    assert main([command, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("jamnet: cannot write outputs:")
 
 def test_out_with_suffix_writes_both_files(tmp_path):
     cfg = _write_config(tmp_path)

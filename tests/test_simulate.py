@@ -2,6 +2,7 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 from scipy.optimize import minimize_scalar
 
 from jamnet import (
@@ -559,6 +560,41 @@ def test_asym2_follower_failure_cases_skip_and_raise():
     outcomes = [_probe_follower_outcomes(s, p) for s, p in _asym2_follower_failure_cases()]
     assert outcomes == [{None, NonConvergence}, {None, NonConvergence, SingularDenominator},
                         {OverflowError}]
+
+
+
+def test_one_row_adversary_solve_failures_keep_type_message_and_residuals():
+    (nulls, p), (tiny, _), (overflow, _) = _asym2_follower_failure_cases()
+    # An adversary that sees the source through beta = 1e-12 cannot spend its
+    # budget inside the bracket: the power gap is still negative at its top.
+    blind = make_symmetric(2, 1, 1.0, 1.0, 1.0, Setting.ASYM_II, sum_power_transmit=2.0,
+                           sum_power_attack=1.0)
+    blind = dataclasses.replace(blind, adversaries=_with_gains(blind.adversaries, (1.0,),
+                                                               (1e-12,)))
+    cases = [
+        (nulls, 0.5 * np.array(p.transmit_coeffs), NonConvergence,
+         "adversary power-equality equation has no positive root "
+         "(attack budget dominates the received signal)", (8.322512091455874,)),
+        (tiny, np.array([1.0, -1.0]), SingularDenominator,
+         "transmit signal term vanishes; adversary system singular", None),
+        (blind, np.array([1.0, 1.0]), NonConvergence,
+         "adversary power-equality equation has no bracket", (-1.0, -0.9999959999997797)),
+        (overflow, np.array([1.0, 0.0]), OverflowError,
+         "(34, 'Numerical result out of range')", None),
+    ]
+    for s, row, error, message, residuals in cases:
+        with pytest.raises(error) as info:
+            asym.adversary_linear_response(s, row, s.sum_power_attack)
+        assert type(info.value) is error and str(info.value) == message
+        if residuals is not None:
+            assert info.value.residuals == residuals
+            assert all(type(r) is float for r in info.value.residuals)
+        # The lanes mask the same row, or raise the same OverflowError.
+        if error is OverflowError:
+            with pytest.raises(OverflowError, match="out of range"):
+                asym._adversary_response(s, row[None, :], s.sum_power_attack)
+        else:
+            assert not asym._adversary_response(s, row[None, :], s.sum_power_attack)[3][0]
 
 
 def test_tied_probes_keep_the_first():
