@@ -1,12 +1,16 @@
 """Command-line harness: config ingestion, dispatch, sweeps, CSV/JSON output.
 
-Config documents are strict JSON; unknown keys anywhere are rejected.  Every
-run writes `<out>.csv` (tabular results) and `<out>.json` (the full report
-with strategies, multipliers and discrepancy notes).  Identical config and
-seed produce byte-identical outputs.
+Config documents are strict JSON read as UTF-8.  Two readers hold the
+schema: `_object` (an object, no unknown key, no missing key) serves every
+object of it, and `_integer` every bounded integer; `_number` takes finite
+numbers only, and a repeated key anywhere is an error.  Every run writes
+`<out>.csv` (tabular results) and `<out>.json` (the full report with
+strategies, multipliers and discrepancy notes).  Identical config and seed
+produce byte-identical outputs.
 
-Exit codes: 0 success, 1 invalid config/scenario/profile or outputs that
-cannot be written, 2 any other package error or float overflow: solver
+Exit codes: 0 success, 1 a config that cannot be read, invalid
+config/scenario/profile (`_INVALID_INPUT`) or outputs that cannot be
+written, 2 any other package error or float overflow: solver
 non-convergence, numerical failure (diagnostics still written to the JSON
 report).
 """
@@ -14,9 +18,11 @@ report).
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -34,20 +40,9 @@ from .model import (
     validate_scenario,
 )
 
-_TOP_KEYS = {
-    "setting",
-    "transmitters",
-    "adversaries",
-    "sum_power_transmit",
-    "sum_power_attack",
-    "epsilon",
-    "eta",
-    "monte_carlo",
-    "sweep",
-    "output_path",
-}
-_MC_KEYS = {"samples", "seed"}
-_SWEEP_KEYS = {"param", "from", "to", "steps"}
+# Top-level keys besides the required "setting".
+_TOP_KEYS = ("transmitters", "adversaries", "sum_power_transmit", "sum_power_attack",
+             "epsilon", "eta", "monte_carlo", "sweep", "output_path")
 _SYMMETRIC = frozenset(s for s in Setting if s.is_symmetric)
 _ASYMMETRIC = frozenset(Setting) - _SYMMETRIC
 # Sweep param -> (field it sets, settings whose scenario it changes).  The
@@ -64,7 +59,7 @@ _SWEEP_PARAMS = {
     "eta": ("eta", frozenset({Setting.SYM_III})),
     "rate": (None, frozenset()), "rho": (None, frozenset()),
 }
-_SENSOR_FIELDS = {"alpha", "beta", "power"}
+_SENSOR_FIELDS = ("alpha", "beta", "power")
 # Upper bounds on the config's integers, checked before anything is sized by
 # them: sensors per count shorthand, sweep steps, Monte Carlo samples.
 MAX_COUNT = 10**6
@@ -80,6 +75,10 @@ _AXES = {
 
 class ParseError(JamnetError):
     """The config document violates the schema."""
+
+
+# Errors of the input rather than of the solvers: one stderr line and exit 1.
+_INVALID_INPUT = (ParseError, InvalidScenario, InvalidProfile)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,54 +104,61 @@ class RunConfig:
     output_path: str
 
 
-def _require_keys(d: dict, allowed: set[str], where: str) -> None:
-    unknown = set(d) - allowed
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict, or ParseError if a key repeats."""
+    node = dict(pairs)
+    if len(node) < len(pairs):
+        counts = collections.Counter(key for key, _ in pairs)
+        raise ParseError(f"repeated key {next(k for k, n in counts.items() if n > 1)!r}")
+    return node
+
+
+def _object(node, where: str, required: tuple, optional: tuple = ()) -> dict:
+    """``node`` if it is an object with every ``required`` key and no other
+    key outside ``optional``, else ParseError (missing keys in tuple order)."""
+    if not isinstance(node, dict):
+        raise ParseError(f"{where} must be an object")
+    unknown = node.keys() - {*required, *optional}
     if unknown:
         raise ParseError(f"unknown key(s) {sorted(unknown)} in {where}")
+    for key in required:
+        if key not in node:
+            raise ParseError(f"{where} missing {key!r}")
+    return node
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _number(value, where: str):
-    """``value`` if it is a JSON number that fits a float, else ParseError."""
-    if not (_is_int(value) or isinstance(value, float)):
-        raise ParseError(f"{where} must be a number, got {json.dumps(value)}")
-    try:
-        float(value)
-    except OverflowError:
-        raise ParseError(f"{where} is out of range") from None
+def _integer(value, where: str, lo: int, hi: int) -> int:
+    """``value`` if it is a JSON integer (not a boolean) in [lo, hi], else ParseError."""
+    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+        raise ParseError(f"{where} must be an integer from {lo} to {hi}")
     return value
 
 
+def _number(value, where: str):
+    """``value`` if it is a JSON number whose float is finite, else ParseError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{where} must be a number, got {json.dumps(value)}")
+    try:
+        if math.isfinite(value):
+            return value
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ParseError(f"{where} must be a finite number")
+
+
 def _sensor(node: dict, where: str) -> SensorParams:
-    return SensorParams(**{key: _number(node[key], f"{where}.{key}")
-                           for key in ("alpha", "beta", "power")})
+    return SensorParams(**{key: _number(node[key], f"{where}.{key}") for key in _SENSOR_FIELDS})
 
 
 def _parse_sensors(node, where: str) -> tuple[SensorParams, ...]:
-    def one(entry, where_entry: str) -> SensorParams:
-        if not isinstance(entry, dict):
-            raise ParseError(f"{where_entry} must be an object")
-        _require_keys(entry, {"alpha", "beta", "power"}, where_entry)
-        for key in ("alpha", "beta", "power"):
-            if key not in entry:
-                raise ParseError(f"{where_entry} missing '{key}'")
-        return _sensor(entry, where_entry)
-
-    if isinstance(node, dict):
-        _require_keys(node, {"count", "alpha", "beta", "power"}, where)
-        for key in ("count", "alpha", "beta", "power"):
-            if key not in node:
-                raise ParseError(f"{where} shorthand missing '{key}'")
-        count = node["count"]
-        if not _is_int(count) or not 0 <= count <= MAX_COUNT:
-            raise ParseError(f"{where}.count must be an integer from 0 to {MAX_COUNT}")
-        return (_sensor(node, where),) * count
     if isinstance(node, list):
-        return tuple(one(entry, f"{where}[{i}]") for i, entry in enumerate(node))
-    raise ParseError(f"{where} must be a list of sensors or a count shorthand")
+        return tuple(_sensor(_object(entry, f"{where}[{i}]", _SENSOR_FIELDS), f"{where}[{i}]")
+                     for i, entry in enumerate(node))
+    if not isinstance(node, dict):
+        raise ParseError(f"{where} must be a list of sensors or a count shorthand")
+    count = _integer(_object(node, where, ("count", *_SENSOR_FIELDS))["count"],
+                     f"{where}.count", 0, MAX_COUNT)
+    return (_sensor(node, where),) * count
 
 
 def parse_config(document: str, command: str) -> RunConfig:
@@ -164,15 +170,12 @@ def parse_config(document: str, command: str) -> RunConfig:
     if command not in COMMANDS:
         raise ParseError(f"unknown command {command!r}")
     try:
-        raw = json.loads(document)
+        raw = json.loads(document, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"config is not valid JSON: line {exc.lineno}, col {exc.colno}") from exc
-    if not isinstance(raw, dict):
-        raise ParseError("config document must be a JSON object")
-    _require_keys(raw, _TOP_KEYS, "top level")
-
-    if "setting" not in raw:
-        raise ParseError("'setting' is required")
+    except (ValueError, RecursionError) as exc:  # a 4300+ digit integer, deep nesting
+        raise ParseError(f"config is not readable JSON: {exc}") from None
+    _object(raw, "top level", ("setting",), _TOP_KEYS)
     try:
         setting = Setting(raw["setting"])
     except ValueError:
@@ -197,36 +200,20 @@ def parse_config(document: str, command: str) -> RunConfig:
 
     mc = None
     if "monte_carlo" in raw:
-        node = raw["monte_carlo"]
-        if not isinstance(node, dict):
-            raise ParseError("monte_carlo must be an object")
-        _require_keys(node, _MC_KEYS, "monte_carlo")
-        if "samples" not in node or "seed" not in node:
-            raise ParseError("monte_carlo requires 'samples' and 'seed'")
-        samples, seed = node["samples"], node["seed"]
-        if not _is_int(samples) or not 1 <= samples <= MAX_SAMPLES:
-            raise ParseError(f"monte_carlo.samples must be an integer from 1 to {MAX_SAMPLES}")
-        if not _is_int(seed) or not 0 <= seed < 2**64:
-            raise ParseError("monte_carlo.seed must be an unsigned 64-bit integer")
-        mc = MonteCarloConfig(samples=samples, seed=seed)
+        node = _object(raw["monte_carlo"], "monte_carlo", ("samples", "seed"))
+        mc = MonteCarloConfig(
+            samples=_integer(node["samples"], "monte_carlo.samples", 1, MAX_SAMPLES),
+            seed=_integer(node["seed"], "monte_carlo.seed", 0, 2**64 - 1))
 
     sweep = None
     if "sweep" in raw:
-        node = raw["sweep"]
-        if not isinstance(node, dict):
-            raise ParseError("sweep must be an object")
-        _require_keys(node, _SWEEP_KEYS, "sweep")
-        for key in _SWEEP_KEYS:
-            if key not in node:
-                raise ParseError(f"sweep requires '{key}'")
+        node = _object(raw["sweep"], "sweep", ("param", "from", "to", "steps"))
         param = node["param"]
         if not isinstance(param, str) or param not in _SWEEP_PARAMS:
             raise ParseError(f"unknown sweep param {param!r}")
         if command == "sweep" and setting not in _SWEEP_PARAMS[param][1]:
             raise ParseError(f"sweep param {param!r} does not apply to {setting.value}")
-        steps = node["steps"]
-        if not _is_int(steps) or not 1 <= steps <= MAX_STEPS:
-            raise ParseError(f"sweep.steps must be an integer from 1 to {MAX_STEPS}")
+        steps = _integer(node["steps"], "sweep.steps", 1, MAX_STEPS)
         sweep = SweepConfig(param=param, start=float(_number(node["from"], "sweep.from")),
                             stop=float(_number(node["to"], "sweep.to")), steps=steps)
         if command in _AXES:
@@ -452,7 +439,7 @@ def run_command(cfg: RunConfig) -> int:
     }
     try:
         header, rows, extra, summary = _RUNNERS[cfg.command](cfg)
-    except (ParseError, InvalidScenario, InvalidProfile):
+    except _INVALID_INPUT:
         raise  # exit 1 in main
     except (JamnetError, OverflowError) as exc:
         payload["error"] = {
@@ -482,7 +469,7 @@ def run_command(cfg: RunConfig) -> int:
                 writer.writerow(header)
                 writer.writerows(rows)
         json_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         print(f"jamnet: cannot write outputs: {exc}", file=sys.stderr)
         return 1
     print(line)
@@ -501,25 +488,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        document = Path(args.config).read_text()
-    except OSError as exc:
+        document = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"jamnet: cannot read config: {exc}", file=sys.stderr)
         return 1
-
     try:
         cfg = parse_config(document, args.command)
-    except (ParseError, InvalidScenario, InvalidProfile) as exc:
-        print(f"jamnet: invalid config: {exc}", file=sys.stderr)
-        return 1
-    if args.out:
-        cfg = dataclasses.replace(cfg, output_path=args.out)
-    if args.seed is not None and cfg.monte_carlo is not None:
-        cfg = dataclasses.replace(
-            cfg, monte_carlo=dataclasses.replace(cfg.monte_carlo, seed=args.seed))
-
-    try:
+        if args.out:
+            cfg = dataclasses.replace(cfg, output_path=args.out)
+        if args.seed is not None and cfg.monte_carlo is not None:
+            cfg = dataclasses.replace(
+                cfg, monte_carlo=dataclasses.replace(cfg.monte_carlo, seed=args.seed))
         return run_command(cfg)
-    except (ParseError, InvalidScenario, InvalidProfile) as exc:
+    except _INVALID_INPUT as exc:
         print(f"jamnet: invalid config: {exc}", file=sys.stderr)
         return 1
 

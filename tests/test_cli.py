@@ -26,7 +26,9 @@ def _write_config(tmp_path, name="cfg.json", **overrides):
     }
     doc.update(overrides)
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    # json.dumps writes an infinite float as Infinity, so an out-of-range
+    # literal is spliced in as text.
+    path.write_text(json.dumps(doc).replace('"<1e400>"', "1e400"))
     return path
 
 
@@ -213,11 +215,22 @@ _SYM3_FRACTIONS = {"setting": "SymIII", "epsilon": 0.5, "eta": 1.0}
         ("sweep", {"sweep": {"param": "P", "from": 1.0, "to": 2.0, "steps": cli.MAX_STEPS + 1}}),
         ("simulate", {"monte_carlo": {"samples": 10**20, "seed": 1}}),
         ("simulate", {"monte_carlo": {"samples": cli.MAX_SAMPLES + 1, "seed": 1}}),
+        # Numbers that are not finite; a field the setting ignores is no exception.
+        ("closed-form", {"sum_power_transmit": float("nan")}),
+        ("closed-form", {"epsilon": float("inf")}),
+        ("closed-form", {"sum_power_attack": "<1e400>"}),
+        ("closed-form", {"sum_power_attack": float("-inf")}),
+        ("verify", {**_SYM3_FRACTIONS, "sum_power_transmit": float("nan")}),
+        ("closed-form", {"transmitters": {"count": 2, "alpha": 1.0, "beta": "<1e400>",
+                                          "power": 1.0}}),
+        ("sweep", {"sweep": {"param": "P", "from": 1.0, "to": float("inf"), "steps": 2}}),
     ],
     ids=["alpha-string", "alpha-null", "P_T-string", "epsilon-string", "count-bool", "seed-bool",
          "alpha-int-overflow", "mc-chunks-unknown-key", "count-10e400", "count-above-bound",
          "maxcorr-steps-10e400", "ceo-curve-steps-10e400", "sweep-steps-above-bound",
-         "samples-10e20", "samples-above-bound"],
+         "samples-10e20", "samples-above-bound", "SymI-P_T-NaN", "SymI-epsilon-Infinity",
+         "SymI-P_A-1e400", "SymI-P_A-minus-Infinity", "SymIII-verify-P_T-NaN", "beta-1e400",
+         "sweep-to-Infinity"],
 )
 def test_bad_numbers_exit_1_with_one_line(tmp_path, capsys, command, overrides):
     cfg = _write_config(tmp_path, **overrides)
@@ -323,20 +336,91 @@ def test_axis_commands_validate_their_sweep(tmp_path, capsys, command, sweep):
 
 
 
-@pytest.mark.parametrize("command, overrides", [
-    ("closed-form", {}),
+@pytest.mark.parametrize("command, overrides, stem", [
+    ("closed-form", {}, "a-file/run"),
     # The exit-2 path writes its error report to the same place.
-    ("solve-asym", {"setting": "AsymII", "sum_power_transmit": 0.1, "sum_power_attack": 50.0}),
-], ids=["success", "exit-2"])
-def test_unwritable_outputs_exit_1_with_one_line(tmp_path, capsys, command, overrides):
-    blocker = tmp_path / "a-file"
-    blocker.write_text("")
-    cfg = _write_config(tmp_path, **overrides, output_path=str(blocker / "run"))
+    ("solve-asym", {"setting": "AsymII", "sum_power_transmit": 0.1, "sum_power_attack": 50.0},
+     "a-file/run"),
+    ("closed-form", {}, "ru\u0000n"),
+], ids=["success", "exit-2", "nul-in-path"])
+def test_unwritable_outputs_exit_1_with_one_line(tmp_path, capsys, command, overrides, stem):
+    (tmp_path / "a-file").write_text("")
+    cfg = _write_config(tmp_path, **overrides, output_path=str(tmp_path / stem))
     assert main([command, "--config", str(cfg)]) == 1
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert captured.out == ""
     assert len(err) == 1 and err[0].startswith("jamnet: cannot write outputs:")
+
+
+_SENSOR_1 = {"alpha": 1.0, "beta": 1.0, "power": 1.0}
+_SYM1 = {"setting": "SymI", "transmitters": {**_SENSOR_1, "count": 2},
+         "adversaries": {**_SENSOR_1, "count": 1}}
+
+
+# Each object of the schema: not an object, a required key missing, an unknown
+# key.  The error line names the object or the key.
+@pytest.mark.parametrize("command, document, named", [
+    ("closed-form", ["SymI"], "must be"),
+    ("closed-form", {"transmitters": _SYM1["transmitters"]}, "'setting'"),
+    ("closed-form", {**_SYM1, "gain": 1.0}, "'gain'"),
+    ("closed-form", {**_SYM1, "transmitters": [1.0]}, "transmitters[0]"),
+    ("closed-form", {**_SYM1, "transmitters": [{"alpha": 1.0, "beta": 1.0}]}, "'power'"),
+    ("closed-form", {**_SYM1, "transmitters": [{**_SENSOR_1, "gain": 1.0}]}, "'gain'"),
+    ("closed-form", {**_SYM1, "transmitters": 2}, "transmitters"),
+    ("closed-form", {**_SYM1, "transmitters": _SENSOR_1}, "'count'"),
+    ("closed-form", {**_SYM1, "transmitters": {**_SENSOR_1, "count": 2, "gain": 1.0}}, "'gain'"),
+    ("simulate", {**_SYM1, "monte_carlo": [1000, 1]}, "monte_carlo"),
+    ("simulate", {**_SYM1, "monte_carlo": {"samples": 1000}}, "'seed'"),
+    ("simulate", {**_SYM1, "monte_carlo": {"samples": 1000, "seed": 1, "blocks": 2}}, "'blocks'"),
+    ("sweep", {**_SYM1, "sweep": "P"}, "sweep"),
+    ("sweep", {**_SYM1, "sweep": {"param": "P", "from": 1.0, "to": 2.0}}, "'steps'"),
+    ("sweep", {**_SYM1, "sweep": {"param": "P", "from": 1.0, "to": 2.0, "steps": 2, "by": 1}},
+     "'by'"),
+], ids=[f"{where}-{case}" for where in ("top", "entry", "shorthand", "monte_carlo", "sweep")
+        for case in ("not-object", "missing", "unknown")])
+def test_schema_objects_exit_1_naming_the_key(tmp_path, capsys, command, document, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(document))
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("jamnet: invalid config:") and named in err[0]
+
+
+def test_sweep_missing_keys_error_is_the_same_under_any_hash_seed(tmp_path):
+    cfg = _write_config(tmp_path, sweep={})
+    src = str(Path(jamnet.__file__).resolve().parents[1])
+    errs = set()
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "jamnet.cli", "sweep", "--config", str(cfg)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 1
+        errs.add(done.stderr)
+    assert errs == {"jamnet: invalid config: sweep missing 'param'\n"}
+
+
+@pytest.mark.parametrize("data, error", [
+    (b'{"setting": "SymI", "transmitters": [], "setting": "SymII"}',
+     "invalid config: repeated key 'setting'"),
+    (b'{"setting": "SymI", "transmitters": [{"alpha": 1, "beta": 1, "power": 1, "alpha": 2}]}',
+     "invalid config: repeated key 'alpha'"),
+    # Integers past Python's 4300-digit conversion limit, and nesting past the
+    # recursion limit, fail inside the JSON reader.
+    (b'{"setting": "SymI", "transmitters": {"count": 1%s}}' % (b"0" * 5000),
+     "invalid config: config is not readable JSON"),
+    (b'{"setting": "SymI", "adversaries": %s}' % (b"[" * 5000 + b"]" * 5000),
+     "invalid config: config is not readable JSON"),
+    (b"\xff\xfe{}", "cannot read config:"),
+], ids=["top-level-repeat", "sensor-entry-repeat", "5000-digit-integer", "5000-deep-nesting",
+        "not-utf8"])
+def test_unreadable_configs_exit_1_with_one_line(tmp_path, capsys, data, error):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(data)
+    assert main(["closed-form", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"jamnet: {error}")
+
 
 def test_out_with_suffix_writes_both_files(tmp_path):
     cfg = _write_config(tmp_path)
@@ -415,9 +499,12 @@ def test_cli_runs_without_scipy_optimize(tmp_path):
 
 # -- config fuzz: every document ends in exit 0, 1 or 2 with one line --------
 
-# Junk: wrong types, an integer beyond the float range, and nonpositive numbers.
+# Junk: wrong types, an integer beyond the float range, NaN and infinities
+# (which JSON does not allow, though Python's reader takes them), and
+# nonpositive numbers.
 _JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
                   st.lists(st.integers(-1, 1), max_size=2), st.just(10**400),
+                  st.sampled_from([float("nan"), float("inf"), float("-inf")]),
                   st.floats(-1e300, 0.0))
 _NUMBER = st.one_of(
     st.sampled_from([1.0, 0.25, 0.8, 1.5, 3.0]),
@@ -471,6 +558,9 @@ def _documents(draw):
 @given(command=st.sampled_from(cli.COMMANDS), document=_documents())
 @example(command="ceo-curve", document={  # sum(beta^2) overflows
     "setting": "SymI", "transmitters": _sensors(1.0, 1e200), "adversaries": []})
+@example(command="closed-form", document={  # a NaN the SymI solver never reads
+    "setting": "SymI", "transmitters": {**_sensors(1.0, 1.0), "count": 2},
+    "adversaries": _sensors(1.0, 1.0), "sum_power_transmit": float("nan")})
 def test_config_fuzz_ends_in_a_documented_exit(tmp_path_factory, command, document):
     # Gains and powers from 1e-300 to 1e300 and junk in any field: the run exits 0,
     # 1 or 2 with one line, and a successful run writes no NaN or infinity.
