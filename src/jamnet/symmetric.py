@@ -4,7 +4,8 @@ Setting I (everyone can coordinate) is a saddle point: randomized uncoded
 transmission against coordinated Gaussian jamming.  Setting II (nobody can)
 is a Stackelberg equilibrium: deterministic uncoded transmission mirrored
 with opposite sign by the adversaries.  Setting III switches between the
-two at the threshold fraction epsilon0 of coordination-capable transmitters:
+two at the threshold fraction epsilon0 of coordination-capable transmitters,
+where the two costs meet (a quadratic in M*epsilon0, solved in closed form):
 above it, setting I's saddle with M*epsilon transmitters against the
 eta-mixed jammer; below it, setting II's Stackelberg point, built by the same
 helper ``solve_setting2`` uses.
@@ -28,13 +29,12 @@ from .model import (
     LinearMirror,
     NetworkScenario,
     NoRoot,
+    NumericalFailure,
     Setting,
     StrategyProfile,
 )
 
-BISECTION_RESIDUAL = 1e-10
 TIE_TOL = 1e-12
-_MAX_DOUBLINGS = 64
 
 
 def _uncoded_gain(beta: float, power: float) -> float:
@@ -55,7 +55,7 @@ def cost_setting1(m_eff: float, q_adv: float, alpha: float, beta: float, power: 
     received jamming power: (m c^2 a^2 + Q + 1)/(m^2 a^2 b^2 c^2 + m c^2 a^2 + Q + 1)
     with the uncoded gain c = sqrt(P/(1+beta^2)).
 
-    m_eff is real-valued so the threshold search can relax it; q_adv is the
+    m_eff is real-valued so the threshold can relax it; q_adv is the
     adversaries' total received noise power at the channel output
     (alpha^2*K^2*P coordinated, alpha^2*K*P independent).  Strictly
     decreasing in m_eff, strictly increasing in q_adv; equals the direct MMSE
@@ -118,45 +118,35 @@ def effective_jam_power(K: int, eta: float, alpha: float, power: float) -> float
 def epsilon_threshold(
     M: int, K: int, eta: float, alpha: float, beta: float, power: float
 ) -> float:
-    """The coordination threshold epsilon0: the unique m = M*epsilon0 where the
-    setting-I cost against the eta-mixed jammer equals the published
-    setting-II cost.  Bisection to residual < 1e-10; uniqueness follows from
-    strict monotonicity of the setting-I cost in m_eff.
+    """The coordination threshold epsilon0 = m/M, where the setting-I cost at
+    m_eff = m against the eta-mixed jammer (received power Q) equals the
+    published setting-II cost t: the positive root of the quadratic
+    t b^2 m^2 - (1-t) m - (1-t)(Q+1)/(c^2 a^2) = 0.  The published formula
+    gives (1-t)/(t b^2) = n x/(x+1) with n = M - K and x = n c^2 a^2, so
+    m = h + hypot(h, n sqrt((Q+1)/(x+1))) with h = n x/(2(x+1)): no
+    cancellation in 1 - t, no square of a large product, and m = M when K = 0.
 
-    Raises NoRoot when no bracket exists (the target is outside the cost's
-    range, e.g. a K = M boundary probe).
+    Raises NoRoot when the cost never reaches the target (t = 1: zero power,
+    or a gain product that vanishes in floating point) and NumericalFailure
+    when t or the root is not finite (a gain-power product overflows).
     """
     if K >= M:
         raise InvalidScenario(f"K must be < M (got K={K}, M={M})")
     if not 0.0 <= eta <= 1.0:
         raise InvalidScenario("eta must lie in [0, 1]")
-    target = setting2_formula(M, K, alpha, beta, power)
+    t = setting2_formula(M, K, alpha, beta, power)
+    if not math.isfinite(t):
+        raise NumericalFailure(f"setting-II target {t!r} is not finite: a gain product overflows")
+    if t == 1.0:
+        raise NoRoot(f"setting-I cost never reaches the target {t} (above it nowhere)")
+    n = M - K
+    x = n * (power / (1.0 + beta * beta) * alpha * alpha)  # finite, as t is
+    h = 0.5 * n * x / (x + 1.0)
     q = effective_jam_power(K, eta, alpha, power)
-
-    def gap(m: float) -> float:
-        return cost_setting1(m, q, alpha, beta, power) - target
-
-    lo = 1e-12
-    if gap(lo) <= 0.0:
-        raise NoRoot(f"setting-I cost never reaches the target {target} (above it nowhere)")
-    hi = float(max(M, 1))
-    doublings = 0
-    while gap(hi) > 0.0:
-        hi *= 2.0
-        doublings += 1
-        if doublings > _MAX_DOUBLINGS:
-            raise NoRoot(f"no sign change after {_MAX_DOUBLINGS} bracket doublings")
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g = gap(mid)
-        if abs(g) < BISECTION_RESIDUAL:
-            return mid / M
-        if g > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise NoRoot("bisection failed to reach the residual target")  # pragma: no cover
+    m = h + math.hypot(h, n * math.sqrt((q + 1.0) / (x + 1.0)))
+    if not math.isfinite(m):
+        raise NumericalFailure(f"received jamming power {q!r} is not finite")
+    return m / M
 
 
 # -- profiles and reports -----------------------------------------------------

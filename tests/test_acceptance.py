@@ -284,14 +284,14 @@ def test_criterion_08_epsilon_threshold():
         eps0 = sym.epsilon_threshold(M, K, 1.0, 1.0, 1.0, 1.0)
         target = sym.setting2_formula(M, K, 1.0, 1.0, 1.0)
         achieved = sym.cost_setting1(M * eps0, 1.0, 1.0, 1.0, 1.0)
-        assert abs(achieved - target) < 1e-10
+        assert abs(achieved - target) <= 1e-14
 
         t = target
         a = t * 0.5
         b = (t - 1.0) * 0.5
         c = (t - 1.0) * 2.0
         oracle = (-b + math.sqrt(b * b - 4 * a * c)) / (2 * a) / M
-        assert abs(eps0 - oracle) <= 1e-9
+        assert abs(eps0 - oracle) <= 1e-14 * oracle
         assert abs(eps0 - 0.933) <= 1e-3
 
         sensor = SensorParams(1.0, 1.0, 1.0)

@@ -90,6 +90,31 @@ def test_closed_form_run_and_determinism(tmp_path, capsys):
     assert (tmp_path / "run.json").read_bytes() == json_bytes
 
 
+def _sym3(M, K, epsilon, eta, alpha=1.0, beta=1.0, power=1.0):
+    sensor = {"alpha": alpha, "beta": beta, "power": power}
+    return {"setting": "SymIII", "transmitters": {**sensor, "count": M},
+            "adversaries": {**sensor, "count": K}, "epsilon": epsilon, "eta": eta}
+
+
+def test_closed_form_sym3_on_the_threshold_reports_a_tie(tmp_path):
+    # M*epsilon = 2 is the exact root of the threshold quadratic.
+    cfg = _write_config(tmp_path, **_sym3(5, 4, 0.4, 0.25))
+    assert main(["closed-form", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "run.json").read_text())["report"]
+    assert report["multipliers"]["epsilon0"] == pytest.approx(0.4, rel=1e-15)
+    notes = report["discrepancy_notes"]
+    assert "tie: |epsilon - epsilon0| < 1e-12; both branches apply" in notes
+    assert any(note.startswith("stackelberg branch cost = ") for note in notes)
+
+
+def test_closed_form_sym3_threshold_far_beyond_M(tmp_path):
+    cfg = _write_config(tmp_path, **_sym3(4, 2, 0.75, 0.5, beta=1e20, power=1e100))
+    assert main(["closed-form", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "run.json").read_text())["report"]
+    assert report["multipliers"]["epsilon0"] == pytest.approx(5e19, rel=1e-14)
+    assert "branch = stackelberg" in report["discrepancy_notes"]
+
+
 def test_closed_form_rejects_asym_setting(tmp_path):
     cfg = _write_config(
         tmp_path, setting="AsymI", sum_power_transmit=2.0, sum_power_attack=1.0
@@ -294,12 +319,18 @@ _MC = {"monte_carlo": {"samples": 1000, "seed": 1}}
         # sum(beta^2) overflows: every distortion would be inf/inf.
         ("ceo-curve", {"transmitters": _sensors(1.0, 1e200), "adversaries": []},
          "NumericalFailure"),
+        # alpha^2 overflows: the setting-II target of the threshold is inf/inf.
+        ("closed-form", _sym3(4, 2, 0.75, 0.5, alpha=1e200, beta=1e20, power=1e100),
+         "NumericalFailure"),
+        # Zero power pins both costs at 1: the threshold target is never reached.
+        ("closed-form", _sym3(4, 2, 0.75, 0.5, power=0.0), "NoRoot"),
     ]
     + [(command, {**_OVERFLOWING_PRODUCT[setting], **_MC}, "NumericalFailure")
        for setting in ("SymI", "SymII") for command in ("closed-form", "simulate", "verify")],
     ids=["SymI-gain-1e200", "SymI-alpha-1e170", "AsymI-no-information-path",
          "AsymII-no-information-path", "AsymI-alpha-1e200", "AsymII-alpha-1e200",
-         "AsymII-scan-square-overflow", "ceo-curve-beta-1e200"]
+         "AsymII-scan-square-overflow", "ceo-curve-beta-1e200", "SymIII-alpha-1e200",
+         "SymIII-power-0"]
     + [f"{setting}-{command}-alpha2P-overflow"
        for setting in ("SymI", "SymII") for command in ("closed-form", "simulate", "verify")],
 )

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from jamnet import (
     InvalidScenario,
     NetworkScenario,
     NoRoot,
+    NumericalFailure,
     SensorParams,
     Setting,
     make_symmetric,
@@ -142,10 +144,48 @@ def test_epsilon_threshold_value_and_residual():
     eps0 = sym.epsilon_threshold(4, 1, 1.0, 1.0, 1.0, 1.0)
     assert abs(eps0 - 0.933) < 1e-3
     oracle = _epsilon0_quadratic_oracle(4, 1, 1.0, 1.0, 1.0, 1.0)
-    assert abs(eps0 - oracle) < 1e-9
+    assert abs(eps0 - oracle) <= 1e-14 * oracle
     target = sym.setting2_formula(4, 1, 1.0, 1.0, 1.0)
     achieved = sym.cost_setting1(4 * eps0, 1.0, 1.0, 1.0, 1.0)
-    assert abs(achieved - target) < 1e-10
+    assert abs(achieved - target) <= 1e-14
+
+
+# (M, K, eta, alpha, beta, power): every threshold the tests of this module
+# and the goldens probe, plus gains and powers far from 1.
+_THRESHOLD_CONFIGS = [
+    (4, 1, 1.0, 1.0, 1.0, 1.0), (4, 1, 0.0, 1.0, 1.0, 1.0), (5, 2, 1.0, 1.0, 1.0, 1.0),
+    (5, 2, 0.0, 1.0, 1.0, 1.0), (5, 4, 0.25, 1.0, 1.0, 1.0), (3, 2, 1.0, 1.0, 1.0, 1.0),
+    (10, 8, 0.5, 1.0, 1.0, 1.0), (7, 4, 0.5, 1.0, 1.0, 1.0), (4, 2, 0.5, 0.9, 1.2, 1.0),
+    (4, 2, 0.0, 0.9, 1.2, 1.0), (4, 2, 0.5, 1.0, 1e20, 1e100), (3, 2, 0.5, 1e-10, 3.0, 1e100),
+    (3, 2, 0.5, 1e10, 1e10, 1.0), (6, 3, 1 / 3, 0.5, 0.2, 3.0),
+]
+
+
+@pytest.mark.parametrize("config", _THRESHOLD_CONFIGS)
+def test_epsilon_threshold_matches_quadratic_oracle(config):
+    eps0 = sym.epsilon_threshold(*config)
+    assert abs(eps0 - _epsilon0_quadratic_oracle(*config)) <= 1e-14 * eps0
+
+
+@pytest.mark.parametrize("config", _THRESHOLD_CONFIGS + [
+    # t within 5e-5 of 1: the float t loses digits to 1 - t, the oracle above
+    # inherits the loss (1.9e-12 relative here) and the threshold does not.
+    (6, 3, 1 / 3, 0.5, 1e-3, 1e10), (1, 0, 0.0, 7.0, 0.1, 1e-4),
+])
+def test_epsilon_threshold_brackets_the_exact_root(config):
+    # The quadratic in exact rational arithmetic on the float inputs changes
+    # sign within 1e-15 relative of the returned root.
+    M, K, eta, alpha, beta, power = (Fraction(v) for v in config)
+    ca2 = power / (1 + beta * beta) * alpha * alpha
+    n = M - K
+    t = (n * ca2 + 1) / (n * n * ca2 * beta * beta + n * ca2 + 1)
+    q = alpha * alpha * ((K * eta) ** 2 + K * (1 - eta)) * power
+
+    def quadratic(m):
+        return t * beta * beta * m * m - (1 - t) * m - (1 - t) * (q + 1) / ca2
+
+    m = M * Fraction(sym.epsilon_threshold(*config))
+    assert quadratic(m * Fraction(1 - 1e-15)) < 0 < quadratic(m * Fraction(1 + 1e-15))
 
 
 def test_epsilon_threshold_eta_dependence():
@@ -161,9 +201,43 @@ def test_epsilon_threshold_eta_dependence():
 
 
 def test_epsilon_threshold_no_root_when_target_unreachable():
-    # Zero power pins the setting-I cost at 1 for every m.
+    # Zero power pins the setting-I cost at 1 for every m, and so does an
+    # alpha whose square underflows: the target t is then 1 as well.
     with pytest.raises(NoRoot):
         sym.epsilon_threshold(2, 1, 1.0, 1.0, 1.0, 0.0)
+    with pytest.raises(NoRoot):
+        sym.epsilon_threshold(4, 2, 0.5, 1e-200, 1.0, 1.0)
+
+
+def test_epsilon_threshold_range_and_numerical_failure():
+    # The threshold may lie far beyond M: a root, not an exit 2.
+    assert sym.epsilon_threshold(4, 2, 0.5, 1.0, 1e20, 1e100) == pytest.approx(5e19, rel=1e-14)
+    # alpha^2 overflows: the setting-II target is inf/inf.
+    with pytest.raises(NumericalFailure, match="target nan"):
+        sym.epsilon_threshold(4, 2, 0.5, 1e200, 1e20, 1e100)
+    # alpha^2 * P overflows in the jamming power alone: the root is infinite.
+    with pytest.raises(NumericalFailure, match="not finite"):
+        sym.epsilon_threshold(3, 2, 0.5, 1e200, 1.0, 1e-100)
+
+
+@pytest.mark.parametrize("M, K, eta, epsilon", [
+    (5, 4, 0.25, 0.4), (3, 2, 1.0, 2 / 3), (10, 8, 0.5, 0.7), (7, 4, 0.5, 6 / 7),
+])
+def test_setting3_tie_on_the_threshold(M, K, eta, epsilon):
+    # M*epsilon is the exact rational root of the threshold quadratic.
+    s = make_symmetric(M, K, 1.0, 1.0, 1.0, Setting.SYM_III, epsilon=epsilon, eta=eta)
+    assert sym.setting3_branch(s)[0] == "tie"
+
+
+@pytest.mark.parametrize("M", [1, 3, 8])
+@pytest.mark.parametrize("alpha, beta, power", [
+    (1.0, 1.0, 1.0), (0.3, 2.5, 4.0), (1e-3, 1e3, 1e6), (7.0, 0.1, 1e-4),
+])
+def test_setting3_without_adversaries_ties_at_full_coordination(M, alpha, beta, power):
+    # K = 0: both costs are the jammer-free setting-I cost, equal at m = M.
+    s = make_symmetric(M, 0, alpha, beta, power, Setting.SYM_III, epsilon=1.0, eta=0.0)
+    branch, eps0 = sym.setting3_branch(s)
+    assert branch == "tie" and abs(eps0 - 1.0) <= 1e-12
 
 
 def test_setting3_branches():
