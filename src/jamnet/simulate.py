@@ -18,17 +18,16 @@ GeneralLinearGaussian, 0 for LinearMirror.  A block holds SCRATCH_ROWS
 n-vectors, never a row per sensor, and draws and computes into them in place;
 the calling thread allocates them, one set per worker.
 
-The verification half probes the two saddle inequalities: a grid sweep over
-the linear-Gaussian deviation class for the adversary (maximizer) and
+The verification half checks the two saddle inequalities: the adversaries'
+exact best response within the linear-Gaussian deviation class (a closed
+form, costed from its sufficient statistics with ``asym``'s cost core), and
 projected random perturbations with exact follower re-solves for the
-transmitters (minimizer).  Candidates are evaluated from their sufficient
-statistics with ``asym``'s cost core, not as profiles: each deviation grid
-is one array pass, and so are the transmitter probes, one lane each.  The
-probes' followers are exact: the SymII follower is a closed form, and the
-AsymII one is ``asym._adversary_response``, the Theorem-5 adversary solve,
-run on all probes at once as lanes with the bits of a one-row solve.
-Every candidate costs the bits the per-profile oracle gives it, and ties
-keep the first candidate.
+transmitters (the minimizer).  The transmitter probes run as one array pass,
+one lane each.  Their followers are exact: the SymII follower is a closed
+form, and the AsymII one is ``asym._adversary_response``, the Theorem-5
+adversary solve, run on all probes at once as lanes with the bits of a
+one-row solve.  Every probe costs the bits the per-profile oracle gives it,
+and ties keep the first probe.
 """
 
 from __future__ import annotations
@@ -42,8 +41,6 @@ import numpy as np
 
 from . import asym
 from .model import (
-    CoordinatedNoise,
-    GeneralLinearGaussian,
     InvalidProfile,
     LinearMirror,
     NetworkScenario,
@@ -55,10 +52,8 @@ from .model import (
 BLOCK_SIZE = 1 << 16
 SCRATCH_ROWS = 6  # src, tx, adv, y, gamma, w: the n-vectors a block holds
 
-# Certificate constants: points per axis of the adversary deviation grid over
-# the power disc, and the transmitter-side (and linear-adversary) local
+# Certificate constants of the transmitter-side (and linear-adversary) local
 # probes: random directions, step size and the seed of their generator.
-GRID_POINTS_PER_AXIS = 21
 PROBE_DIRECTIONS = 50
 PROBE_STEP = 1e-3
 PROBE_SEED = 0
@@ -201,76 +196,57 @@ def run_monte_carlo(
 
 # -- adversary-side verification ---------------------------------------------
 
-def _disc_grid(points: int) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v) of the grid points in the unit disc, u-major."""
-    axis = np.linspace(-1.0, 1.0, points)
-    u, v = (x.ravel() for x in np.meshgrid(axis, axis, indexing="ij"))
-    inside = u * u + v * v <= 1.0 + 1e-12
-    return u[inside], v[inside]
-
-
 def best_response_adversary_search(s: NetworkScenario, p: StrategyProfile) -> BestResponseReport:
-    """Sweep adversary deviations and report the costliest one.
+    """The adversaries' exact best response within the linear-Gaussian class.
 
-    The deviation class is linear-Gaussian: each adversary k plays
-    a*S + b*W_k + s*theta_k with the noise component saturating the power
-    budget (pure-noise deviations never benefit from slack power).  In the
-    symmetric settings all adversaries share the triple against per-sensor
-    budgets, and a coordinated full-power noise candidate covers coordinated
-    optima outside the independent-theta class (independent full-power noise
-    is the first candidate, the shared triple (0, 0, sqrt(P))).  In the
-    asymmetric settings the sum budget is swept across single sensors and
-    uniform splits.
+    Adversary k may send a_k*S + b_k*W_k + s_k*theta_{j_k}, with any noises
+    shared, within its own budget a^2 + b^2 + s^2 <= P_k in the symmetric
+    settings and one sum budget P_A in the asymmetric ones.  A shared noise
+    adds amplitudes where own sensing noise adds powers, so b_k = 0, and by
+    Cauchy-Schwarz the best split aligns every adversary on one theta_0:
+    adversary k sends w_k*(-sign(r_t)*u, 0, sqrt(1 - u^2)) with
+    w_k = sqrt(P_k), or sqrt(P_A)*alpha_k/|alpha| under the sum budget, and
+    lands the largest amplitude W = sum alpha_k*w_k.  Against randomized
+    transmitters only the power W^2 counts: u = 0.  Against deterministic
+    ones the source share X = u*W minimizes (r - X)^2/(N0 + W^2 - X^2) with
+    r = |r_t| and N0 = 1 + own_t: X = r nulls the source term when W >= r,
+    and otherwise X = min((N0 + W^2)/r, W), where the derivative vanishes.
+    The attaining rows are costed by the oracle's cost core.
     """
     base = asym.direct_mmse_cost(s, p)
     K = s.num_adversaries
     if K == 0:
         return BestResponseReport(base, base, "no adversaries", "AdversaryMax")
     r_t, own_t = asym._transmit_stats(s, p.transmit_coeffs)
-
-    def cost(lowered) -> np.ndarray:
-        stats = asym._adversary_output_stats(s, *lowered)
-        return np.atleast_1d(asym._cost(r_t, own_t, *stats, p.randomized))
-
-    families = []  # (costs, description of candidate i) per family, in sweep order
-    symmetric = s.setting.is_symmetric
-    budget = s.adversaries[0].power if symmetric else s.sum_power_attack or 0.0
-    root = math.sqrt(budget)
-    u, v = _disc_grid(GRID_POINTS_PER_AXIS)
-    a, b = u * root, v * root
-    ss = np.sqrt(np.maximum(budget - a * a - b * b, 0.0))
-
-    def triple(prefix: str):
-        return lambda i: (f"{prefix} triple (a={float(a[i]):.6g}, b={float(b[i]):.6g}, "
-                          f"s={float(ss[i]):.6g})")
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        if symmetric:
-            families.append((cost(GeneralLinearGaussian(triples=((0.0, 0.0, root),) * K)
-                                  .lower(s.adversaries)),
-                             lambda i: "shared triple (a=0, b=0, s=full)"))
-            families.append((cost(CoordinatedNoise(variance=budget).lower(s.adversaries)),
-                             lambda i: "coordinated full-power noise"))
-            families.append((cost(([(a, b, ss, k) for k in range(K)], K)), triple("shared")))
-        else:
-            # Lane j: all the noise power on adversary j.
-            single = [(0.0, 0.0, np.where(np.arange(K) == k, root, 0.0), k) for k in range(K)]
-            families.append((cost((single, K)), lambda j: f"all noise power on adversary {j}"))
-            families.append((cost(CoordinatedNoise(variance=budget / K).lower(s.adversaries)),
-                             lambda i: "uniform coordinated noise"))
-            for j in range(K):
-                rows = [(a, b, ss, k) if k == j else (0.0, 0.0, 0.0, k) for k in range(K)]
-                families.append((cost((rows, K)), triple(f"adversary {j}")))
-
-    costs = np.concatenate([c for c, _ in families])
-    i = int(np.argmax(costs))
-    if not costs[i] > base:
+    alphas = [q.alpha for q in s.adversaries]
+    if s.setting.is_symmetric:
+        amps = [math.sqrt(q.power) for q in s.adversaries]
+    else:
+        norm = math.hypot(*alphas)
+        amps = [math.sqrt(s.sum_power_attack) * (alpha / norm) for alpha in alphas]
+    W = sum(alpha * w for alpha, w in zip(alphas, amps))
+    r = abs(r_t)
+    if p.randomized or W == 0.0:
+        u = 0.0
+    elif W >= r:
+        u = r / W
+    else:
+        # u = min((N0 + W^2)/(r*W), 1), written so that no division is by 0.
+        n0_w2, rw = 1.0 + own_t + W * W, r * W
+        u = n0_w2 / rw if rw > n0_w2 else 1.0
+    a = -math.copysign(u, r_t) if u else 0.0  # never -0.0, so the text reads a=0
+    ss = math.sqrt(1.0 - u * u)
+    rows = [(w * a, 0.0, w * ss, 0) for w in amps]
+    best = asym._cost(r_t, own_t, *asym._adversary_output_stats(s, rows, 1), p.randomized)
+    if not best > base:
         return BestResponseReport(base, base, "no deviation improves on the profile", "AdversaryMax")
-    best = float(costs[i])
-    for family, describe in families:
-        if i < len(family):
-            return BestResponseReport(base, best, describe(i), "AdversaryMax")
-        i -= len(family)
+    if s.setting.is_symmetric:
+        desc = f"shared triple (a={amps[0] * a:.6g}, b=0, s={amps[0] * ss:.6g}) on one noise"
+    else:
+        root = math.sqrt(s.sum_power_attack)
+        desc = (f"triple (a={root * a:.6g}, b=0, s={root * ss:.6g}) split as alpha_k/|alpha| "
+                f"on one noise")
+    return BestResponseReport(base, best, desc, "AdversaryMax")
 
 
 def adversary_local_probe(s: NetworkScenario, p: StrategyProfile) -> BestResponseReport:
@@ -406,12 +382,13 @@ def verify_saddle_point(
 ) -> tuple[BestResponseReport, BestResponseReport]:
     """Run both best-response checks for a candidate equilibrium.
 
-    A saddle certificate needs both: no adversary deviation above
-    base + a grid-resolution tolerance, no transmitter deviation below
-    base - a local-stationarity tolerance; the caller picks both.  In the Stackelberg-only settings (SymII, AsymII) only the
-    leader-side report binds; the adversary grid report then documents why no
-    saddle exists, and follower consistency is checked separately with
-    ``adversary_local_probe`` / ``follower_best_response_sym2``.
+    A saddle certificate needs both: the adversaries' exact best response
+    no costlier than the base, and no transmitter deviation below base - a
+    local-stationarity tolerance the caller picks.  In the Stackelberg-only
+    settings (SymII, AsymII) only the leader-side report binds; the
+    adversary report then documents why no saddle exists, and follower
+    consistency is checked separately with ``adversary_local_probe`` /
+    ``follower_best_response_sym2``.
     """
     adv = best_response_adversary_search(s, p)
     tx = best_response_transmitter_search(s, p)

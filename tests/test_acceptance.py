@@ -170,12 +170,13 @@ def test_criterion_04_monte_carlo_agreement():
 
 
 def test_criterion_05_saddle_certification():
-    with _report(5, "grid saddle certificate for the randomized profile; deterministic exploited"):
+    with _report(5, "exact saddle certificate for the randomized profile; deterministic exploited"):
         s = make_symmetric(2, 1, 1.0, 1.0, 1.0, Setting.SYM_I)
         p = sym.theorem1_profile(s)
         rand_rep = simulate.best_response_adversary_search(s, p)
         assert rand_rep.base_cost == pytest.approx(0.6, abs=1e-15)
-        assert rand_rep.best_deviation_cost <= 0.6 + 1e-3
+        assert rand_rep.best_deviation_cost == rand_rep.base_cost
+        assert rand_rep.deviation_params == "no deviation improves on the profile"
         det_rep = simulate.best_response_adversary_search(
             s, dataclasses.replace(p, randomized=False)
         )

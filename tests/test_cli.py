@@ -287,6 +287,19 @@ def _sensors(alpha, beta, power=1.0):
     return {"count": 1, "alpha": alpha, "beta": beta, "power": power}
 
 
+def test_verify_tiny_adversary_gains_exit_0(tmp_path, capsys):
+    # The sum budget splits as alpha_k/|alpha|, and alpha = 1e-200 squares
+    # to 0: |alpha| must not be computed from the squares.
+    cfg = _write_config(tmp_path, **_ASYM_BUDGETS,
+                        adversaries={**_sensors(1e-200, 1.0), "count": 2})
+    assert main(["verify", "--config", str(cfg)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    text = (tmp_path / "run.json").read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    adv = json.loads(text)["adversary_check"]
+    assert adv["best_deviation_cost"] >= adv["base_cost"]
+
+
 # alpha^2*P overflows inside a product: E{Y^2} is inf and the cost inf/inf.
 _OVERFLOWING_PRODUCT = {
     "SymI": {"transmitters": {**_sensors(1e100, 1.0, 1e200), "count": 2},
