@@ -8,16 +8,18 @@ transmitters, three of the adversaries) as floats or as arrays over many
 candidates, so batched searches cost every candidate with the same bits.
 
 ``solve_theorem4`` handles the coordinated (saddle-point) power-allocation
-setting in closed form.  ``solve_theorem5`` solves the no-coordination
-Stackelberg multiplier system by nested bracketed root-finding: the outer
-residual is evaluated at every point of a fixed scan grid in one array pass,
-every sign change is counted, and scalar Brent then solves the first
-bracket.  The inner adversary solve, ``_adversary_response``, is one piece of
-arithmetic for one row of transmit coefficients (scalar Brent steps, inside
-the outer Brent) and for lanes of rows (Brent steps on all lanes at once, in
-the scan and the transmitter probes), so a scanned residual has the bits of
-the scalar residual at its point, and so has the exit-2 report without a
-sign change, which carries the first scanned residuals.
+setting in closed form; its schedule, ``_schedule``, is also the
+transmitters' best response to fixed jamming in ``simulate``'s check.
+``solve_theorem5`` solves the no-coordination Stackelberg multiplier system
+by nested bracketed root-finding: the outer residual is evaluated at every
+point of a fixed scan grid in one array pass, every sign change is counted,
+and scalar Brent then solves the first bracket.  The inner adversary solve,
+``_adversary_response``, is one piece of arithmetic for one row of transmit
+coefficients (scalar Brent steps, inside the outer Brent) and for lanes of
+rows (Brent steps on all lanes at once, in the scan and on the frontier
+``simulate`` checks), so a scanned residual has the bits of the scalar
+residual at its point, and so has the exit-2 report without a sign change,
+which carries the first scanned residuals.
 
 Every equilibrium profile of the package, the symmetric solvers' included,
 is built by one helper, ``_bayes_profile``, which attaches the Bayes
@@ -182,6 +184,26 @@ def attacker_best_channel(
     return best, adversaries[best].alpha ** 2 * sum_power_attack
 
 
+def _schedule(s: NetworkScenario, lam1: float, p_t: float):
+    """(denoms, lambda2, coeffs): Theorem 4's transmit schedule at multiplier
+    lambda1, c_m = lambda2*alpha_m*beta_m/(2*(1 + beta_m^2 + lambda1*alpha_m^2)),
+    with lambda2 spending the sum budget P_T.  It maximizes
+    r_t^2/(own_t + P_T/lambda1) on the budget: the transmitters' best
+    response to received jamming power P_T/lambda1 - 1."""
+    denoms = [p.input_second_moment + lam1 * p.alpha ** 2 for p in s.transmitters]
+    t2 = sum(
+        p.input_second_moment * (p.alpha * p.beta) ** 2 / d / d
+        for p, d in zip(s.transmitters, denoms)
+    )
+    if t2 <= 0.0:
+        raise DegenerateInput("no information path: all alpha*beta vanish")
+    lam2 = math.sqrt(4.0 * p_t / t2)
+    coeffs = tuple(
+        lam2 * p.alpha * p.beta / (2.0 * d) for p, d in zip(s.transmitters, denoms)
+    )
+    return denoms, lam2, coeffs
+
+
 def solve_theorem4(s: NetworkScenario) -> EquilibriumReport:
     """Saddle point of the coordinated asymmetric setting.
 
@@ -207,18 +229,7 @@ def solve_theorem4(s: NetworkScenario) -> EquilibriumReport:
         k_star, pa_recv = None, 0.0
 
     lam1 = p_t / (1.0 + pa_recv)
-    denoms = [p.input_second_moment + lam1 * p.alpha ** 2 for p in s.transmitters]
-    t2 = sum(
-        p.input_second_moment * (p.alpha * p.beta) ** 2 / d / d
-        for p, d in zip(s.transmitters, denoms)
-    )
-    if t2 <= 0.0:
-        raise DegenerateInput("no information path: all alpha*beta vanish")
-    lam2 = math.sqrt(4.0 * p_t / t2)
-    coeffs = tuple(
-        lam2 * p.alpha * p.beta / (2.0 * d) for p, d in zip(s.transmitters, denoms)
-    )
-
+    denoms, lam2, coeffs = _schedule(s, lam1, p_t)
     adv = IndependentNoise(
         variances=tuple(p_a if k == k_star else 0.0 for k in range(s.num_adversaries))
     )

@@ -396,8 +396,14 @@ def adversary_second_moments(
     return [a * a + b * b + ss * ss for a, b, ss, _ in rows]
 
 
+def _over_budget(used: float, budget: float) -> bool:
+    """Whether ``used`` exceeds ``budget`` by more than rounding: the
+    tolerance POWER_TOL is relative for budgets above 1."""
+    return used > budget + POWER_TOL * max(1.0, budget)
+
+
 def validate_profile(s: NetworkScenario, p: StrategyProfile) -> StrategyProfile:
-    """Check the profile against the scenario's power budgets (tol 1e-9)."""
+    """Check the profile against the scenario's power budgets."""
     M = s.num_transmitters
     if len(p.transmit_coeffs) != M:
         raise InvalidProfile(f"expected {M} transmit coefficients, got {len(p.transmit_coeffs)}")
@@ -417,23 +423,23 @@ def validate_profile(s: NetworkScenario, p: StrategyProfile) -> StrategyProfile:
 
     if s.setting.is_symmetric:
         for m, used in enumerate(tx_moments):
-            if used > s.transmitters[m].power + POWER_TOL:
+            if _over_budget(used, s.transmitters[m].power):
                 raise InvalidProfile(
                     f"transmitter {m} power {used} exceeds budget {s.transmitters[m].power}"
                 )
         for k, used in enumerate(adv_moments):
-            if used > s.adversaries[k].power + POWER_TOL:
+            if _over_budget(used, s.adversaries[k].power):
                 raise InvalidProfile(
                     f"adversary {k} power {used} exceeds budget {s.adversaries[k].power}"
                 )
     else:
         if s.sum_power_transmit is None or s.sum_power_attack is None:
             raise InvalidProfile("asymmetric profiles need validated sum budgets")
-        if sum(tx_moments) > s.sum_power_transmit + POWER_TOL:
+        if _over_budget(sum(tx_moments), s.sum_power_transmit):
             raise InvalidProfile(
                 f"transmit sum power {sum(tx_moments)} exceeds P_T={s.sum_power_transmit}"
             )
-        if sum(adv_moments) > s.sum_power_attack + POWER_TOL:
+        if _over_budget(sum(adv_moments), s.sum_power_attack):
             raise InvalidProfile(
                 f"adversary sum power {sum(adv_moments)} exceeds P_A={s.sum_power_attack}"
             )

@@ -18,16 +18,11 @@ GeneralLinearGaussian, 0 for LinearMirror.  A block holds SCRATCH_ROWS
 n-vectors, never a row per sensor, and draws and computes into them in place;
 the calling thread allocates them, one set per worker.
 
-The verification half checks the two saddle inequalities: the adversaries'
-exact best response within the linear-Gaussian deviation class (a closed
-form, costed from its sufficient statistics with ``asym``'s cost core), and
-projected random perturbations with exact follower re-solves for the
-transmitters (the minimizer).  The transmitter probes run as one array pass,
-one lane each.  Their followers are exact: the SymII follower is a closed
-form, and the AsymII one is ``asym._adversary_response``, the Theorem-5
-adversary solve, run on all probes at once as lanes with the bits of a
-one-row solve.  Every probe costs the bits the per-profile oracle gives it,
-and ties keep the first probe.
+The verification half checks the two saddle inequalities with each side's
+exact best response within the linear-Gaussian class, costed from its
+sufficient statistics with ``asym``'s cost core: closed forms, one 1-D root,
+and for the AsymII leader the points of Theorem 5's frontier, each against
+its follower solved by ``asym._adversary_response``, run as lanes.
 """
 
 from __future__ import annotations
@@ -51,12 +46,6 @@ from .model import (
 
 BLOCK_SIZE = 1 << 16
 SCRATCH_ROWS = 6  # src, tx, adv, y, gamma, w: the n-vectors a block holds
-
-# Certificate constants of the transmitter-side (and linear-adversary) local
-# probes: random directions, step size and the seed of their generator.
-PROBE_DIRECTIONS = 50
-PROBE_STEP = 1e-3
-PROBE_SEED = 0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -249,132 +238,117 @@ def best_response_adversary_search(s: NetworkScenario, p: StrategyProfile) -> Be
     return BestResponseReport(base, best, desc, "AdversaryMax")
 
 
-def adversary_local_probe(s: NetworkScenario, p: StrategyProfile) -> BestResponseReport:
-    """Local maximality check for a linear adversary: ``PROBE_DIRECTIONS``
-    random perturbations of its coefficients at step ``PROBE_STEP``, rescaled
-    back to the attack power sphere, must not increase the cost beyond the
-    caller's tolerance."""
-    if not isinstance(p.adversary, LinearMirror):
-        raise InvalidProfile("adversary_local_probe needs a linear adversary")
-    base = asym.direct_mmse_cost(s, p)
-    r_t, own_t = asym._transmit_stats(s, p.transmit_coeffs)
-    coeffs = np.asarray(p.adversary.coeffs, dtype=float)
-    m2 = np.array([q.input_second_moment for q in s.adversaries])
-    power = float(np.sum(m2 * coeffs**2))
-    rng = np.random.default_rng(PROBE_SEED)
-    best_cost = base
-    best_desc = "no perturbation raises the cost"
-    for i in range(PROBE_DIRECTIONS):
-        d = rng.standard_normal(coeffs.shape[0])
-        trial = coeffs + PROBE_STEP * d
-        norm = float(np.sum(m2 * trial**2))
-        if norm <= 0.0:
-            continue
-        trial = trial * math.sqrt(power / norm)
-        lowered = LinearMirror(coeffs=tuple(float(c) for c in trial)).lower(s.adversaries)
-        cost = asym._cost(r_t, own_t, *asym._adversary_output_stats(s, *lowered), p.randomized)
-        if cost > best_cost:
-            best_cost = cost
-            best_desc = f"coefficient perturbation #{i}"
-    return BestResponseReport(base, best_cost, best_desc, "AdversaryMax")
-
-
 # -- transmitter-side verification -------------------------------------------
 
-def follower_best_response_sym2(
-    s: NetworkScenario, transmit_coeffs
-) -> tuple[float, ...]:
-    """Exact best deterministic-linear follower for setting II, in closed form.
-
-    The adversaries are identical, so the cost depends on their coefficients
-    only through sum c_k (which moves the source coefficient
-    x = r_t + alpha*beta*sum c_k) and sum c_k^2 (their own-noise power), and
-    it rises as |x| falls and as sum c_k^2 grows.  When
-    K*cap*alpha*beta < |r_t| the follower cannot cancel x: every coefficient
-    sits at -sign(r_t)*cap.  Otherwise it cancels x and the cost is 1; the
-    answer is the first sign split (n_minus = 0..K-1 coefficients at -cap,
-    the rest but the last at +cap) whose last coefficient
-    t = -r_t/(alpha*beta) - sum(fixed) lies in [-cap, cap].
-    """
-    K = s.num_adversaries
-    if K == 0:
-        return ()
-    q = s.adversaries[0]
-    cap = math.sqrt(q.power / q.input_second_moment)
-    ab = q.alpha * q.beta
-    r_t, _ = asym._transmit_stats(s, transmit_coeffs)
-    saturated = (-math.copysign(cap, r_t),) * K
-    # ab is 0 only where alpha*beta underflows: the coefficients then move x
-    # by no more than rounding, and the cancelling split would divide by 0.
-    if ab == 0.0 or K * cap * ab < abs(r_t):
-        return saturated
-    target = -r_t / ab
-    for n_minus in range(K):
-        t = target - (K - 1 - 2 * n_minus) * cap
-        if -cap <= t <= cap:
-            return (-cap,) * n_minus + (cap,) * (K - 1 - n_minus) + (t,)
-    return saturated  # |r_t| = K*cap*alpha*beta up to rounding: x is 0 there too
+def _cap(q) -> float:
+    """A sensor's largest uncoded coefficient sqrt(P/(1 + beta^2))."""
+    return math.sqrt(q.power / q.input_second_moment)
 
 
-def _follower_stats(s: NetworkScenario, trials: np.ndarray, fixed):
-    """(stats, ok): the adversary statistics of the follower re-solved within
-    its class against each row of the transmit coefficient lanes ``trials``,
-    over the lanes where ok holds.  ok is False where the AsymII adversary
-    system has no root or a singular denominator.  Where the follower does
-    not depend on the transmit coefficients (SymI, SymIII, AsymI: full-power
-    noise or best-channel allocation) the statistics are ``fixed``."""
-    ok = np.ones(len(trials), dtype=bool)
-    if s.setting is Setting.SYM_II:
-        response = np.array([follower_best_response_sym2(s, tuple(t.tolist())) for t in trials])
-    elif s.setting is Setting.ASYM_II:
-        _, _, c_k, ok = asym._adversary_response(s, trials, s.sum_power_attack)
-        response = c_k[ok]
+def _box_response(s: NetworkScenario, p: StrategyProfile, sig: float, B: float):
+    """(coeffs, desc) maximizing (r_t + sig)^2/(own_t + B) within each
+    sensor's budget.  The n transmitters that may transmit (in SymIII only
+    the first round(M*epsilon) share a randomized profile's coin) all send
+    z*sign(sig): equal coefficients give the largest r_t for their own_t
+    (Cauchy-Schwarz), and (alpha*beta*n*z + |sig|)^2/(alpha^2*n*z^2 + B)
+    rises in z up to B*beta/(alpha*|sig|), so z is that or the cap."""
+    q = s.transmitters[0]
+    sigma = abs(sig)
+    z = min(_cap(q), B * q.beta / (q.alpha * sigma)) if q.alpha * sigma else _cap(q)
+    z = math.copysign(z, sig)
+    M = s.num_transmitters
+    n = round(M * s.epsilon) if s.setting is Setting.SYM_III and p.randomized else M
+    who = "every transmitter" if n == M else f"the first {n} transmitters, the rest silent,"
+    return (z,) * n + (0.0,) * (M - n), f"{who} at c={z:.6g}"
+
+
+def _sum_budget_response(s: NetworkScenario, sig: float, B: float):
+    """(coeffs, desc) maximizing (r_t + sig)^2/(own_t + B) within the sum
+    budget P_T.  The first-order conditions give c_m = t*alpha_m*beta_m /
+    (alpha_m^2 + kappa*(1 + beta_m^2))*sign(sig), with t spending P_T and
+    gap = |sig|*t - (B - kappa*P_T) = 0.  At sig = 0 that is Theorem 4's
+    schedule at lambda = P_T/B; otherwise kappa is the root on (0, B/P_T) of
+    the rising gap, or, where gap(0) >= 0, the budget is slack and
+    c_m = (B/|sig|)*beta_m/alpha_m."""
+    p_t = s.sum_power_transmit
+    if sig == 0.0:
+        lam = p_t / B
+        return asym._schedule(s, lam, p_t)[2], f"schedule at lambda={lam:.6g}"
+    sigma = abs(sig)
+    ab = np.array([q.alpha * q.beta for q in s.transmitters])
+    a2 = np.array([q.alpha ** 2 for q in s.transmitters])
+    m2 = np.array([q.input_second_moment for q in s.transmitters])
+
+    def t(kappa: float) -> float:
+        return math.sqrt(p_t / float(np.sum(m2 * (ab / (a2 + kappa * m2)) ** 2)))
+
+    def gap(kappa: float) -> float:
+        return sigma * t(kappa) - (B - kappa * p_t)
+
+    if gap(0.0) >= 0.0:
+        coeffs, desc = B / sigma * ab / a2, f"c_m={B / sigma:.6g}*beta_m/alpha_m within the budget"
     else:
-        return fixed, ok
-    # One coefficient lane array per adversary, lowered as LinearMirror rows.
-    lowered = LinearMirror(coeffs=tuple(response.T)).lower(s.adversaries)
-    return asym._adversary_output_stats(s, *lowered), ok
+        kappa = asym._brentq(gap, 0.0, B / p_t)
+        coeffs, desc = t(kappa) * ab / (a2 + kappa * m2), f"schedule at lambda={1.0 / kappa:.6g}"
+    return math.copysign(1.0, sig) * coeffs, desc
+
+
+def _frontier_response(s: NetworkScenario):
+    """(cost, desc): the AsymII leader's best full-power deviation against
+    its re-solved follower.  The follower's cost falls as |r_t| grows and
+    rises with own_t, so every such best response lies on Theorem 5's
+    frontier c(lambda3).  Its scan grid is costed as lanes, each against its
+    exact follower; lanes whose follower does not exist are skipped."""
+    p_t = s.sum_power_transmit
+    lam3 = asym._scan_grid(p_t)
+    _, c_m = asym._transmit_side(s, lam3, p_t)
+    _, _, c_k, ok = asym._adversary_response(s, c_m, s.sum_power_attack)
+    if not ok.any():
+        return math.inf, ""
+    rows = LinearMirror(coeffs=tuple(c_k[ok].T)).lower(s.adversaries)
+    costs = asym._cost(*asym._transmit_stats(s, c_m[ok].T),
+                       *asym._adversary_output_stats(s, *rows), False)
+    i = int(np.argmin(costs))
+    return float(costs[i]), f"Theorem-5 frontier at lambda3={lam3[ok][i]:.6g}"
 
 
 def best_response_transmitter_search(s: NetworkScenario, p: StrategyProfile) -> BestResponseReport:
-    """Probe ``PROBE_DIRECTIONS`` random feasible transmit perturbations at
-    step ``PROBE_STEP``; at a claimed equilibrium none may reduce the cost by
-    more than the caller's tolerance.
+    """The transmitters' exact best response: any coefficients within their
+    budgets (each sensor's own, or the sum P_T), randomized as the profile
+    is.  The cost depends on them only through r_t and own_t.
 
-    Feasibility is preserved by projection: per-sensor box clipping in the
-    symmetric settings, rescaling to the sum-power sphere in the asymmetric
-    ones.  The adversary best-responds within its allowed class for every
-    probe.  The probes run as lanes of one array pass; probes whose rescaling
-    or follower does not exist are skipped, and the first strict minimum
-    wins.
+    A deterministic profile in a Stackelberg setting (SymII, SymIII's
+    Stackelberg branch, AsymII) leads a re-solved follower: every symmetric
+    transmitter sends at its cap and the adversaries, K < M, mirror it with
+    the opposite sign (Theorem 2); in AsymII the best point of Theorem 5's
+    frontier wins.  Otherwise the adversaries stay fixed with statistics
+    (sig, own, jam), and the response maximizes (r_t + sig)^2/(own_t + B)
+    with B = 1 + own + jam, or, as the coin turns sig into noise against
+    randomized transmitters, with sig = 0 and B = 1 + sig^2 + own + jam.
     """
-    coeffs = np.asarray(p.transmit_coeffs, dtype=float)
-    M = coeffs.shape[0]
     base = asym.direct_mmse_cost(s, p)
+    M, K = s.num_transmitters, s.num_adversaries
     if M == 0:
         return BestResponseReport(base, base, "no transmitters", "TransmitterMin")
-
-    rng = np.random.default_rng(PROBE_SEED)
-    trials = coeffs + PROBE_STEP * rng.standard_normal((PROBE_DIRECTIONS, M))
-    lanes = np.arange(PROBE_DIRECTIONS)
-    if s.setting.is_symmetric:
-        caps = np.array([math.sqrt(q.power / q.input_second_moment) for q in s.transmitters])
-        trials = np.clip(trials, -caps, caps)
+    leader = not p.randomized and s.setting in (Setting.SYM_II, Setting.SYM_III, Setting.ASYM_II)
+    if leader and s.setting is Setting.ASYM_II:
+        best, desc = _frontier_response(s)
     else:
-        m2 = np.array([q.input_second_moment for q in s.transmitters])
-        norms = np.sum(m2 * trials**2, axis=1)
-        lanes = lanes[norms > 0.0]
-        trials = trials[lanes] * np.sqrt(s.sum_power_transmit / norms[lanes])[:, None]
-    fixed = asym._adversary_output_stats(s, *p.adversary.lower(s.adversaries))
-    stats, ok = _follower_stats(s, trials, fixed)
-    costs = asym._cost(*asym._transmit_stats(s, trials[ok].T), *stats, p.randomized)
-    if costs.size:
-        i = int(np.argmin(costs))
-        if costs[i] < base:
-            return BestResponseReport(base, float(costs[i]),
-                                      f"coefficient perturbation #{lanes[ok][i]}",
-                                      "TransmitterMin")
-    return BestResponseReport(base, base, "no perturbation lowers the cost", "TransmitterMin")
+        adversary = LinearMirror(coeffs=(-_cap(s.transmitters[0]),) * K) if leader else p.adversary
+        stats = sig, own, jam = asym._adversary_output_stats(s, *adversary.lower(s.adversaries))
+        if p.randomized:
+            sig, B = 0.0, 1.0 + sig * sig + own + jam
+        else:
+            B = 1.0 + own + jam
+        if s.setting.is_symmetric:
+            # The leader sends at its cap whatever the follower: sig = 0 aims it there.
+            coeffs, desc = _box_response(s, p, 0.0 if leader else sig, B)
+        else:
+            coeffs, desc = _sum_budget_response(s, sig, B)
+        best = float(asym._cost(*asym._transmit_stats(s, coeffs), *stats, p.randomized))
+    if not best < base:
+        return BestResponseReport(base, base, "no deviation lowers the cost", "TransmitterMin")
+    return BestResponseReport(base, best, desc, "TransmitterMin")
 
 
 def verify_saddle_point(
@@ -382,13 +356,11 @@ def verify_saddle_point(
 ) -> tuple[BestResponseReport, BestResponseReport]:
     """Run both best-response checks for a candidate equilibrium.
 
-    A saddle certificate needs both: the adversaries' exact best response
-    no costlier than the base, and no transmitter deviation below base - a
-    local-stationarity tolerance the caller picks.  In the Stackelberg-only
-    settings (SymII, AsymII) only the leader-side report binds; the
-    adversary report then documents why no saddle exists, and follower
-    consistency is checked separately with ``adversary_local_probe`` /
-    ``follower_best_response_sym2``.
+    A saddle certificate needs both exact best responses no better for the
+    deviator than the base: the adversaries' no costlier, the transmitters'
+    no cheaper.  In the Stackelberg-only settings (SymII, AsymII) only the
+    leader-side report binds; the adversary report then documents why no
+    saddle exists.
     """
     adv = best_response_adversary_search(s, p)
     tx = best_response_transmitter_search(s, p)

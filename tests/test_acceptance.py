@@ -24,7 +24,7 @@ from jamnet import (
 )
 from jamnet import asym, bounds, simulate, symmetric as sym
 from jamnet.cli import main
-from conftest import random_asym_scenario, random_symmetric_configs
+from conftest import _ref_local_probe, random_asym_scenario, random_symmetric_configs
 
 
 class _report:
@@ -241,7 +241,7 @@ def test_criterion_07_theorem5_solver():
             ) <= 1e-8
             tx = simulate.best_response_transmitter_search(s, rep.profile)
             assert tx.best_deviation_cost >= tx.base_cost - 1e-8
-            adv = simulate.adversary_local_probe(s, rep.profile)
+            adv = _ref_local_probe(s, rep.profile)
             assert adv.best_deviation_cost <= adv.base_cost + 1e-8
 
 

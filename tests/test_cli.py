@@ -300,6 +300,22 @@ def test_verify_tiny_adversary_gains_exit_0(tmp_path, capsys):
     assert adv["best_deviation_cost"] >= adv["base_cost"]
 
 
+def test_large_budgets_validate_and_exit_0(tmp_path, capsys):
+    # Above about 1e7 a full-power profile's rounding exceeds an absolute
+    # 1e-9 of its budget; the tolerance grows with the budget.
+    for budget in (10 ** (7 + 6 * i / 39) for i in range(40)):
+        sensors = {"alpha": 0.9, "beta": 1.2, "power": budget}
+        sums = {"sum_power_transmit": budget, "sum_power_attack": budget}
+        for setting, command, extra in (("AsymI", "solve-asym", sums), ("AsymI", "verify", sums),
+                                        ("SymI", "simulate", _MC), ("SymII", "simulate", _MC)):
+            cfg = _write_config(tmp_path, setting=setting, transmitters={**sensors, "count": 3},
+                                adversaries={**sensors, "count": 2}, **extra)
+            s = parse_config(cfg.read_text(), command).scenario
+            jamnet.validate_profile(s, cli.equilibrium_report(s).profile)
+            assert main([command, "--config", str(cfg)]) == 0, (setting, command, budget)
+    capsys.readouterr()
+
+
 # alpha^2*P overflows inside a product: E{Y^2} is inf and the cost inf/inf.
 _OVERFLOWING_PRODUCT = {
     "SymI": {"transmitters": {**_sensors(1e100, 1.0, 1e200), "count": 2},

@@ -19,7 +19,8 @@ from jamnet import (
 )
 from jamnet import asym, cli, simulate, symmetric as sym
 
-from conftest import random_asym_scenario, random_symmetric_configs
+from conftest import (PROBE_DIRECTIONS, PROBE_SEED, PROBE_STEP, _ref_local_probe,
+                      random_asym_scenario, random_symmetric_configs)
 
 SAMPLES = 200_000
 
@@ -251,7 +252,7 @@ def test_transmitter_probe_at_theorem1():
     s = make_symmetric(2, 1, 1.0, 1.0, 1.0, Setting.SYM_I)
     p = sym.theorem1_profile(s)
     rep = simulate.best_response_transmitter_search(s, p)
-    assert rep.best_deviation_cost >= rep.base_cost - 1e-8
+    assert rep.best_deviation_cost == rep.base_cost
 
 
 def test_transmitter_probe_single_sensor_sign_invariance():
@@ -278,7 +279,7 @@ def test_verify_saddle_point_theorem1():
     adv, tx = simulate.verify_saddle_point(s, sym.theorem1_profile(s))
     assert adv.best_deviation_cost == adv.base_cost
     assert adv.deviation_params == "no deviation improves on the profile"
-    assert tx.best_deviation_cost >= tx.base_cost - 1e-8
+    assert tx.best_deviation_cost == tx.base_cost
 
 
 def test_theorem2_profile_is_not_a_saddle():
@@ -293,14 +294,7 @@ def test_no_adversary_saddle_trivially_passes():
     s = make_symmetric(2, 0, 1.0, 1.0, 1.0, Setting.SYM_I)
     adv, tx = simulate.verify_saddle_point(s, sym.theorem1_profile(s))
     assert adv.best_deviation_cost == adv.base_cost
-    assert tx.best_deviation_cost >= tx.base_cost - 1e-8
-
-
-def test_sym2_follower_consistency():
-    s = make_symmetric(3, 2, 1.0, 1.0, 1.0, Setting.SYM_II)
-    p = sym.theorem2_profile(s)
-    response = simulate.follower_best_response_sym2(s, p.transmit_coeffs)
-    assert np.allclose(response, p.adversary.coeffs, atol=1e-9)
+    assert tx.best_deviation_cost == tx.base_cost
 
 
 def test_theorem5_local_probe_suites():
@@ -308,17 +302,18 @@ def test_theorem5_local_probe_suites():
     rep = asym.solve_theorem5(s)
     tx = simulate.best_response_transmitter_search(s, rep.profile)
     assert tx.best_deviation_cost >= tx.base_cost - 1e-8
-    adv = simulate.adversary_local_probe(s, rep.profile)
+    adv = _ref_local_probe(s, rep.profile)
     assert adv.best_deviation_cost <= adv.base_cost + 1e-8
 
 
 # -- searches against the scalar loops they replaced -------------------------
 #
-# Reference copies of the per-candidate loops: one profile object and one
-# oracle call per candidate.  The batched transmitter probes and the linear
-# adversary probe must report the same bits.  The adversary search is exact,
-# so the old 21x21 deviation grid and its candidate families,
-# ``_ref_adversary_search``, are a lower bound on what it reports.
+# Reference copies of the per-candidate loops they replaced: one profile
+# object and one oracle call per candidate.  Both searches are exact, so the
+# old 21x21 adversary deviation grid and its candidate families,
+# ``_ref_adversary_search``, are a lower bound on what the adversary search
+# reports, and the old random transmitter probes, ``_ref_transmitter_search``,
+# an upper bound on what the transmitter search reports.
 
 def _ref_disc_grid(points):
     axis = np.linspace(-1.0, 1.0, points)
@@ -393,16 +388,31 @@ def _ref_follower_sym2(s, transmit_coeffs):
     return best_coeffs
 
 
+def _leads(s, p):
+    """Whether the transmitters lead a re-solved follower: a deterministic
+    profile in a Stackelberg setting (SymIII's Stackelberg branch is SymII's
+    point)."""
+    return not p.randomized and s.setting in (Setting.SYM_II, Setting.SYM_III, Setting.ASYM_II)
+
+
 def _ref_follower_cost(s, p, coeffs):
     trial = dataclasses.replace(p, transmit_coeffs=tuple(float(c) for c in coeffs))
-    if s.setting is Setting.SYM_II:
+    if _leads(s, p) and s.setting.is_symmetric:
         response = _ref_follower_sym2(s, trial.transmit_coeffs)
         trial = dataclasses.replace(trial, adversary=LinearMirror(coeffs=response))
-    elif s.setting is Setting.ASYM_II:
+    elif _leads(s, p):
         _, _, c_k = asym.adversary_linear_response(s, coeffs, s.sum_power_attack)
         trial = dataclasses.replace(
             trial, adversary=LinearMirror(coeffs=tuple(float(c) for c in c_k)))
     return asym.direct_mmse_cost(s, trial)
+
+
+def _silent(s, p):
+    """The transmitters a deviation keeps at 0: in SymIII only the first
+    round(M*epsilon) can share the coin of a randomized profile."""
+    M = s.num_transmitters
+    n = round(M * s.epsilon) if s.setting is Setting.SYM_III and p.randomized else M
+    return slice(n, M)
 
 
 def _ref_transmitter_search(s, p):
@@ -411,13 +421,14 @@ def _ref_transmitter_search(s, p):
     base = asym.direct_mmse_cost(s, p)
     if M == 0:
         return simulate.BestResponseReport(base, base, "no transmitters", "TransmitterMin")
-    rng = np.random.default_rng(simulate.PROBE_SEED)
+    rng = np.random.default_rng(PROBE_SEED)
     best_cost, best_desc = base, "no perturbation lowers the cost"
-    for i in range(simulate.PROBE_DIRECTIONS):
-        trial = coeffs + simulate.PROBE_STEP * rng.standard_normal(M)
+    for i in range(PROBE_DIRECTIONS):
+        trial = coeffs + PROBE_STEP * rng.standard_normal(M)
         if s.setting.is_symmetric:
             caps = np.array([math.sqrt(q.power / q.input_second_moment) for q in s.transmitters])
             trial = np.clip(trial, -caps, caps)
+            trial[_silent(s, p)] = 0.0
         else:
             m2 = np.array([q.input_second_moment for q in s.transmitters])
             norm = float(np.sum(m2 * trial**2))
@@ -431,26 +442,6 @@ def _ref_transmitter_search(s, p):
         if cost < best_cost:
             best_cost, best_desc = cost, f"coefficient perturbation #{i}"
     return simulate.BestResponseReport(base, best_cost, best_desc, "TransmitterMin")
-
-
-def _ref_local_probe(s, p):
-    base = asym.direct_mmse_cost(s, p)
-    coeffs = np.asarray(p.adversary.coeffs, dtype=float)
-    m2 = np.array([q.input_second_moment for q in s.adversaries])
-    power = float(np.sum(m2 * coeffs**2))
-    rng = np.random.default_rng(simulate.PROBE_SEED)
-    best_cost, best_desc = base, "no perturbation raises the cost"
-    for i in range(simulate.PROBE_DIRECTIONS):
-        trial = coeffs + simulate.PROBE_STEP * rng.standard_normal(coeffs.shape[0])
-        norm = float(np.sum(m2 * trial**2))
-        if norm <= 0.0:
-            continue
-        trial = trial * math.sqrt(power / norm)
-        cost = asym.direct_mmse_cost(s, dataclasses.replace(
-            p, adversary=LinearMirror(coeffs=tuple(float(c) for c in trial))))
-        if cost > best_cost:
-            best_cost, best_desc = cost, f"coefficient perturbation #{i}"
-    return simulate.BestResponseReport(base, best_cost, best_desc, "AdversaryMax")
 
 
 def _search_cases():
@@ -488,7 +479,8 @@ def _search_cases():
         silent = IndependentNoise(variances=(0.0,) * K)
         cases += [(s, p), (s, shaken), (s, dataclasses.replace(p, randomized=not p.randomized)),
                   (s, dataclasses.replace(p, adversary=silent))]
-    return cases + _asym2_follower_failure_cases() + [_tied_probe_case()]
+    return (cases + _asym2_follower_failure_cases() + _frontier_failure_cases()
+            + [_over_budget_case()])
 
 
 def _with_gains(sensors, alphas, betas):
@@ -496,15 +488,14 @@ def _with_gains(sensors, alphas, betas):
 
 
 def _asym2_follower_failure_cases():
-    """AsymII profiles whose transmitter probes meet every outcome of the
-    adversary solve: some followers raise NonConvergence or
-    SingularDenominator and are skipped, and in the last case every one
-    raises OverflowError."""
+    """AsymII profiles near every failure of the adversary solve: the attack
+    budget that just nulls the profile's source term, transmit gains that
+    put |r_m| around its 1e-10 floor, and an adversary whose power gap's
+    square overflows."""
     cases = []
     # The attack budget sits where the adversaries can just null the base
-    # profile's source term, so about half the probes' followers have no
-    # root.  The base adversary is that nulling mirror (cost 1), so a probe
-    # with a follower lowers the cost.
+    # profile's source term; the base adversary is that nulling mirror
+    # (cost 1).
     s = make_symmetric(3, 2, 1.0, 1.0, 1.0, Setting.ASYM_II, sum_power_transmit=2.0)
     s = dataclasses.replace(s, transmitters=_with_gains(s.transmitters, (0.7, 1.3, 2.0),
                                                         (1.5, 0.6, 1.1)))
@@ -518,7 +509,7 @@ def _asym2_follower_failure_cases():
     cases.append((s, StrategyProfile(transmit_coeffs=tuple(c.tolist()), randomized=False,
                                      adversary=nulling, decoder_gain=0.0)))
     # Transmit gains of 1e-7 and opposite coefficients put |r_m| around the
-    # 1e-10 floor: SingularDenominator, NonConvergence and roots all occur.
+    # 1e-10 floor.
     s = make_symmetric(2, 2, 1.0, 1.0, 1.0, Setting.ASYM_II, sum_power_transmit=2.0,
                        sum_power_attack=1e-8)
     s = dataclasses.replace(s, transmitters=_with_gains(s.transmitters, (1e-7,) * 2, (1.0,) * 2),
@@ -534,10 +525,10 @@ def _asym2_follower_failure_cases():
     return cases
 
 
-def _tied_probe_case():
-    """SymII transmit coefficients twice the cap: every probe clips to the
-    same corner of the box, so all probes tie.  The base's loud adversary
-    makes the tie a strict improvement, and the first probe must win."""
+def _over_budget_case():
+    """SymII transmit coefficients twice the cap against a loud noise: the
+    leader's response at the cap, against its mirroring follower, still
+    lowers the cost."""
     s = make_symmetric(3, 2, 1.0, 1.0, 1.0, Setting.SYM_II)
     cap = math.sqrt(s.transmitters[0].power / s.transmitters[0].input_second_moment)
     return s, StrategyProfile(transmit_coeffs=(2.0 * cap,) * 3, randomized=False,
@@ -553,28 +544,61 @@ def _outcome(search, s, p):
         return type(exc), str(exc)
 
 
-def _probe_follower_outcomes(s, p):
-    """Which errors the scalar adversary solve raises over the probes."""
-    rng = np.random.default_rng(simulate.PROBE_SEED)
-    coeffs = np.asarray(p.transmit_coeffs, dtype=float)
-    m2 = np.array([q.input_second_moment for q in s.transmitters])
-    seen = set()
-    for _ in range(simulate.PROBE_DIRECTIONS):
-        trial = coeffs + simulate.PROBE_STEP * rng.standard_normal(coeffs.shape[0])
-        trial = trial * math.sqrt(s.sum_power_transmit / float(np.sum(m2 * trial**2)))
-        try:
-            asym.adversary_linear_response(s, trial, s.sum_power_attack)
-            seen.add(None)
-        except (NonConvergence, SingularDenominator, OverflowError) as exc:
-            seen.add(type(exc))
-    return seen
+def _frontier_failure_cases():
+    """Deterministic AsymII profiles whose Theorem-5 frontier meets every
+    outcome of the adversary solve: on the first two some lanes' followers
+    raise NonConvergence or SingularDenominator, and on the last every one
+    raises OverflowError."""
+    (nulls, p), _, (overflow, q) = _asym2_follower_failure_cases()
+    # The attack budget just nulls the middle frontier point, so the
+    # adversaries can null the lanes of smaller |r_m| outright.
+    lam3 = asym._scan_grid(nulls.sum_power_transmit)
+    r_m, _ = asym._transmit_stats(
+        nulls, asym._transmit_side(nulls, lam3, nulls.sum_power_transmit)[1].T)
+    null_power = sum((a.alpha * a.beta) ** 2 / a.input_second_moment for a in nulls.adversaries)
+    half = dataclasses.replace(nulls, sum_power_attack=float(r_m[48]) ** 2 / null_power)
+    # Gains 1e-5*1e-6 and 10*1e-11: |r_m| falls through the 1e-10 floor as
+    # lambda3 moves the power onto the first transmitter.
+    tiny = make_symmetric(2, 2, 1.0, 1.0, 1.0, Setting.ASYM_II, sum_power_transmit=2.0,
+                          sum_power_attack=1e-8)
+    tiny = dataclasses.replace(tiny, transmitters=_with_gains(tiny.transmitters, (1e-5, 10.0),
+                                                              (1e-6, 1e-11)),
+                               adversaries=_with_gains(tiny.adversaries, (1.0,) * 2, (1e-6,) * 2))
+    silent = StrategyProfile(transmit_coeffs=(1.0, 0.0), randomized=False,
+                             adversary=LinearMirror(coeffs=(0.0, 0.0)), decoder_gain=0.0)
+    return [(half, p), (tiny, silent), (overflow, q)]
+
+
+def _follower_cost(s, transmit_coeffs, response):
+    return asym.direct_mmse_cost(s, StrategyProfile(
+        transmit_coeffs=tuple(transmit_coeffs), randomized=False,
+        adversary=LinearMirror(coeffs=tuple(float(c) for c in response)), decoder_gain=0.0))
 
 
 def test_asym2_follower_failure_cases_skip_and_raise():
-    outcomes = [_probe_follower_outcomes(s, p) for s, p in _asym2_follower_failure_cases()]
+    outcomes = []
+    for s, p in _frontier_failure_cases():
+        lam3 = asym._scan_grid(s.sum_power_transmit)
+        _, c_m = asym._transmit_side(s, lam3, s.sum_power_transmit)
+        seen, costs = set(), []
+        for row in c_m:
+            try:
+                _, _, c_k = asym.adversary_linear_response(s, row, s.sum_power_attack)
+            except (NonConvergence, SingularDenominator, OverflowError) as exc:
+                seen.add(type(exc))
+                continue
+            seen.add(None)
+            costs.append(_follower_cost(s, row, c_k))
+        outcomes.append(seen)
+        # The search skips the failed followers and reports the best of the
+        # rest, or propagates the OverflowError.
+        report = _outcome(simulate.best_response_transmitter_search, s, p)
+        if OverflowError in seen:
+            assert report == (OverflowError, "(34, 'Numerical result out of range')")
+        else:
+            assert report.best_deviation_cost == min([report.base_cost] + costs)
     assert outcomes == [{None, NonConvergence}, {None, NonConvergence, SingularDenominator},
                         {OverflowError}]
-
 
 
 def test_one_row_adversary_solve_failures_keep_type_message_and_residuals():
@@ -611,40 +635,35 @@ def test_one_row_adversary_solve_failures_keep_type_message_and_residuals():
             assert not asym._adversary_response(s, row[None, :], s.sum_power_attack)[3][0]
 
 
-def test_tied_probes_keep_the_first():
-    s, p = _tied_probe_case()
-    tx = simulate.best_response_transmitter_search(s, p)
-    assert tx.deviation_params == "coefficient perturbation #0"
-    assert tx.best_deviation_cost < tx.base_cost
-
-
 def test_batched_searches_equal_the_scalar_loops():
     found = set()
     for s, p in _search_cases():
         adv = _outcome(simulate.best_response_adversary_search, s, p)
         _assert_dominates(adv, _outcome(_ref_adversary_search, s, p))
         tx = _outcome(simulate.best_response_transmitter_search, s, p)
-        assert tx == _outcome(_ref_transmitter_search, s, p)
+        _assert_dominates(tx, _outcome(_ref_transmitter_search, s, p))
         if isinstance(tx, tuple):
             assert tx[0] is OverflowError
             continue
         found.add((adv.deviation_params.startswith("no "), tx.deviation_params.startswith("no ")))
-        if isinstance(p.adversary, LinearMirror):
-            assert simulate.adversary_local_probe(s, p) == _ref_local_probe(s, p)
     # Both outcomes occur on both sides.
     assert {a for a, _ in found} == {True, False} and {t for _, t in found} == {True, False}
 
 
-def _assert_dominates(exact, grid):
-    """The exact search's outcome is the grid's, or a report on the same
-    base whose value is at least the grid's.  A grid point that spreads the
-    same received power over other components may round an ulp higher, so
-    the bound allows 1e-15."""
-    if isinstance(grid, tuple):
-        assert exact == grid
+def _assert_dominates(exact, sampled):
+    """The exact search's outcome is the sampled search's, or a report on
+    the same base whose value is at least as good for the deviator: higher
+    for the adversaries, lower for the transmitters.  A sample that spreads
+    the same power over other components may round an ulp better, so the
+    bound allows 1e-15."""
+    if isinstance(sampled, tuple):
+        assert exact == sampled
         return
-    assert exact.base_cost == grid.base_cost
-    assert exact.best_deviation_cost >= grid.best_deviation_cost - 1e-15
+    assert exact.base_cost == sampled.base_cost
+    if exact.direction == "AdversaryMax":
+        assert exact.best_deviation_cost >= sampled.best_deviation_cost - 1e-15
+    else:
+        assert exact.best_deviation_cost <= sampled.best_deviation_cost + 1e-15
 
 
 def _random_distinct_asym_cases():
@@ -726,6 +745,145 @@ def test_adversary_best_response_is_exact_and_attained():
     assert interior > 0  # the interior branch 0 < u < 1 is taken
 
 
+def _random_glg_cases(rng, count=40):
+    """SymI and AsymI scenarios under random feasible transmit profiles,
+    randomized and not, against random source-heavy GeneralLinearGaussian
+    adversaries on their budgets (their own, or a random split of a tenfold
+    P_A): a source share that outgrows the noise lets the sum budget go
+    slack."""
+    cases = []
+    seed = int(rng.integers(1 << 30))
+    for M, K, alpha, beta, power in random_symmetric_configs(count, seed):
+        asym1 = random_asym_scenario(rng, Setting.ASYM_I)
+        for s in (make_symmetric(M, K, alpha, beta, power, Setting.SYM_I),
+                  dataclasses.replace(asym1, sum_power_attack=10.0 * asym1.sum_power_attack)):
+            K = s.num_adversaries
+            direction = rng.standard_normal((K, 3)) + [rng.choice([-4.0, 4.0]), 0.0, 0.0]
+            direction /= np.sqrt(np.sum(direction**2, axis=1, keepdims=True))
+            budgets = ([q.power for q in s.adversaries] if s.setting.is_symmetric
+                       else s.sum_power_attack * rng.dirichlet(np.ones(K)))
+            triples = np.sqrt(budgets)[:, None] * direction
+            c = _random_transmit_lanes(s, rng, 1)[0]
+            cases.append((s, StrategyProfile(
+                transmit_coeffs=tuple(c.tolist()), randomized=bool(rng.integers(2)),
+                adversary=GeneralLinearGaussian(triples=tuple(map(tuple, triples.tolist()))),
+                decoder_gain=0.0)))
+    return cases
+
+
+def _random_transmit_lanes(s, rng, lanes, silent=slice(0, 0)):
+    """Random feasible transmit coefficients, one deviation per row.
+    Symmetric: uniform in the box, on its corners, and equal coefficients,
+    with the ``silent`` sensors kept at 0.
+    Asymmetric: random directions, every other one at a random share of P_T
+    and the rest at all of it."""
+    M = s.num_transmitters
+    if s.setting.is_symmetric:
+        q = s.transmitters[0]
+        u = rng.uniform(-1.0, 1.0, (3, lanes, M))
+        u[1] = np.sign(u[1])
+        u[2] = u[2, :, :1]
+        c = math.sqrt(q.power / q.input_second_moment) * u.reshape(3 * lanes, M)
+        c[:, silent] = 0.0
+        return c
+    m2 = np.array([q.input_second_moment for q in s.transmitters])
+    c = rng.standard_normal((lanes, M))
+    share = np.where(np.arange(lanes) % 2, 1.0, rng.uniform(0.0, 1.0, lanes))
+    return c * np.sqrt(share * s.sum_power_transmit / np.sum(m2 * c**2, axis=1))[:, None]
+
+
+def _named_response_cost(s, p, desc):
+    """The cost of the response a transmitter report names, rebuilt from the
+    6-digit parameter in its text."""
+    x = float(re.search(r"=([-+.\deE]+)", desc).group(1))
+    if desc.startswith("Theorem-5"):
+        _, c_m = asym._transmit_side(s, x, s.sum_power_transmit)
+        return _follower_cost(s, c_m, asym.adversary_linear_response(s, c_m, s.sum_power_attack)[2])
+    if s.setting.is_symmetric:
+        coeffs = np.full(s.num_transmitters, x)
+        coeffs[_silent(s, p)] = 0.0
+        if _leads(s, p):
+            return _follower_cost(s, coeffs, (-x,) * s.num_adversaries)
+    else:
+        sig, _, _ = asym._adversary_output_stats(s, *p.adversary.lower(s.adversaries))
+        if desc.startswith("schedule"):
+            coeffs = np.array(asym._schedule(s, x, s.sum_power_transmit)[2])
+        else:
+            coeffs = x * np.array([q.beta / q.alpha for q in s.transmitters])
+        coeffs *= 1.0 if p.randomized else math.copysign(1.0, sig)
+    return asym.direct_mmse_cost(s, dataclasses.replace(p, transmit_coeffs=tuple(coeffs)))
+
+
+def test_transmitter_best_response_is_exact_and_attained():
+    rng = np.random.default_rng(2025)
+    branches = set()
+    for s, p in _search_cases() + _random_distinct_asym_cases() + _random_glg_cases(rng):
+        report = _outcome(simulate.best_response_transmitter_search, s, p)
+        _assert_dominates(report, _outcome(_ref_transmitter_search, s, p))
+        if s.num_transmitters == 0 or isinstance(report, tuple):
+            continue
+        best = report.best_deviation_cost
+        # No random feasible deviation beats it: against the profile's
+        # adversaries, or, leading, against each deviation's follower.
+        if _leads(s, p):
+            for c in _random_transmit_lanes(s, rng, 20, _silent(s, p)):
+                if s.setting is Setting.ASYM_II:  # the leader spends P_T
+                    c *= math.sqrt(s.sum_power_transmit / sum(
+                        q.input_second_moment * x * x for q, x in zip(s.transmitters, c)))
+                try:
+                    assert _ref_follower_cost(s, p, c) >= best - 1e-15
+                except (NonConvergence, SingularDenominator):
+                    pass
+        else:
+            c = _random_transmit_lanes(s, rng, 4000, _silent(s, p))
+            stats = asym._adversary_output_stats(s, *p.adversary.lower(s.adversaries))
+            costs = asym._cost(*asym._transmit_stats(s, c.T), *stats, p.randomized)
+            assert np.min(costs) >= best - 1e-15
+        if report.deviation_params.startswith("no "):
+            assert best == report.base_cost
+            continue
+        # The named response attains the value.
+        assert _named_response_cost(s, p, report.deviation_params) == pytest.approx(best, rel=1e-5)
+        if not (s.setting.is_symmetric or p.randomized):
+            branches.add(report.deviation_params.split("=")[0])
+    # Against deterministic transmitters under the sum budget both the
+    # binding (root) and the slack branch occur.
+    assert {"schedule at lambda", "c_m"} <= branches
+
+
+def test_symmetric_equilibria_are_exact_certificates():
+    # The transmitters' best response to the equilibrium's jammer (SymI,
+    # SymIII's saddle branch) or against its mirroring follower (SymII,
+    # SymIII's Stackelberg branch) is the profile itself, bit for bit.
+    rng = np.random.default_rng(12)
+    branches = set()
+    for M, K, alpha, beta, power in random_symmetric_configs(100, seed=12):
+        scenarios = [make_symmetric(M, K, alpha, beta, power, setting)
+                     for setting in (Setting.SYM_I, Setting.SYM_II)]
+        for m in (int(rng.integers(1, M)), M):  # with silent transmitters, and without
+            s = make_symmetric(M, K, alpha, beta, power, Setting.SYM_III, epsilon=m / M,
+                               eta=int(rng.integers(K + 1)) / K)
+            branches.add(sym.setting3_branch(s)[0])
+            scenarios.append(s)
+        for s in scenarios:
+            report = simulate.best_response_transmitter_search(s, cli.equilibrium_report(s).profile)
+            assert report.best_deviation_cost == report.base_cost
+            assert report.deviation_params == "no deviation lowers the cost"
+    assert branches == {"saddle", "stackelberg"}
+
+
+def test_asymmetric_equilibria_have_no_cheaper_transmitter_deviation():
+    rng = np.random.default_rng(31)
+    for setting in (Setting.ASYM_I, Setting.ASYM_II) * 40:
+        s = random_asym_scenario(rng, setting)
+        try:
+            profile = cli.equilibrium_report(s).profile
+        except NonConvergence:
+            continue
+        report = simulate.best_response_transmitter_search(s, profile)
+        assert report.best_deviation_cost >= report.base_cost - 1e-15
+
+
 def test_adversary_best_response_at_symI_is_the_profile_itself():
     # The exact response's rows are the lowering of the profile's own
     # CoordinatedNoise, so the report is the base, bit for bit.
@@ -734,81 +892,3 @@ def test_adversary_best_response_at_symI_is_the_profile_itself():
         report = simulate.best_response_adversary_search(s, sym.theorem1_profile(s))
         assert report.best_deviation_cost == report.base_cost
         assert report.deviation_params == "no deviation improves on the profile"
-
-
-def _follower_cost(s, transmit_coeffs, response):
-    return asym.direct_mmse_cost(s, StrategyProfile(
-        transmit_coeffs=tuple(transmit_coeffs), randomized=False,
-        adversary=LinearMirror(coeffs=response), decoder_gain=0.0))
-
-
-def _check_follower_sym2(s, coeffs):
-    """The closed-form follower against the bounded-minimizer loop; returns
-    whether the follower can cancel the source term.
-
-    Where it cannot, both give the same tuple.  Where it can, the follower
-    is not unique and the minimizer's tuple is accurate to only about 1e-8:
-    the closed form's cost is exactly 1, never below the loop's, and its
-    coefficients sum to -r_t/(alpha*beta), up to the rounding of a sum of K
-    terms of size cap."""
-    got = simulate.follower_best_response_sym2(s, coeffs)
-    ref = _ref_follower_sym2(s, coeffs)
-    q = s.adversaries[0]
-    cap = math.sqrt(q.power / q.input_second_moment)
-    ab = q.alpha * q.beta
-    r_t = sum(t.beta * c * t.alpha for t, c in zip(s.transmitters, coeffs))
-    if s.num_adversaries * cap * ab < abs(r_t):
-        assert got == ref
-        return False
-    assert len(got) == s.num_adversaries and all(abs(c) <= cap for c in got)
-    assert _follower_cost(s, coeffs, got) == 1.0
-    assert _follower_cost(s, coeffs, got) >= _follower_cost(s, coeffs, ref)
-    target = -r_t / ab
-    assert abs(math.fsum(got) - target) <= 1e-12 * max(abs(target), cap)
-    return True
-
-
-def test_follower_sym2_equals_the_scalar_loop():
-    rng = np.random.default_rng(7)
-    cancels = []
-    for K in (1, 2, 3, 5):
-        for _ in range(10):
-            s = make_symmetric(K + 2, K, float(rng.uniform(0.3, 2.5)),
-                               float(rng.uniform(0.3, 2.5)), float(rng.uniform(0.3, 3.0)),
-                               Setting.SYM_II)
-            for _ in range(5):
-                coeffs = tuple(rng.uniform(-1.0, 1.0, K + 2).tolist())
-                cancels.append(_check_follower_sym2(s, coeffs))
-    # Both regimes occur.
-    assert 0 < sum(cancels) < len(cancels)
-
-
-def test_follower_sym2_edge_cases():
-    # alpha = 2, beta = 0.5 and power 5 give cap = 2 and alpha*beta = 1, so
-    # K full-cap transmit coefficients put |r_t| exactly at K*cap*alpha*beta.
-    for K in (1, 2, 3, 4):
-        s = make_symmetric(K + 2, K, 2.0, 0.5, 5.0, Setting.SYM_II)
-        for sign in (1.0, -1.0):
-            coeffs = (sign * 2.0,) * K + (0.0, 0.0)
-            assert _check_follower_sym2(s, coeffs)
-            assert simulate.follower_best_response_sym2(s, coeffs) == (-sign * 2.0,) * K
-            # Just beyond the edge the follower saturates.  Costs there round
-            # to 1, so the loop's tuple is one of many ties.
-            beyond = (sign * 2.0,) * K + (sign * 1e-9, 0.0)
-            got = simulate.follower_best_response_sym2(s, beyond)
-            assert got == (-sign * 2.0,) * K
-            assert _follower_cost(s, beyond, got) >= _follower_cost(
-                s, beyond, _ref_follower_sym2(s, beyond))
-        # r_t = 0: nothing to cancel but the adversaries' own sum.
-        for coeffs in ((0.0,) * (K + 2), (0.5, -0.5) + (0.0,) * K):
-            assert _check_follower_sym2(s, coeffs)
-    # Where two sign splits can cancel, the first (fewest -cap) wins.
-    s = make_symmetric(5, 3, 2.0, 0.5, 5.0, Setting.SYM_II)
-    assert simulate.follower_best_response_sym2(s, (2.0, 0.0, 0.0, 0.0, 0.0)) == (-2.0, 2.0, -2.0)
-    assert simulate.follower_best_response_sym2(s, (1.0, 0.0, 0.0, 0.0, 0.0)) == (-2.0, 2.0, -1.0)
-    assert simulate.follower_best_response_sym2(s, (-3.0, 0.0, 0.0, 0.0, 0.0)) == (2.0, 2.0, -1.0)
-    # K = 1: the single coefficient is -r_t/(alpha*beta) whenever it fits.
-    s = make_symmetric(3, 1, 2.0, 0.5, 5.0, Setting.SYM_II)
-    assert simulate.follower_best_response_sym2(s, (0.5, 0.25, 0.0)) == (-0.75,)
-    assert simulate.follower_best_response_sym2(s, (2.0, 0.5, 0.0)) == (-2.0,)
-    assert simulate.follower_best_response_sym2(s, (2.0, -0.5, 0.0)) == (-1.5,)
