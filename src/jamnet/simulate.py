@@ -1,11 +1,11 @@
 """Seeded Monte Carlo channel simulation and saddle-point verification.
 
-Sampling is organized in fixed 65536-sample blocks; block j draws from its
-own Philox stream keyed by (seed, j) and partial sums are reduced in block
-order, so ``(seed, samples)`` determines the result bit-for-bit.  The blocks
-run on one thread pool of min(blocks, CPUs this process may use) workers,
-worker w taking blocks w, w + workers, ...; the worker count never changes
-the result.
+Sampling is organized in fixed 16384-sample blocks; block j draws from its
+own SFC64 stream seeded by SeedSequence([seed, j]) and partial sums are
+reduced in block order, so ``(seed, samples)`` determines the result
+bit-for-bit.  The blocks run on one thread pool of min(blocks, CPUs this
+process may use) workers, worker w taking blocks w, w + workers, ...; the
+worker count never changes the result.
 
 Per block of n samples the draws are, in order: the source (n normals), the
 M+K sensing-noise rows (transmitters first, then adversaries; one n-normal
@@ -14,9 +14,12 @@ received signal as it is drawn), the channel noise (n), the randomization
 coin (n uniforms), then the adversary strategy's J noises
 theta_0..theta_{J-1} (n each) from its linear-Gaussian form (see ``model``):
 J = 1+K-n_coord for CoordinatedNoise, K for IndependentNoise and
-GeneralLinearGaussian, 0 for LinearMirror.  A block holds SCRATCH_ROWS
-n-vectors, never a row per sensor, and draws and computes into them in place;
-the calling thread allocates them, one set per worker.
+GeneralLinearGaussian, 0 for LinearMirror.  A draw that cannot reach the
+error is skipped and takes nothing from the stream: a sensing-noise row whose
+received gain is 0, a theta_j whose summed amplitude is 0, and the coin of a
+deterministic profile.  A block holds SCRATCH_ROWS n-vectors, never a row per
+sensor, and draws and computes into them in place; the calling thread
+allocates them, one set per worker.
 
 The verification half checks the two saddle inequalities with each side's
 exact best response within the linear-Gaussian class, costed from its
@@ -44,7 +47,7 @@ from .model import (
     validate_profile,
 )
 
-BLOCK_SIZE = 1 << 16
+BLOCK_SIZE = 1 << 14
 SCRATCH_ROWS = 6  # src, tx, adv, y, gamma, w: the n-vectors a block holds
 
 
@@ -84,6 +87,13 @@ def _block_gains(s: NetworkScenario, p: StrategyProfile):
             amps)
 
 
+def _block_stream(seed: int, block: int) -> np.random.Generator:
+    """The random stream of one block: SFC64 seeded by
+    SeedSequence([seed, block]).  SFC64 is not counter-based, so the
+    independence of distinct keys rests on SeedSequence's hashing."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, block])))
+
+
 def _simulate_block(
     p: StrategyProfile, gains, n: int, seed: int, block: int, scratch: np.ndarray
 ) -> tuple[float, float]:
@@ -95,7 +105,7 @@ def _simulate_block(
     block works in; every draw and product is written into it in place, so
     the block allocates nothing n-sized itself.
     """
-    g = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
+    g = _block_stream(seed, block)
     tx_src, tx_w, adv_src, adv_w, amps = gains
     src, tx, adv, y, gamma, w = scratch[:, :n]
 
@@ -104,14 +114,14 @@ def _simulate_block(
     np.multiply(src, adv_src, out=adv)
     for part, row_gains in ((tx, tx_w), (adv, adv_w)):
         for gain in row_gains:
-            g.standard_normal(out=w)
-            if gain:
+            if gain:  # a zero-gain row is never drawn
+                g.standard_normal(out=w)
                 w *= gain
                 part += w
     g.standard_normal(out=y)
-    g.random(out=gamma)  # the coin; drawn in every setting to keep the order
 
     if p.randomized:
+        g.random(out=gamma)  # the coin, drawn only when it is used
         np.less(gamma, 0.5, out=gamma)  # 1 where coin < 1/2, else 0
         gamma *= 2.0
         gamma -= 1.0
@@ -119,8 +129,8 @@ def _simulate_block(
     y += tx
     y += adv
     for amp in amps:
-        g.standard_normal(out=w)  # theta_j
-        if amp:
+        if amp:  # theta_j with no amplitude is never drawn
+            g.standard_normal(out=w)
             w *= amp
             y += w
 

@@ -46,10 +46,12 @@ def test_monte_carlo_zero_gain_decoder():
 def test_monte_carlo_pool_equals_block_ordered_serial_reduction(monkeypatch):
     s = make_symmetric(2, 1, 1.0, 1.0, 1.0, Setting.SYM_I)
     p = sym.theorem1_profile(s)
-    samples, seed = 200_000, 7  # four blocks, the last one short
+    samples, seed = 200_000, 7
+    n_blocks = math.ceil(samples / simulate.BLOCK_SIZE)
+    assert samples % simulate.BLOCK_SIZE  # the last block is short
     gains = simulate._block_gains(s, p)
     sum_e2 = sum_e4 = 0.0
-    for j in range(4):
+    for j in range(n_blocks):
         n = min(simulate.BLOCK_SIZE, samples - j * simulate.BLOCK_SIZE)
         e2, e4 = simulate._simulate_block(p, gains, n, seed, j,
                                           np.empty((simulate.SCRATCH_ROWS, n)))
@@ -59,7 +61,7 @@ def test_monte_carlo_pool_equals_block_ordered_serial_reduction(monkeypatch):
     se = math.sqrt(max(0.0, (sum_e4 - samples * mean * mean) / (samples - 1)) / samples)
 
     # One to four usable CPUs give one- to four-worker pools on any machine;
-    # with two and three, some worker runs more than one block.
+    # with more than one, the workers interleave their stripes of blocks.
     for cpus in ({0}, {0, 1}, {0, 1, 2}, {0, 1, 2, 3}):
         monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid, c=cpus: c,
                             raising=False)
@@ -71,46 +73,48 @@ def test_monte_carlo_pool_equals_block_ordered_serial_reduction(monkeypatch):
 
 def _ref_simulate_block(p, gains, n, seed, block):
     """The block with every intermediate a fresh array: the reference the
-    in-place block must match bit for bit."""
-    g = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
+    in-place block must match bit for bit.  Rows with gain 0, theta_j with
+    amplitude 0 and the coin of a deterministic profile draw nothing."""
+    g = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, block])))
     tx_src, tx_w, adv_src, adv_w, amps = gains
     src = g.standard_normal(n)
     tx = tx_src * src
     adv = adv_src * src
     for part, row_gains in ((tx, tx_w), (adv, adv_w)):
         for gain in row_gains:
-            w = g.standard_normal(n)
             if gain:
-                part += gain * w
+                part += gain * g.standard_normal(n)
     y = g.standard_normal(n)
-    coin = g.random(n)
-    gamma = np.where(coin < 0.5, 1.0, -1.0)
     if p.randomized:
+        gamma = np.where(g.random(n) < 0.5, 1.0, -1.0)
         tx *= gamma
     y += tx
     y += adv
     for amp in amps:
-        theta = g.standard_normal(n)
         if amp:
-            y += amp * theta
+            y += amp * g.standard_normal(n)
     decoded = p.decoder_gain * (gamma * y if p.randomized else y)
     err2 = (src - decoded) ** 2
     return float(np.sum(err2)), float(np.sum(err2**2))
 
 
-def _block_cases():
-    si = make_symmetric(3, 2, 1.0, 1.0, 1.0, Setting.SYM_I)
-    s2 = make_symmetric(3, 2, 1.3, 0.7, 2.0, Setting.SYM_II)
-    s3 = make_symmetric(5, 4, 1.0, 1.0, 1.0, Setting.SYM_III, epsilon=0.6, eta=0.25)
+def _asym_distinct_scenario():
     sd = make_symmetric(3, 2, 1.0, 1.0, 1.0, Setting.ASYM_I,
                         sum_power_transmit=5.0, sum_power_attack=2.0)
-    sd = dataclasses.replace(
+    return dataclasses.replace(
         sd,
         transmitters=tuple(dataclasses.replace(q, alpha=a, beta=b) for q, a, b in
                            zip(sd.transmitters, (0.5, 1.0, 2.0), (2.0, 0.3, 1.0))),
         adversaries=tuple(dataclasses.replace(q, alpha=a, beta=b) for q, a, b in
                           zip(sd.adversaries, (1.5, 0.7), (0.4, 1.2))),
     )
+
+
+def _block_cases():
+    si = make_symmetric(3, 2, 1.0, 1.0, 1.0, Setting.SYM_I)
+    s2 = make_symmetric(3, 2, 1.3, 0.7, 2.0, Setting.SYM_II)
+    s3 = make_symmetric(5, 4, 1.0, 1.0, 1.0, Setting.SYM_III, epsilon=0.6, eta=0.25)
+    sd = _asym_distinct_scenario()
     p1 = sym.theorem1_profile(si)
     distinct = StrategyProfile(
         transmit_coeffs=(0.9, 0.0, 0.3),  # a zero gain skips its noise row's add
@@ -141,6 +145,44 @@ def test_in_place_block_equals_the_allocating_reference():
             fresh = np.empty((simulate.SCRATCH_ROWS, n))
             assert simulate._simulate_block(p, gains, n, 9, block, fresh) == ref
             assert simulate._simulate_block(p, gains, n, 9, block, dirty) == ref
+
+
+def test_zero_gain_sensors_consume_no_draws():
+    # A transmitter sending 0 and an adversary sending (0, 0, 0) on its own
+    # theta reach nothing, so appending them must leave the stream, and the
+    # result, bit-identical.
+    sd = _asym_distinct_scenario()
+    extra = dataclasses.replace(sd.transmitters[0], alpha=1.1, beta=0.9)
+    wider = dataclasses.replace(sd, transmitters=sd.transmitters + (extra,),
+                                adversaries=sd.adversaries + (extra,))
+    base = StrategyProfile(
+        transmit_coeffs=(0.9, -0.6, 0.3),
+        randomized=True,
+        adversary=GeneralLinearGaussian(triples=((-0.5, 0.3, 0.8), (0.3, -0.8, 0.1))),
+        decoder_gain=0.4,
+    )
+    for p in (base, dataclasses.replace(base, randomized=False)):
+        padded = dataclasses.replace(
+            p, transmit_coeffs=p.transmit_coeffs + (0.0,),
+            adversary=GeneralLinearGaussian(triples=p.adversary.triples + ((0.0, 0.0, 0.0),)))
+        for samples, seed in ((70_000, 11), (1, 3)):
+            a = simulate.run_monte_carlo(sd, p, samples, seed=seed)
+            b = simulate.run_monte_carlo(wider, padded, samples, seed=seed)
+            assert (b.empirical_mse, b.standard_error) == (a.empirical_mse, a.standard_error)
+
+
+def test_distinct_block_keys_give_uncorrelated_streams():
+    # SFC64 is not counter-based: independence across (seed, block) keys rests
+    # on SeedSequence.  The block means of the first 1024 normals (the source
+    # draw) must show no lag-1 correlation along the keys in (seed, block)
+    # order, and none between the two seeds at the same block.
+    seeds, blocks = (0, 1), 256
+    means = np.array([[simulate._block_stream(seed, block).standard_normal(1024).mean()
+                       for block in range(blocks)] for seed in seeds])
+    flat = means.ravel()
+    for a, b in ((flat[:-1], flat[1:]), (means[0], means[1])):
+        r = np.corrcoef(a, b)[0, 1]
+        assert abs(r) <= 4.0 / math.sqrt(len(a)), r
 
 
 def test_monte_carlo_seed_changes_stream():
@@ -181,7 +223,7 @@ def test_monte_carlo_all_strategy_kinds_match_oracle():
     cases.append((sg, glg, 24))
 
     # Distinct gains on every sensor and nonzero (a, b, s) differing per
-    # adversary, over four blocks: a gain taken from the wrong sensor shows
+    # adversary, over several blocks: a gain taken from the wrong sensor shows
     # up here.
     sd = make_symmetric(3, 2, 1.0, 1.0, 1.0, Setting.ASYM_I,
                         sum_power_transmit=5.0, sum_power_attack=2.0)
