@@ -13,13 +13,17 @@ transmitters' best response to fixed jamming in ``simulate``'s check.
 ``solve_theorem5`` solves the no-coordination Stackelberg multiplier system
 by nested bracketed root-finding: the outer residual is evaluated at every
 point of a fixed scan grid in one array pass, every sign change is counted,
-and scalar Brent then solves the first bracket.  The inner adversary solve,
+and scalar Brent then solves the first bracket, starting from the two
+scanned values at its ends; the report takes the root's inner solve from
+the Brent's own evaluations.  The inner adversary solve,
 ``_adversary_response``, is one piece of arithmetic for one row of transmit
 coefficients (scalar Brent steps, inside the outer Brent) and for lanes of
 rows (Brent steps on all lanes at once, in the scan and on the frontier
 ``simulate`` checks), so a scanned residual has the bits of the scalar
 residual at its point, and so has the exit-2 report without a sign change,
-which carries the first scanned residuals.
+which carries the first scanned residuals.  The budgets P_T and P_A may
+differ from lane to lane, so ``theorem5_scans`` scans all the points of a
+budget sweep in one pass and hands each point's slice to ``solve_theorem5``.
 
 Every equilibrium profile of the package, the symmetric solvers' included,
 is built by one helper, ``_bayes_profile``, which attaches the Bayes
@@ -45,6 +49,7 @@ from .model import (
     EquilibriumReport,
     IndependentNoise,
     InvalidScenario,
+    JamnetError,
     LinearMirror,
     NetworkScenario,
     NonConvergence,
@@ -269,11 +274,11 @@ def solve_theorem4(s: NetworkScenario) -> EquilibriumReport:
 
 # -- Theorem 5: no coordination, coupled multiplier system -------------------
 
-def _transmit_side(s: NetworkScenario, lam3, p_t: float):
+def _transmit_side(s: NetworkScenario, lam3, p_t):
     """lambda4 and the transmit coefficients for a trial lambda3 > 0, with the
     sum power constraint met with equality (lambda4 > 0 sign convention).
-    ``lam3`` may be an array of lanes; the outputs then gain a leading lane
-    axis."""
+    ``lam3`` may be an array of lanes, and ``p_t`` a budget per lane that
+    broadcasts against it; the outputs then gain the lane axes."""
     lam3 = np.asarray(lam3)
     one_b2 = np.array([p.input_second_moment for p in s.transmitters])
     a2 = np.array([p.alpha ** 2 for p in s.transmitters])
@@ -302,9 +307,10 @@ def _square(x, live):
     return square
 
 
-def _adversary_response(s: NetworkScenario, c_m, p_a: float):
+def _adversary_response(s: NetworkScenario, c_m, p_a):
     """Best linear response (lambda1, lambda2, c_k, ok) of the adversaries to
-    the transmit coefficients ``c_m``: one row of M, or lanes x M.
+    the transmit coefficients ``c_m``: one row of M, or lanes x M.  On lanes
+    ``p_a`` may be a budget per lane that broadcasts against them.
 
     Solves the adversary-side first-order system: lambda2 is affine in
     lambda1 via the combined stationarity/feasibility relation, and the
@@ -328,9 +334,10 @@ def _adversary_response(s: NetworkScenario, c_m, p_a: float):
         s_own = np.add.accumulate(a2_t * c_m * c_m, axis=-1)[..., -1]
         # On one row r_m, s_own and p_a as Python floats make lambda2 one, so
         # _square takes float ** (lanes take np.float_power with its bits).
-        p_a = float(p_a)
         if one:
-            r_m, s_own = float(r_m), float(s_own)
+            r_m, s_own, p_a = float(r_m), float(s_own), float(p_a)
+        else:
+            p_a = np.asarray(p_a, dtype=float)
 
         a_adv = np.array([p.alpha for p in s.adversaries])
         b2_adv = np.array([p.input_second_moment for p in s.adversaries])
@@ -383,36 +390,45 @@ def adversary_linear_response(
     return _adversary_response(s, transmit_coeffs, p_a)[:3]
 
 
-def _outer_residual(s: NetworkScenario, lam3, p_t: float, p_a: float):
-    """(F, ok): the outer residual F = lambda4*lambda1 + lambda2*lambda3 at a
-    trial lambda3, or at each of an array of them as lanes, with
-    ``_adversary_response``'s ok."""
+def _outer_solve(s: NetworkScenario, lam3, p_t, p_a):
+    """(F, ok, solve): the outer residual F = lambda4*lambda1 + lambda2*lambda3
+    at a trial lambda3, or at each of an array of them as lanes, with
+    ``_adversary_response``'s ok and the solve (lambda4, c_m, lambda1,
+    lambda2, c_k) it came from.  P_T and P_A may be given per lane."""
     with np.errstate(all="ignore"):
         lam4, c_m = _transmit_side(s, lam3, p_t)
-        lam1, lam2, _, ok = _adversary_response(s, c_m, p_a)
-        return lam4 * lam1 + lam2 * lam3, ok
+        lam1, lam2, c_k, ok = _adversary_response(s, c_m, p_a)
+        return lam4 * lam1 + lam2 * lam3, ok, (lam4, c_m, lam1, lam2, c_k)
 
 
-def _brentq(f, xa: float, xb: float) -> float:
+def _outer_residual(s: NetworkScenario, lam3, p_t, p_a):
+    """(F, ok) of ``_outer_solve``."""
+    return _outer_solve(s, lam3, p_t, p_a)[:2]
+
+
+def _brentq(f, xa: float, xb: float, fa: float | None = None,
+            fb: float | None = None) -> float:
     """The root of ``f`` on [xa, xb] with scipy's ``brentq`` at xtol=1e-15,
     rtol=8.9e-16 and maxiter=256: the steps of scipy/optimize/Zeros/brentq.c
     (Brent 1973) in float arithmetic, so the root has brentq's bits.
 
-    Like brentq it evaluates f at both ends first, returns an end where f is
+    Like brentq it starts from f at both ends, returns an end where f is
     zero, and raises ValueError on a NaN value or a same-sign bracket and
-    RuntimeError when the iterations run out.
+    RuntimeError when the iterations run out.  ``fa`` and ``fb``, where
+    given, are f(xa) and f(xb), and f is not called there: brentq's steps
+    then call f twice fewer.
     """
     xtol, rtol, maxiter = 1e-15, 8.9e-16, 256
 
-    def call(x: float) -> float:
-        fx = float(f(x))
+    def call(x: float, fx: float | None = None) -> float:
+        fx = float(f(x) if fx is None else fx)
         if math.isnan(fx):
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return fx
 
     xpre, xcur = xa, xb
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
+    fpre, fcur = call(xpre, fa), call(xcur, fb)
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -574,17 +590,42 @@ def _sign_changes(values: np.ndarray, ok: np.ndarray) -> np.ndarray:
         return np.flatnonzero(ok[:-1] & ok[1:] & ((v0 == 0.0) | (v0 * v1 < 0.0)))
 
 
-def solve_theorem5(s: NetworkScenario) -> EquilibriumReport:
+def theorem5_scans(scenarios) -> list:
+    """Each scenario's outer scan (grid, values, ok), as ``solve_theorem5``
+    makes it, from one lane pass of ``_outer_residual`` over all their grids.
+
+    The scenarios share their sensors and differ at most in P_T and P_A,
+    which the pass takes per lane; a lane has the bits of its point's own
+    scan.  Where the merged pass raises, every entry is None, and each
+    scenario scans alone, which raises for its own point if it fails.
+    """
+    if not scenarios:
+        return []
+    p_t = np.array([s.sum_power_transmit for s in scenarios], dtype=float)[:, None]
+    p_a = np.array([s.sum_power_attack for s in scenarios], dtype=float)[:, None]
+    grids = np.array([_scan_grid(s.sum_power_transmit) for s in scenarios])
+    try:
+        values, ok = _outer_residual(scenarios[0], grids, p_t, p_a)
+    except (JamnetError, ArithmeticError, RuntimeError):  # each point's own scan raises its error
+        return [None] * len(scenarios)
+    return list(zip(grids, values, ok))
+
+
+def solve_theorem5(s: NetworkScenario, scan: tuple | None = None) -> EquilibriumReport:
     """Stackelberg equilibrium of the no-coordination asymmetric setting.
 
     Outer bracketed Brent root-find on lambda3 in (0, P_T) with residual
     F(lambda3) = lambda4*lambda1 + lambda2*lambda3; each evaluation solves
     the adversary subsystem exactly for (lambda1, lambda2, c_k) given the
     trial transmit coefficients.  F is first evaluated on the whole scan grid
-    in one array pass; scalar Brent then solves the first bracket where it
-    changes sign, and a note tagged [asym2-multiple-roots] records any
-    further sign changes.  Convergence requires every first-order residual
-    below ``KKT_TOL``; otherwise NonConvergence carries the residual vector.
+    in one array pass, or taken from ``scan``, this scenario's (grid, values,
+    ok) from ``theorem5_scans``; scalar Brent then solves the first bracket
+    where it changes sign, from the scanned values at its ends, and a note
+    tagged [asym2-multiple-roots] records any further sign changes.  The
+    report's inner solve is the Brent's own at the root.  Convergence
+    requires every first-order residual below ``KKT_TOL``; otherwise
+    NonConvergence carries the residual vector, and its ``iterations`` count
+    every residual value used, the scanned ones included.
     """
     if s.setting is not Setting.ASYM_II:
         raise InvalidScenario(f"solve_theorem5 requires AsymII, got {s.setting.value}")
@@ -599,13 +640,19 @@ def solve_theorem5(s: NetworkScenario) -> EquilibriumReport:
     if p_a <= 0.0:
         raise InvalidScenario("solve_theorem5 requires P_A > 0")
 
+    solves = {}  # lambda3 -> the inner solve of each scalar residual evaluation
+
     def outer_residual(lam3: float) -> float:
         nonlocal evals
         evals += 1
-        return _outer_residual(s, lam3, p_t, p_a)[0]
+        value, _, solves[lam3] = _outer_solve(s, lam3, p_t, p_a)
+        return value
 
-    grid = _scan_grid(p_t)
-    values, ok = _outer_residual(s, grid, p_t, p_a)
+    if scan is None:
+        grid = _scan_grid(p_t)
+        values, ok = _outer_residual(s, grid, p_t, p_a)
+    else:
+        grid, values, ok = scan
     evals = len(grid)
     roots = _sign_changes(values, ok)
     if len(roots) == 0:
@@ -620,11 +667,13 @@ def solve_theorem5(s: NetworkScenario) -> EquilibriumReport:
     if values[roots[0]] == 0.0:
         lam3 = lo
     else:
-        lam3 = _brentq(outer_residual, lo, hi)
+        evals += 2  # the values at the bracket ends, taken from the scan
+        lam3 = _brentq(outer_residual, lo, hi, values[roots[0]], values[roots[0] + 1])
 
-    lam4, c_m = _transmit_side(s, lam3, p_t)
+    # Brent returns an abscissa it evaluated, or a bracket end, which only
+    # the scan evaluated.
+    lam4, c_m, lam1, lam2, c_k = solves.get(lam3) or _outer_solve(s, lam3, p_t, p_a)[2]
     lam4 = float(lam4)
-    lam1, lam2, c_k = adversary_linear_response(s, c_m, p_a)
 
     transmit_coeffs = tuple(float(c) for c in c_m)
     adversary_coeffs = tuple(float(c) for c in c_k)

@@ -65,6 +65,9 @@ _SENSOR_FIELDS = ("alpha", "beta", "power")
 MAX_COUNT = 10**6
 MAX_STEPS = 10**6
 MAX_SAMPLES = 2**40
+# Points per merged Theorem-5 scan of an AsymII budget sweep: at most
+# SWEEP_CHUNK * asym.OUTER_SCAN_POINTS lanes in one pass.
+SWEEP_CHUNK = 64
 # Command -> (the sweep param it takes as its axis, the test every axis value
 # must pass, that test in words).
 _AXES = {
@@ -395,14 +398,39 @@ def _scenario_with(s: NetworkScenario, param: str, value: float) -> NetworkScena
     return dataclasses.replace(s, **{field: value})
 
 
+def _sweep_reports(s: NetworkScenario, param: str, values: list[float]):
+    """(value, report) of each sweep point in order, raising the first
+    point's error as a point-by-point loop would.
+
+    An AsymII sweep of P_T or P_A changes no gain, so the Theorem-5 scans
+    of up to ``SWEEP_CHUNK`` points are one lane pass (``asym.theorem5_scans``)
+    and each point's report is ``asym.solve_theorem5`` on its own slice.
+    """
+    lanes = (s.setting is Setting.ASYM_II
+             and _SWEEP_PARAMS[param][0] in ("sum_power_transmit", "sum_power_attack"))
+    size = SWEEP_CHUNK if lanes else 1
+    for start in range(0, len(values), size):
+        points, invalid = [], None
+        for value in values[start:start + size]:
+            try:
+                points.append((value, validate_scenario(_scenario_with(s, param, value))))
+            except InvalidScenario as exc:  # raised once the valid points before it are solved
+                invalid = exc
+                break
+        scans = asym.theorem5_scans([p for _, p in points]) if lanes else [None] * len(points)
+        for (value, point), scan in zip(points, scans):
+            yield value, (equilibrium_report(point) if scan is None
+                          else asym.solve_theorem5(point, scan))
+        if invalid is not None:
+            raise invalid
+
+
 def _run_sweep(cfg: RunConfig):
     sw = cfg.sweep
     header = ["param", "value", "cost_oracle"]
     rows = []
     notes: list[str] = []
-    for value in _sweep_values(sw):
-        scenario = validate_scenario(_scenario_with(cfg.scenario, sw.param, value))
-        report = equilibrium_report(scenario)
+    for value, report in _sweep_reports(cfg.scenario, sw.param, _sweep_values(sw)):
         rows.append([sw.param, value, report.oracle_cost])
         notes.extend(report.discrepancy_notes)
     extra = {"discrepancy_notes": sorted(set(notes))}
@@ -420,6 +448,15 @@ _RUNNERS = {
     "sweep": _run_sweep,
 }
 COMMANDS = tuple(_RUNNERS)
+
+_PARSER = argparse.ArgumentParser(
+    prog="jamnet",
+    description="Equilibria of Gaussian sensor networks with jamming sensors",
+)
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("--config", required=True, help="path to a JSON config document")
+_PARSER.add_argument("--out", default=None, help="output stem (overrides config output_path)")
+_PARSER.add_argument("--seed", type=int, default=None, help="override monte_carlo.seed")
 
 
 def run_command(cfg: RunConfig) -> int:
@@ -477,15 +514,7 @@ def run_command(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="jamnet",
-        description="Equilibria of Gaussian sensor networks with jamming sensors",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", required=True, help="path to a JSON config document")
-    parser.add_argument("--out", default=None, help="output stem (overrides config output_path)")
-    parser.add_argument("--seed", type=int, default=None, help="override monte_carlo.seed")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         document = Path(args.config).read_text(encoding="utf-8")

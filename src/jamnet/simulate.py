@@ -295,10 +295,11 @@ def _sum_budget_response(s: NetworkScenario, sig: float, B: float):
     def gap(kappa: float) -> float:
         return sigma * t(kappa) - (B - kappa * p_t)
 
-    if gap(0.0) >= 0.0:
+    gap0 = gap(0.0)
+    if gap0 >= 0.0:
         coeffs, desc = B / sigma * ab / a2, f"c_m={B / sigma:.6g}*beta_m/alpha_m within the budget"
     else:
-        kappa = asym._brentq(gap, 0.0, B / p_t)
+        kappa = asym._brentq(gap, 0.0, B / p_t, gap0)
         coeffs, desc = t(kappa) * ab / (a2 + kappa * m2), f"schedule at lambda={1.0 / kappa:.6g}"
     return math.copysign(1.0, sig) * coeffs, desc
 

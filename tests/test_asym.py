@@ -408,6 +408,37 @@ def _scalar_scan(s, grid):
     return values
 
 
+def test_theorem5_lane_scan_with_per_lane_budgets_matches_scalar_residual():
+    # One lane pass over several (P_T, P_A) points of one network, as a
+    # budget sweep scans them, has each point's scalar residuals bit for bit;
+    # large P_A puts some points' lanes in the attacker-nulls regime.
+    rng = np.random.default_rng(6)
+    outcomes = collections.Counter()
+    for _ in range(20):
+        s = random_asym_scenario(rng, Setting.ASYM_II)
+        points = [dataclasses.replace(s, sum_power_transmit=float(rng.uniform(0.5, 5.0)),
+                                      sum_power_attack=float(rng.choice([0.1, 1.0, 10.0])))
+                  for _ in range(4)]
+        for point, (grid, values, ok) in zip(points, asym.theorem5_scans(points)):
+            assert grid.tolist() == asym._scan_grid(point.sum_power_transmit).tolist()
+            scalar = _scalar_scan(point, grid)
+            assert ok.tolist() == [v is not None for v in scalar]
+            assert values[ok].tolist() == [v for v in scalar if v is not None]
+            outcomes["ok"] += int(ok.sum())
+            outcomes["not ok"] += int((~ok).sum())
+    assert outcomes["ok"] > 1000 and outcomes["not ok"] > 1000, outcomes
+
+
+def test_theorem5_from_a_merged_scan_equals_the_lone_solve():
+    s = random_asym_scenario(np.random.default_rng(3), Setting.ASYM_II)
+    points = [dataclasses.replace(s, sum_power_attack=p_a) for p_a in (0.1, 0.3, 0.6)]
+    for point, scan in zip(points, asym.theorem5_scans(points)):
+        assert asym.solve_theorem5(point, scan) == asym.solve_theorem5(point)
+    # A merged pass that raises leaves every point to scan alone.
+    overflowing = dataclasses.replace(s, sum_power_attack=1e300)
+    assert asym.theorem5_scans([points[0], overflowing]) == [None, None]
+
+
 def test_theorem5_array_scan_matches_scalar_residual():
     rng = np.random.default_rng(5)
     brackets = 0
@@ -494,6 +525,22 @@ def test_theorem5_multiple_sign_changes_add_a_tagged_note(monkeypatch):
     assert "asym2-multiple-roots" in KNOWN_DISCREPANCY_TAGS
 
 
+def test_theorem5_iterations_count_the_scanned_bracket_ends(monkeypatch):
+    # The outer Brent takes its end values from the scan, yet a report's
+    # iterations still count every value scipy's brentq would ask for.
+    s = make_symmetric(2, 1, 1.0, 1.0, 1.0, Setting.ASYM_II)
+    p_t, p_a = s.sum_power_transmit, s.sum_power_attack
+    grid = asym._scan_grid(p_t)
+    first = asym._sign_changes(*asym._outer_residual(s, grid, p_t, p_a))[0]
+    calls = []
+    _scipy_brentq(lambda x: calls.append(x) or asym._outer_residual(s, x, p_t, p_a)[0],
+                  float(grid[first]), float(grid[first + 1]))
+    monkeypatch.setattr(asym, "KKT_TOL", 0.0)  # every residual vector is above it
+    with pytest.raises(NonConvergence, match="above tolerance") as exc:
+        asym.solve_theorem5(s)
+    assert exc.value.iterations == len(grid) + len(calls)
+
+
 # -- the in-repo Brent port against scipy's brentq -------------------------
 
 def _scipy_brentq(f, a, b):
@@ -502,7 +549,7 @@ def _scipy_brentq(f, a, b):
     return brentq(f, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=256)
 
 
-def test_brentq_port_equals_scipy_bit_for_bit():
+def _brent_cases():
     cases = [
         (lambda x: x * x - 2.0, 0.0, 2.0),  # smooth
         (lambda x: math.cos(x) - x, -1.0, 1.0),
@@ -521,13 +568,30 @@ def test_brentq_port_equals_scipy_bit_for_bit():
         r, c2, c1 = rng.uniform(-2.0, 2.0, 3)
         cases.append((lambda x, r=r, c2=c2, c1=c1: (x - r) * (x * x + c2 * x + c1 * c1 + 1.0),
                       float(r - rng.uniform(0.1, 3.0)), float(r + rng.uniform(0.1, 3.0))))
-    for f, a, b in cases:
+    return cases
+
+
+def test_brentq_port_equals_scipy_bit_for_bit():
+    for f, a, b in _brent_cases():
         ours, theirs = [], []
         got = asym._brentq(lambda x: ours.append(x) or f(x), a, b)
         want = _scipy_brentq(lambda x: theirs.append(x) or f(x), a, b)
         assert type(got) is float
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
         assert ours == theirs  # the same abscissae, in the same order
+
+
+def test_brentq_from_known_end_values_skips_their_calls():
+    for f, a, b in _brent_cases():
+        ours, theirs = [], []
+        got = asym._brentq(lambda x: ours.append(x) or f(x), a, b, f(a), f(b))
+        want = _scipy_brentq(lambda x: theirs.append(x) or f(x), a, b)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert theirs[:2] == [a, b] and ours == theirs[2:]  # two calls fewer
+    # Only the end left out is evaluated.
+    calls = []
+    assert asym._brentq(lambda x: calls.append(x) or x - 1.0, 0.0, 3.0, fb=2.0) == 1.0
+    assert calls[0] == 0.0 and 3.0 not in calls
 
 
 def test_brentq_port_edge_behaviour():

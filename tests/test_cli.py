@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import csv
 import io
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -182,6 +184,104 @@ def test_sweep_attack_power_monotone(tmp_path):
     assert len(rows) == 22  # header + 21 points
     costs = [float(r[2]) for r in rows[1:]]
     assert all(b >= a - 1e-12 for a, b in zip(costs, costs[1:]))
+
+
+def _asym2_document(s, param, start, stop, steps=5):
+    """A config document for AsymII scenario ``s`` swept over ``param``."""
+    def sensors(group):
+        return [{"alpha": p.alpha, "beta": p.beta, "power": p.power} for p in group]
+
+    return {"setting": "AsymII", "transmitters": sensors(s.transmitters),
+            "adversaries": sensors(s.adversaries),
+            "sum_power_transmit": s.sum_power_transmit, "sum_power_attack": s.sum_power_attack,
+            "sweep": {"param": param, "from": start, "to": stop, "steps": steps}}
+
+
+def _point(s, param, value):
+    return cli.validate_scenario(cli._scenario_with(s, param, value))
+
+
+def _per_point_reports(s, param, values):
+    """The reference sweep: each point validated and solved on its own."""
+    for value in values:
+        yield value, cli.equilibrium_report(_point(s, param, value))
+
+
+def _fails(s, param, value):
+    try:
+        jamnet.asym.solve_theorem5(_point(s, param, value))
+    except (jamnet.JamnetError, OverflowError):
+        return True
+    return False
+
+
+def _sweep_outputs(tmp_path, name, document):
+    cfg = tmp_path / f"{name}.cfg.json"
+    cfg.write_text(json.dumps(document))
+    stem = tmp_path / name
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["sweep", "--config", str(cfg), "--out", str(stem)])
+    files = [Path(f"{stem}{ext}") for ext in (".csv", ".json")]
+    return (code, out.getvalue().replace(str(stem), "<out>"), err.getvalue(),
+            *(path.read_bytes() if path.exists() else None for path in files))
+
+
+@pytest.mark.parametrize("chunk", [2, cli.SWEEP_CHUNK])
+def test_asym2_budget_sweeps_equal_the_point_by_point_reference(tmp_path, monkeypatch, chunk):
+    # The merged lane scans give every byte and exit code of a sweep that
+    # solves each point alone, also across chunk boundaries; on exit 2 the
+    # JSON holds the first failing point's error (type, message,
+    # iterations, residuals).
+    from conftest import random_asym_scenario
+
+    monkeypatch.setattr(cli, "SWEEP_CHUNK", chunk)
+    rng = np.random.default_rng(14)
+    failing_at = collections.Counter()
+    for n in range(6):
+        s = random_asym_scenario(rng, jamnet.Setting.ASYM_II)
+        for i, (param, start, stop) in enumerate([
+                ("P_A", 0.05, 16.0), ("P_A", 16.0, 0.05), ("sum_power_attack", 16.0, -16.0),
+                ("P_T", 16.0, 0.05), ("P_T", 0.05, 16.0), ("sum_power_transmit", 4.0, -4.0),
+                ("P_A", 0.05, 1e300)]):  # lambda2^2 overflows: the merged scan falls back
+            document = _asym2_document(s, param, start, stop)
+            name = f"s{n}_{i}"
+            got = _sweep_outputs(tmp_path, name, document)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_sweep_reports", _per_point_reports)
+                want = _sweep_outputs(tmp_path, name + "_ref", document)
+            assert got == want, (n, param, start, stop)
+            if got[0] == 2:
+                values = cli._sweep_values(cli.SweepConfig(param, start, stop, 5))
+                first = next(j for j, v in enumerate(values) if _fails(s, param, v))
+                failing_at["first" if first == 0 else "last" if first == 4 else "middle"] += 1
+            failing_at["exit", got[0]] += 1
+    assert failing_at["first"] and failing_at["middle"] and failing_at["last"], failing_at
+    assert failing_at["exit", 0] and failing_at["exit", 1], failing_at
+
+
+def test_asym2_sweep_scans_at_most_a_chunk_of_lanes(tmp_path, monkeypatch):
+    lanes = []
+    scan = jamnet.asym._outer_residual
+
+    def counted(s, lam3, p_t, p_a):
+        lanes.append(np.size(lam3))
+        return scan(s, lam3, p_t, p_a)
+
+    monkeypatch.setattr(jamnet.asym, "_outer_residual", counted)
+    cfg = _write_config(
+        tmp_path, setting="AsymII",
+        transmitters=[{"alpha": 1.0, "beta": 0.8, "power": 0.0},
+                      {"alpha": 0.6, "beta": 1.5, "power": 0.0}],
+        adversaries=_sensors(0.7, 1.1, 0.0),
+        sum_power_transmit=3.0, sum_power_attack=0.5,
+        sweep={"param": "P_T", "from": 1.0, "to": 5.0, "steps": 200})
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert len(_read_csv(tmp_path / "run.csv")) == 201
+    points = jamnet.asym.OUTER_SCAN_POINTS
+    scans = [n for n in lanes if n > 1]
+    assert max(lanes) <= cli.SWEEP_CHUNK * points
+    assert sum(scans) == 200 * points and len(scans) == -(-200 // cli.SWEEP_CHUNK)
 
 
 def test_ceo_curve_command(tmp_path):

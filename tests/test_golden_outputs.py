@@ -94,6 +94,7 @@ CASES = {
     "sweep_sym3": ("sweep", {**_sym3(0.5, 0.5), **_sweep("epsilon", 0.5, 1.0)}),
     "sweep_asym1": ("sweep", {**_ASYM1, **_sweep("P_A", 0.0, 2.0)}),
     "sweep_asym2": ("sweep", {**_ASYM2, **_sweep("P_T", 2.0, 4.0)}),
+    "sweep_asym2_attack": ("sweep", {**_ASYM2, **_sweep("P_A", 1.0, 7.0)}),
     "ceo_curve": ("ceo-curve", {**_ASYM1, **_sweep("rate", 0.0, 2.0)}),
     "maxcorr": ("maxcorr", {**_SYM1, **_sweep("rho", 0.0, 0.8)}),
 }
