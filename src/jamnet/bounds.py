@@ -5,17 +5,22 @@ splits as D(R) = D_est + D_rd(R): an estimation floor from the sensing noise
 plus a classical Gaussian rate-distortion term on the sufficient statistic.
 The maximal-correlation lemma (linear maximizers, rho* = |rho| for bivariate
 normals) is verified at desk scale by the second singular value of the
-discretized conditional-expectation operator.
+discretized conditional-expectation operator.  The operator's rows are built
+in stripes of x-cells on a thread pool of min(grid_n, CPUs this process may
+use) workers, into arrays the calling thread allocates; the worker count
+never changes the operator.  Normalization, marginals and the SVD run on the
+calling thread.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import math
 
 import numpy as np
 
-from .model import NumericalFailure
+from .model import NumericalFailure, _usable_cpus
 
 # Default quantization of the maximal-correlation check (and the grid the CLI's
 # maxcorr command reports): cells per axis and the half-width, in standard
@@ -59,7 +64,8 @@ def ceo_distortion(rate: float, betas, sigma_s2: float = 1.0) -> float:
     """
     if rate < 0:
         raise ValueError("rate must be nonnegative")
-    if len(tuple(betas)) == 0:
+    betas = tuple(betas)  # read once: betas may be a one-shot iterator
+    if not betas:
         raise ValueError("betas must be nonempty")
     sb2 = _sum_beta2(betas)
     frac = sb2 / (1.0 + sb2)
@@ -68,6 +74,7 @@ def ceo_distortion(rate: float, betas, sigma_s2: float = 1.0) -> float:
 
 
 def ceo_curve(rates, betas, sigma_s2: float = 1.0) -> list[RDPoint]:
+    betas = tuple(betas)  # read by every rate
     return [RDPoint(rate=float(r), distortion=ceo_distortion(float(r), betas, sigma_s2)) for r in rates]
 
 
@@ -112,6 +119,13 @@ def discretized_correlation_operator(
     interior edge and node.  Returns (grid, px, py, B) with
     B = P / sqrt(px py^T); the singular values of B are 1 (constants)
     followed by the maximal correlation of the quantized pair.
+
+    The rows of the joint mass are built in contiguous stripes of x-cells on
+    a thread pool of min(grid_n, CPUs this process may use) workers.  Each
+    stripe computes its CDF rows, their differences and its mass rows in
+    place, into arrays the calling thread allocates; the workers call only
+    numpy and ``ndtr``.  A row's arithmetic does not depend on the stripe
+    that holds it, so the worker count never changes the result.
     """
     if abs(rho) >= 1.0:
         raise ValueError("|rho| must be < 1")
@@ -136,12 +150,32 @@ def discretized_correlation_operator(
     w = half[:, None] * weights[None, :] * np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
 
     # Cell j of Y spans (edge j-1, edge j]: the conditional CDF at each
-    # interior edge, padded with 0 and 1 for the infinite ends, differenced.
+    # interior edge, between a first column of 0 and a last of 1 for the
+    # infinite ends, differenced.
     s = math.sqrt(1.0 - rho * rho)
-    cdf = ndtr((edges[None, None, :] - rho * t[:, :, None]) / s)
-    pad = np.zeros(cdf.shape[:2] + (1,))
-    cdf = np.concatenate((pad, cdf, pad + 1.0), axis=2)
-    mass = np.einsum("cq,cqj->cj", w, np.diff(cdf, axis=2))
+    # Every array the stripes touch is allocated here, on the calling thread,
+    # so the pool threads' malloc arenas never hold operator-sized buffers.
+    rt = rho * t
+    cdf = np.empty((grid_n, order, grid_n + 1))
+    cdf[:, :, 0] = 0.0
+    cdf[:, :, -1] = 1.0
+    dcdf = np.empty((grid_n, order, grid_n))
+    mass = np.empty((grid_n, grid_n))
+
+    workers = min(grid_n, _usable_cpus())
+    cuts = [grid_n * k // workers for k in range(workers + 1)]
+
+    def stripe(k: int) -> None:
+        rows = slice(cuts[k], cuts[k + 1])
+        inner = cdf[rows, :, 1:-1]
+        np.subtract(edges[None, None, :], rt[rows, :, None], out=inner)
+        inner /= s
+        ndtr(inner, out=inner)
+        np.subtract(cdf[rows, :, 1:], cdf[rows, :, :-1], out=dcdf[rows])
+        np.einsum("cq,cqj->cj", w[rows], dcdf[rows], out=mass[rows])
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(stripe, range(workers)))
 
     total = mass.sum()
     if not np.isfinite(total) or total <= 0.0:

@@ -33,7 +33,6 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import math
-import os
 
 import numpy as np
 
@@ -44,6 +43,7 @@ from .model import (
     NetworkScenario,
     Setting,
     StrategyProfile,
+    _usable_cpus,
     validate_profile,
 )
 
@@ -161,8 +161,7 @@ def run_monte_carlo(
 
     n_blocks = (samples + BLOCK_SIZE - 1) // BLOCK_SIZE
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(n_blocks, cpus or 1)
+    workers = min(n_blocks, _usable_cpus())
     # Worker w runs blocks w, w + workers, ... in its own scratch rows.  The
     # scratch is allocated here, on the calling thread, so the workers'
     # per-thread malloc arenas never hold block-sized arrays: the process's

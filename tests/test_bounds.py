@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,15 @@ def test_ceo_distortion_examples():
     assert bounds.ceo_distortion(0.5, [1.0], 1.0) == pytest.approx(0.75, abs=1e-15)
     # Large rate approaches the estimation floor.
     assert bounds.ceo_distortion(50.0, [1.0], 1.0) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_ceo_distortion_reads_a_one_shot_iterable_once():
+    assert bounds.ceo_distortion(1.0, (b for b in [1.0])) == 0.625
+    assert bounds.ceo_distortion(1.0, iter([0.3, 2.2])) == bounds.ceo_distortion(1.0, [0.3, 2.2])
+    with pytest.raises(ValueError):
+        bounds.ceo_distortion(1.0, (b for b in []))
+    curve = bounds.ceo_curve([0.0, 1.0], (b for b in [1.0]))
+    assert [pt.distortion for pt in curve] == [1.0, 0.625]
 
 
 def test_ceo_distortion_monotone_convex():
@@ -121,3 +132,31 @@ def test_correlation_operator_equals_the_two_sided_cdf_build():
             ref_px, ref_py, ref_b = _ref_correlation_operator(rho, grid_n, sigmas)
             assert (px == ref_px).all() and (py == ref_py).all()
             assert (b == ref_b).all(), rho
+
+
+def test_correlation_operator_is_independent_of_the_worker_count(monkeypatch):
+    # One to four usable CPUs give one- to four-worker pools on any machine;
+    # at grid_n = 3 the four-CPU pool is capped at three one-cell stripes.
+    # A short switch interval interleaves the stripes' writes into the shared
+    # arrays as finely as the interpreter allows.
+    cases = ((bounds.MAXCORR_GRID_N, bounds.MAXCORR_RANGE_SIGMAS), (65, 3.0), (3, 5.0))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for grid_n, sigmas in cases:
+            for rho in (0.0, 0.5, -0.7):
+                ref_px, ref_py, ref_b = _ref_correlation_operator(rho, grid_n, sigmas)
+                runs = []
+                for cpus in ({0}, {0, 1}, {0, 1, 2}, {0, 1, 2, 3}):
+                    monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c,
+                                        raising=False)
+                    _, px, py, b = bounds.discretized_correlation_operator(rho, grid_n, sigmas)
+                    assert (px == ref_px).all() and (py == ref_py).all() and (b == ref_b).all()
+                    runs.append(bounds.maximal_correlation_functions(rho, grid_n, sigmas))
+                one_worker = runs[0]
+                for run in runs[1:]:
+                    assert run[0] == one_worker[0]
+                    for got, want in zip(run[1:], one_worker[1:]):
+                        assert (got == want).all()
+    finally:
+        sys.setswitchinterval(interval)

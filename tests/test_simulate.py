@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import re
 
 import numpy as np
@@ -63,8 +64,7 @@ def test_monte_carlo_pool_equals_block_ordered_serial_reduction(monkeypatch):
     # One to four usable CPUs give one- to four-worker pools on any machine;
     # with more than one, the workers interleave their stripes of blocks.
     for cpus in ({0}, {0, 1}, {0, 1, 2}, {0, 1, 2, 3}):
-        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid, c=cpus: c,
-                            raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c, raising=False)
         pooled = simulate.run_monte_carlo(s, p, samples, seed=seed)
         assert pooled.empirical_mse == mean
         assert pooled.standard_error == se
