@@ -87,19 +87,20 @@ def _transmit_stats(s: NetworkScenario, coeffs):
 
 def _adversary_output_stats(s: NetworkScenario, rows, n_noises: int):
     """(sig, own, jam) of the adversaries' channel contribution, from the
-    rows (a_k, b_k, s_k, j_k) and noise count J of ``lower()``.
+    rows (c_k, s_k, j_k) and noise count J of ``lower()``.
 
     The received adversary sum is sig*S + (own sensing-noise part with
-    variance own) + (source-independent jamming with variance jam).  Jamming
+    variance own) + (source-independent jamming with variance jam): c_k*U_k
+    lands alpha_k*c_k*beta_k of the source and alpha_k*c_k of W_k.  Jamming
     amplitudes add within one noise index before squaring; the indices'
-    variances add.  a_k, b_k and s_k may be arrays of lanes; j_k may not.
+    variances add.  c_k and s_k may be arrays of lanes; j_k may not.
     """
     sig = own = 0.0
     amps = [0.0] * n_noises
-    for p, (a, b, ss, j) in zip(s.adversaries, rows):
+    for p, (c, ss, j) in zip(s.adversaries, rows):
         alpha = p.alpha
-        sig = sig + alpha * a
-        own = own + alpha * alpha * b * b
+        sig = sig + alpha * (c * p.beta)
+        own = own + alpha * alpha * c * c
         # j_k is unused where s_k = 0 (LinearMirror has no noises); adding a
         # zero amplitude changes no amplitude.
         if j < n_noises:
@@ -380,14 +381,6 @@ def _adversary_response(s: NetworkScenario, c_m, p_a):
         ok = ok & require(~np.any(np.abs(d) < DENOM_FLOOR, axis=-1), lambda: SingularDenominator(
             "adversary denominator below floor at converged lambda1"))
         return lam1, lam2, np.multiply.outer(lam2, ab_adv) / (2.0 * d), ok
-
-
-def adversary_linear_response(
-    s: NetworkScenario, transmit_coeffs, p_a: float
-) -> tuple[float, float, np.ndarray]:
-    """``_adversary_response`` to one row of transmit coefficients: (lambda1,
-    lambda2, c_k), or its NonConvergence or SingularDenominator."""
-    return _adversary_response(s, transmit_coeffs, p_a)[:3]
 
 
 def _outer_solve(s: NetworkScenario, lam3, p_t, p_a):

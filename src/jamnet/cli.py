@@ -292,7 +292,7 @@ def _run_solve_asym(cfg: RunConfig):
     report = equilibrium_report(s)
     mult = report.multipliers
     rows, _ = report.profile.adversary.lower(s.adversaries)
-    coeffs = list(report.profile.transmit_coeffs) + [b for _, b, _, _ in rows]
+    coeffs = list(report.profile.transmit_coeffs) + [c for c, _, _ in rows]
     max_res = max((abs(r) for r in report.kkt_residuals), default=0.0)
     header = (
         ["lambda1", "lambda2", "lambda3", "lambda4"]

@@ -5,7 +5,8 @@ M transmitter sensors and K captured (adversarial) sensors, each observing
 U = beta*S + W through its own unit-variance sensing noise W, all summed
 over a coherent Gaussian multiple-access channel Y = sum(alpha_i * X_i) + Z.
 Source and channel-noise variances are normalized to 1; scenarios stated
-with other variances are rescaled, never rejected.
+with other variances are rescaled, never rejected.  A captured sensor sees
+the source only through its own U_k, so it sends c_k*U_k plus a noise.
 
 All types are immutable values after validation and safe to share across
 threads.
@@ -144,12 +145,12 @@ class NetworkScenario:
 
 
 # Every adversary strategy lowers to one linear-Gaussian form: adversary k
-# sends X_k = a_k*S + b_k*W_k + s_k*theta_{j_k}, where theta_0..theta_{J-1}
-# are independent unit normals drawn in index order and adversaries with the
-# same j share one realization.  ``lower`` returns the rows (a_k, b_k, s_k,
-# j_k) and J; j_k is unused where s_k = 0.  The oracle, the Monte Carlo and
-# the power checks read only this form.
-LoweredStrategy = tuple[list[tuple[float, float, float, int]], int]
+# sends X_k = c_k*U_k + s_k*theta_{j_k}, where theta_0..theta_{J-1} are
+# independent unit normals drawn in index order and adversaries with the
+# same j share one realization.  ``lower`` returns the rows (c_k, s_k, j_k)
+# and J; j_k is unused where s_k = 0.  The oracle, the Monte Carlo and the
+# power checks read only this form.
+LoweredStrategy = tuple[list[tuple[float, float, int]], int]
 
 
 def _noise_amplitude(variance: float) -> float:
@@ -175,7 +176,7 @@ class CoordinatedNoise:
         if not 0 <= n <= K:
             raise InvalidProfile(f"coordinated_count must lie in [0, {K}]")
         s = _noise_amplitude(self.variance)
-        return [(0.0, 0.0, s, max(0, k - n + 1)) for k in range(K)], 1 + K - n
+        return [(0.0, s, max(0, k - n + 1)) for k in range(K)], 1 + K - n
 
 
 @dataclasses.dataclass(frozen=True)
@@ -188,7 +189,7 @@ class IndependentNoise:
         """Adversary k on its own theta_k, zero-variance slots included."""
         if len(self.variances) != len(adversaries):
             raise InvalidProfile("IndependentNoise needs one variance per adversary")
-        rows = [(0.0, 0.0, _noise_amplitude(v), k) for k, v in enumerate(self.variances)]
+        rows = [(0.0, _noise_amplitude(v), k) for k, v in enumerate(self.variances)]
         return rows, len(rows)
 
 
@@ -199,25 +200,27 @@ class LinearMirror:
     coeffs: tuple[float, ...]
 
     def lower(self, adversaries: tuple[SensorParams, ...]) -> LoweredStrategy:
-        """c_k*U_k = c_k*beta_k*S + c_k*W_k; no noise of its own."""
+        """c_k*U_k and no noise of its own."""
         if len(self.coeffs) != len(adversaries):
             raise InvalidProfile("LinearMirror needs one coefficient per adversary")
-        return [(c * p.beta, c, 0.0, 0) for c, p in zip(self.coeffs, adversaries)], 0
+        return [(c, 0.0, 0) for c in self.coeffs], 0
 
 
 @dataclasses.dataclass(frozen=True)
 class GeneralLinearGaussian:
-    """Adversary k transmits a*S + b*W_k + s*theta_k for triple (a, b, s);
-    theta_k are independent unit normals.  Deviation class for
-    best-response searches."""
+    """Adversary k transmits c*U_k + s*theta_j for its row (c, s, j): the
+    lowered form itself, which every other class is a case of.  Deviation
+    class for best-response searches."""
 
-    triples: tuple[tuple[float, float, float], ...]
+    rows: tuple[tuple[float, float, int], ...]
 
     def lower(self, adversaries: tuple[SensorParams, ...]) -> LoweredStrategy:
-        """The triples as given, adversary k on its own theta_k."""
-        if len(self.triples) != len(adversaries):
-            raise InvalidProfile("GeneralLinearGaussian needs one triple per adversary")
-        return [(a, b, s, k) for k, (a, b, s) in enumerate(self.triples)], len(self.triples)
+        """The rows as given, with J = 1 + max j_k."""
+        if len(self.rows) != len(adversaries):
+            raise InvalidProfile("GeneralLinearGaussian needs one row per adversary")
+        if not all(isinstance(j, int) and j >= 0 for _, _, j in self.rows):
+            raise InvalidProfile("noise indices j_k must be nonnegative integers")
+        return list(self.rows), 1 + max((j for _, _, j in self.rows), default=-1)
 
 
 AdversaryStrategy = Union[
@@ -401,9 +404,11 @@ def make_symmetric(
 def adversary_second_moments(
     s: NetworkScenario, strategy: AdversaryStrategy
 ) -> list[float]:
-    """Per-adversary transmitted second moments E{X_k^2} under ``strategy``."""
+    """Per-adversary transmitted second moments E{X_k^2} = (c*beta)^2 + c^2 +
+    s^2 under ``strategy``."""
     rows, _ = strategy.lower(s.adversaries)
-    return [a * a + b * b + ss * ss for a, b, ss, _ in rows]
+    return [(c * p.beta) * (c * p.beta) + c * c + ss * ss
+            for p, (c, ss, _) in zip(s.adversaries, rows)]
 
 
 def _over_budget(used: float, budget: float) -> bool:

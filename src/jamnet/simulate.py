@@ -13,7 +13,7 @@ draw per sensor, each added to the transmitter or adversary part of the
 received signal as it is drawn), the channel noise (n), the randomization
 coin (n uniforms), then the adversary strategy's J noises
 theta_0..theta_{J-1} (n each) from its linear-Gaussian form (see ``model``):
-J = 1+K-n_coord for CoordinatedNoise, K for IndependentNoise and
+J = 1+K-n_coord for CoordinatedNoise, K for IndependentNoise, 1 + max j_k for
 GeneralLinearGaussian, 0 for LinearMirror.  A draw that cannot reach the
 error is skipped and takes nothing from the stream: a sensing-noise row whose
 received gain is 0, a theta_j whose summed amplitude is 0, and the coin of a
@@ -23,9 +23,10 @@ allocates them, one set per worker.
 
 The verification half checks the two saddle inequalities with each side's
 exact best response within the linear-Gaussian class, costed from its
-sufficient statistics with ``asym``'s cost core: closed forms, one 1-D root,
-and for the AsymII leader the points of Theorem 5's frontier, each against
-its follower solved by ``asym._adversary_response``, run as lanes.
+sufficient statistics with ``asym``'s cost core: for the adversaries, c_k*U_k
+plus a shared noise, in closed form or as Theorem 5's follower; for the
+transmitters, closed forms, one 1-D root, and for the AsymII leader the
+points of Theorem 5's frontier, each against its follower, run as lanes.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import math
 import numpy as np
 
 from . import asym
+from .symmetric import _uncoded_gain
 from .model import (
     InvalidProfile,
     LinearMirror,
@@ -49,6 +51,7 @@ from .model import (
 
 BLOCK_SIZE = 1 << 14
 SCRATCH_ROWS = 6  # src, tx, adv, y, gamma, w: the n-vectors a block holds
+ROUNDING = 1e-13  # a cost gain below this is rounding (1 - ratio rounds near 1e-16)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,13 +80,13 @@ def _block_gains(s: NetworkScenario, p: StrategyProfile):
     """
     rows, n_noises = p.adversary.lower(s.adversaries)
     amps = [0.0] * n_noises
-    for q, (_, _, ss, j) in zip(s.adversaries, rows):
+    for q, (_, ss, j) in zip(s.adversaries, rows):
         if ss:
             amps[j] += q.alpha * ss
     tx = list(zip(s.transmitters, p.transmit_coeffs))
-    adv = list(zip(s.adversaries, rows))
+    adv = [(q, c) for q, (c, _, _) in zip(s.adversaries, rows)]
     return (sum(q.alpha * c * q.beta for q, c in tx), [q.alpha * c for q, c in tx],
-            sum(q.alpha * a for q, (a, _, _, _) in adv), [q.alpha * b for q, (_, b, _, _) in adv],
+            sum(q.alpha * (c * q.beta) for q, c in adv), [q.alpha * c for q, c in adv],
             amps)
 
 
@@ -194,65 +197,104 @@ def run_monte_carlo(
 
 # -- adversary-side verification ---------------------------------------------
 
-def best_response_adversary_search(s: NetworkScenario, p: StrategyProfile) -> BestResponseReport:
-    """The adversaries' exact best response within the linear-Gaussian class.
+def _values(xs) -> str:
+    """One 6-digit value where all of ``xs`` print alike, else the tuple."""
+    text = [f"{x:.6g}" for x in xs]
+    return text[0] if len(set(text)) == 1 else "(" + ", ".join(text) + ")"
 
-    Adversary k may send a_k*S + b_k*W_k + s_k*theta_{j_k}, with any noises
-    shared, within its own budget a^2 + b^2 + s^2 <= P_k in the symmetric
-    settings and one sum budget P_A in the asymmetric ones.  A shared noise
-    adds amplitudes where own sensing noise adds powers, so b_k = 0, and by
-    Cauchy-Schwarz the best split aligns every adversary on one theta_0:
-    adversary k sends w_k*(-sign(r_t)*u, 0, sqrt(1 - u^2)) with
-    w_k = sqrt(P_k), or sqrt(P_A)*alpha_k/|alpha| under the sum budget, and
-    lands the largest amplitude W = sum alpha_k*w_k.  Against randomized
-    transmitters only the power W^2 counts: u = 0.  Against deterministic
-    ones the source share X = u*W minimizes (r - X)^2/(N0 + W^2 - X^2) with
-    r = |r_t| and N0 = 1 + own_t: X = r nulls the source term when W >= r,
-    and otherwise X = min((N0 + W^2)/r, W), where the derivative vanishes.
-    The attaining rows are costed by the oracle's cost core.
+
+def _follower(u, v, r_t: float, own_t: float) -> np.ndarray:
+    """Theorem 5's follower where no c nulls r_t, on the unit sphere
+    x_k = c_k*sqrt(m_k/P): the x minimizing N^2/D, N = r_t + sum u_k*x_k and
+    D = 1 + own_t + sum v_k*x_k^2, with u_k = alpha_k*beta_k*sqrt(P/m_k) and
+    v_k = alpha_k^2*P/m_k the source share and own-noise power that sensor k
+    lands at full budget.  The first-order conditions put x on the curve
+    x ~ e, e_k = u_k/U*(1 - nu)/(1 - nu*v_k/V), U = max u, V = max v, from
+    the nulling direction at nu = 0 to all power on the largest v at nu = 1;
+    along it the stationarity gap nu*D*|e|*U/V - (1 - nu)*|N| rises from
+    -|N| < 0 to D*|e|*U/V > 0.  The curve holds only ratios of like
+    quantities, so no gain scale under- or overflows it; where U/V does,
+    the own-noise powers are nothing beside the source share and the
+    nulling direction is the answer."""
+    big_u, top = float(np.max(u)), float(np.max(v))
+    unit, rho, q = u / big_u if big_u else u, v / top if top else v, big_u / top if top else math.inf
+
+    def solve(nu: float):
+        # 1e-300 keeps the largest v on the curve where its u underflows.
+        e = np.where(rho == 1.0, np.maximum(unit, 1e-300), unit * (1.0 - nu) / (1.0 - nu * rho))
+        norm = math.hypot(*e)
+        x = -math.copysign(1.0, r_t) / norm * e
+        d = 1.0 + own_t + float(np.sum(v * x * x))
+        return nu * d * norm * q - (1.0 - nu) * abs(r_t + float(np.sum(u * x))), x
+
+    gap0 = solve(0.0)[0] if math.isfinite(q) else 0.0
+    nu = 0.0 if gap0 >= 0.0 else asym._brentq(lambda t: solve(t)[0], 0.0, 1.0, gap0)
+    return solve(nu)[1]
+
+
+def best_response_adversary_search(s: NetworkScenario, p: StrategyProfile) -> BestResponseReport:
+    """The adversaries' exact best response within the realizable class.
+
+    Adversary k sees the source only through U_k = beta_k*S + W_k, so it
+    sends c_k*U_k plus its share of one shared noise theta_0, within one sum
+    budget P: P_A, or sum P_k in the symmetric settings, whose identical
+    sensors make the sum-budget optimum symmetric, so it meets each P_k.
+    The noise lands the whole rest of the budget, w^2*(P - sum m_k*c_k^2)
+    with w = |alpha| and m_k = 1 + beta_k^2, so against deterministic
+    transmitters c minimizes (r_t + sum a_k*c_k)^2/(B - sum g_k*c_k^2), with
+    a_k = alpha_k*beta_k, g_k = w^2*m_k - alpha_k^2, B = 1 + own_t + w^2*P.
+    The branches: noise only against randomized transmitters (gamma =
+    sum a_k^2/g_k <= 1 makes c = 0 best), or where r_t = 0 or P = 0; the
+    source nulled, cost 1, where r_t^2 <= P*sum a_k^2/m_k = |u|^2 (see
+    ``_follower``), with the least power, c_k ~ u_k/sqrt(m_k); the one critical
+    point c_k = -sign(r_t)*X*(a_k/g_k)/gamma at X = B*gamma/|r_t| where it
+    fits the budget; else Theorem 5's follower, with no noise left.  The
+    attaining rows are costed by the oracle's cost core; a gain over the
+    base below ROUNDING (a point of the budget that recomputes the profile's
+    own, an ulp off) is no deviation.
     """
     base = asym.direct_mmse_cost(s, p)
-    K = s.num_adversaries
-    if K == 0:
+    if not s.adversaries:
         return BestResponseReport(base, base, "no adversaries", "AdversaryMax")
     r_t, own_t = asym._transmit_stats(s, p.transmit_coeffs)
-    alphas = [q.alpha for q in s.adversaries]
-    if s.setting.is_symmetric:
-        amps = [math.sqrt(q.power) for q in s.adversaries]
-    else:
-        norm = math.hypot(*alphas)
-        amps = [math.sqrt(s.sum_power_attack) * (alpha / norm) for alpha in alphas]
-    W = sum(alpha * w for alpha, w in zip(alphas, amps))
-    r = abs(r_t)
-    if p.randomized or W == 0.0:
-        u = 0.0
-    elif W >= r:
-        u = r / W
-    else:
-        # u = min((N0 + W^2)/(r*W), 1), written so that no division is by 0.
-        n0_w2, rw = 1.0 + own_t + W * W, r * W
-        u = n0_w2 / rw if rw > n0_w2 else 1.0
-    a = -math.copysign(u, r_t) if u else 0.0  # never -0.0, so the text reads a=0
-    ss = math.sqrt(1.0 - u * u)
-    rows = [(w * a, 0.0, w * ss, 0) for w in amps]
+    alpha = np.array([q.alpha for q in s.adversaries])
+    beta = np.array([q.beta for q in s.adversaries])
+    m2 = np.array([q.input_second_moment for q in s.adversaries])
+    w, symmetric = math.hypot(*alpha), s.setting.is_symmetric
+    budget = sum(q.power for q in s.adversaries) if symmetric else s.sum_power_attack
+    # The symmetric amplitudes sqrt(P_k) equal sqrt(P)*alpha_k/w up to
+    # rounding; they keep a SymI profile's own noise bits.
+    amps = [math.sqrt(q.power) if symmetric else math.sqrt(budget) * (q.alpha / w)
+            for q in s.adversaries]
+    c = np.zeros(len(alpha))
+    with np.errstate(all="ignore"):  # a nonfinite interior point fails the budget test
+        # c_k = root_k*x_k on the unit sphere, where sensor k lands u_k*x_k of the source.
+        h = np.hypot(1.0, beta)
+        root, u = math.sqrt(budget) / h, alpha * math.sqrt(budget) * (beta / h)
+        span = math.hypot(*u)
+        if p.randomized or r_t == 0.0 or budget == 0.0:
+            branch = "noise only"
+        elif abs(r_t) <= span:
+            branch, c = "source nulled", -(r_t / span) * (u / span) * root
+        else:
+            # X*(a_k/g_k)/gamma = B*a_k/(|r_t|*g_k); w^2*beta^2 + (w^2 - alpha^2) is exact at K = 1.
+            w2 = w * w
+            g = w2 * (beta * beta) + (w2 - alpha * alpha)
+            branch, c = "interior", -(1.0 + own_t + w2 * budget) / r_t * (alpha * beta / g)
+            if not np.sum(m2 * c * c) <= budget:
+                branch, c = "Theorem-5 follower", _follower(u, (alpha * root) ** 2, r_t, own_t) * root
+        # The share of the budget left for the shared noise (1 where c = 0).
+        spare = 0.0 if branch == "Theorem-5 follower" else max(0.0, 1.0 - np.sum(m2 * c * c) / budget)
+    noise = [amp * math.sqrt(spare) for amp in amps]
+    rows = [(float(ck) + 0.0, sk, 0) for ck, sk in zip(c, noise)]  # + 0.0: no -0 in the text
     best = asym._cost(r_t, own_t, *asym._adversary_output_stats(s, rows, 1), p.randomized)
-    if not best > base:
+    if not best > base + ROUNDING:
         return BestResponseReport(base, base, "no deviation improves on the profile", "AdversaryMax")
-    if s.setting.is_symmetric:
-        desc = f"shared triple (a={amps[0] * a:.6g}, b=0, s={amps[0] * ss:.6g}) on one noise"
-    else:
-        root = math.sqrt(s.sum_power_attack)
-        desc = (f"triple (a={root * a:.6g}, b=0, s={root * ss:.6g}) split as alpha_k/|alpha| "
-                f"on one noise")
+    desc = f"{branch}: c_k={_values([r[0] for r in rows])} on U_k, s_k={_values(noise)} on one shared noise"
     return BestResponseReport(base, best, desc, "AdversaryMax")
 
 
 # -- transmitter-side verification -------------------------------------------
-
-def _cap(q) -> float:
-    """A sensor's largest uncoded coefficient sqrt(P/(1 + beta^2))."""
-    return math.sqrt(q.power / q.input_second_moment)
-
 
 def _box_response(s: NetworkScenario, p: StrategyProfile, sig: float, B: float):
     """(coeffs, desc) maximizing (r_t + sig)^2/(own_t + B) within each
@@ -263,7 +305,8 @@ def _box_response(s: NetworkScenario, p: StrategyProfile, sig: float, B: float):
     rises in z up to B*beta/(alpha*|sig|), so z is that or the cap."""
     q = s.transmitters[0]
     sigma = abs(sig)
-    z = min(_cap(q), B * q.beta / (q.alpha * sigma)) if q.alpha * sigma else _cap(q)
+    cap = _uncoded_gain(q.beta, q.power)
+    z = min(cap, B * q.beta / (q.alpha * sigma)) if q.alpha * sigma else cap
     z = math.copysign(z, sig)
     M = s.num_transmitters
     n = round(M * s.epsilon) if s.setting is Setting.SYM_III and p.randomized else M
@@ -341,10 +384,11 @@ def best_response_transmitter_search(s: NetworkScenario, p: StrategyProfile) -> 
     if M == 0:
         return BestResponseReport(base, base, "no transmitters", "TransmitterMin")
     leader = not p.randomized and s.setting in (Setting.SYM_II, Setting.SYM_III, Setting.ASYM_II)
+    q = s.transmitters[0]
     if leader and s.setting is Setting.ASYM_II:
         best, desc = _frontier_response(s)
     else:
-        adversary = LinearMirror(coeffs=(-_cap(s.transmitters[0]),) * K) if leader else p.adversary
+        adversary = LinearMirror(coeffs=(-_uncoded_gain(q.beta, q.power),) * K) if leader else p.adversary
         stats = sig, own, jam = asym._adversary_output_stats(s, *adversary.lower(s.adversaries))
         if p.randomized:
             sig, B = 0.0, 1.0 + sig * sig + own + jam
@@ -369,8 +413,10 @@ def verify_saddle_point(
     A saddle certificate needs both exact best responses no better for the
     deviator than the base: the adversaries' no costlier, the transmitters'
     no cheaper.  In the Stackelberg-only settings (SymII, AsymII) only the
-    leader-side report binds; the adversary report then documents why no
-    saddle exists.
+    leader-side report binds.  The adversary class grants one shared noise
+    in every setting, which SymIII's eta and the no-coordination settings II
+    do not, so an adversary deviation above the base there (a partial
+    mirror plus shared noise) may be a move the setting forbids.
     """
     adv = best_response_adversary_search(s, p)
     tx = best_response_transmitter_search(s, p)

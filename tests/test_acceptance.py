@@ -144,13 +144,28 @@ def _criterion4_cases():
     s = make_symmetric(2, 1, 1.0, 1.0, 1.0, Setting.SYM_I)
     p = StrategyProfile(
         transmit_coeffs=sym.theorem1_profile(s).transmit_coeffs, randomized=True,
-        adversary=GeneralLinearGaussian(
-            triples=((0.4, 0.3, math.sqrt(1.0 - 0.16 - 0.09)),)
-        ),
+        adversary=GeneralLinearGaussian(rows=((0.3, math.sqrt(1.0 - 2.0 * 0.09), 0),)),
         decoder_gain=0.0,
     )
     p = dataclasses.replace(p, decoder_gain=asym.bayes_decoder_gain(s, p))
     cases.append(("randomized transmitters vs correlated linear-Gaussian attack", s, p, 109))
+
+    # The adversaries' interior best response to the Theorem-2 profile: each
+    # sends c*U_k, c = -(1 + own_t + w^2*K*P)/r_t * alpha*beta/g with
+    # w^2 = K*alpha^2 and g = w^2*beta^2 + w^2 - alpha^2, and the rest of its
+    # power on one shared noise, so c and s are both nonzero on one sensor.
+    M, K, alpha, beta, power = 4, 2, 1.5, 2.0, 1.0
+    s = make_symmetric(M, K, alpha, beta, power, Setting.SYM_II)
+    p = sym.theorem2_profile(s)
+    r_t, own_t = asym._transmit_stats(s, p.transmit_coeffs)
+    w2 = K * alpha**2
+    c = -(1.0 + own_t + w2 * K * power) / r_t * alpha * beta / (w2 * beta**2 + w2 - alpha**2)
+    rows = ((c, math.sqrt(power - (1.0 + beta**2) * c * c), 0),) * K
+    p = asym._bayes_profile(s, p.transmit_coeffs, False, GeneralLinearGaussian(rows=rows))
+    report = simulate.best_response_adversary_search(s, sym.theorem2_profile(s))
+    assert report.deviation_params.startswith("interior")
+    assert report.best_deviation_cost == pytest.approx(asym.direct_mmse_cost(s, p), rel=1e-12)
+    cases.append(("Theorem-2 transmitters vs the interior adversary response", s, p, 111))
 
     s = make_symmetric(3, 0, 1.0, 1.0, 1.0, Setting.SYM_I)
     cases.append(("no adversary", s, sym.theorem1_profile(s), 110))

@@ -317,6 +317,8 @@ def _random_profiles(rng, s, kind, randomized, n):
     oracle does not check them)."""
     M, K = s.num_transmitters, s.num_adversaries
     coordinated = int(rng.integers(0, K + 1))
+    if kind is GeneralLinearGaussian:  # one noise index per adversary, for the whole batch
+        js = rng.integers(0, K, K).tolist()
     profiles = []
     for _ in range(n):
         if kind is CoordinatedNoise:
@@ -327,8 +329,8 @@ def _random_profiles(rng, s, kind, randomized, n):
         elif kind is LinearMirror:
             adversary = LinearMirror(coeffs=tuple(rng.uniform(-1.0, 1.0, K).tolist()))
         else:
-            adversary = GeneralLinearGaussian(
-                triples=tuple(tuple(t) for t in rng.uniform(-1.0, 1.0, (K, 3)).tolist()))
+            adversary = GeneralLinearGaussian(rows=tuple(
+                (c, ss, j) for (c, ss), j in zip(rng.uniform(-1.0, 1.0, (K, 2)).tolist(), js)))
         profiles.append(StrategyProfile(
             transmit_coeffs=tuple(rng.uniform(-1.0, 1.0, M).tolist()), randomized=randomized,
             adversary=adversary, decoder_gain=0.0))
@@ -340,10 +342,10 @@ def _batched_costs(s, profiles, sign=1.0):
     coefficient multiplied by ``sign``."""
     lowered = [p.adversary.lower(s.adversaries) for p in profiles]
     (rows0, n_noises), K = lowered[0], s.num_adversaries
-    assert all(n == n_noises and [r[3] for r in rows] == [r[3] for r in rows0]
+    assert all(n == n_noises and [r[2] for r in rows] == [r[2] for r in rows0]
                for rows, n in lowered)
-    rows = [tuple(sign * np.array([lw[0][k][i] for lw in lowered]) for i in range(3))
-            + (rows0[k][3],) for k in range(K)]
+    rows = [tuple(sign * np.array([lw[0][k][i] for lw in lowered]) for i in range(2))
+            + (rows0[k][2],) for k in range(K)]
     coeffs = [sign * np.array([p.transmit_coeffs[m] for p in profiles])
               for m in range(s.num_transmitters)]
     stats = asym._transmit_stats(s, coeffs) + asym._adversary_output_stats(s, rows, n_noises)
@@ -360,9 +362,9 @@ def _ref_direct_cost(s, p):
     rows, n_noises = p.adversary.lower(s.adversaries)
     sig = own = jam = 0.0
     amps = [0.0] * n_noises
-    for q, (a, b, ss, j) in zip(s.adversaries, rows):
-        sig += q.alpha * a
-        own += q.alpha * q.alpha * b * b
+    for q, (c, ss, j) in zip(s.adversaries, rows):
+        sig += q.alpha * (c * q.beta)
+        own += q.alpha * q.alpha * c * c
         if ss:
             amps[j] += q.alpha * ss
     for amp in amps:
@@ -473,7 +475,7 @@ def test_adversary_response_lanes_match_the_scalar_solve():
         lam1, lam2, c_k, ok = asym._adversary_response(s, c_m, s.sum_power_attack)
         for i, row in enumerate(c_m):
             try:
-                want = asym.adversary_linear_response(s, row, s.sum_power_attack)
+                want = asym._adversary_response(s, row, s.sum_power_attack)[:3]
             except (NonConvergence, SingularDenominator) as exc:
                 assert not ok[i]
                 outcomes[type(exc).__name__] += 1

@@ -597,6 +597,33 @@ def test_seed_without_monte_carlo_changes_nothing(tmp_path):
     assert [(tmp_path / name).read_bytes() for name in ("run.csv", "run.json")] == plain
 
 
+@pytest.mark.parametrize("overrides", [
+    # beta = 1e-11 puts r_t near 2e-11, below the Theorem-5 solver's
+    # denominator floor.
+    {"setting": "SymII", "transmitters": {**_sensors(1.0, 1e-11), "count": 2},
+     "adversaries": _sensors(1.0, 1e-11)},
+    {"setting": "SymII", "transmitters": {**_sensors(1e-12, 1e-11), "count": 2},
+     "adversaries": _sensors(1e-12, 1e-11)},
+    # alpha = 1e-300: r_t^2 and the nulling power underflow to 0.
+    {"setting": "SymII", "transmitters": {**_sensors(1e-300, 1.0), "count": 2},
+     "adversaries": _sensors(1e-300, 1.0)},
+    # An adversary whose beta/alpha, 1e400, lies beyond the float range.
+    {"setting": "AsymII", "sum_power_transmit": 1.0, "sum_power_attack": 1.0,
+     "transmitters": {**_sensors(1.0, 1.0), "count": 2},
+     "adversaries": [{"alpha": 1e-300, "beta": 1e100, "power": 1.0},
+                     {"alpha": 1.0, "beta": 0.5, "power": 1.0}]},
+])
+def test_verify_extreme_gains_exit_0(tmp_path, overrides):
+    # The adversary check's Theorem-5 follower and nulling test work with
+    # ratios of like powers, so no gain scale breaks them.
+    cfg = _write_config(tmp_path, **overrides)
+    assert main(["verify", "--config", str(cfg)]) == 0
+    text = (tmp_path / "run.json").read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    adv = json.loads(text)["adversary_check"]
+    assert adv["best_deviation_cost"] >= adv["base_cost"]
+
+
 @pytest.mark.parametrize("error", [EmptyAdversarySet, NoRoot, JamnetError])
 @pytest.mark.parametrize("command, overrides", [
     ("closed-form", {}),

@@ -159,12 +159,21 @@ def test_adversary_strategy_shapes_checked():
                 adversary=IndependentNoise(variances=(1.0,)), decoder_gain=0.0,
             ),
         )
-    with pytest.raises(InvalidProfile, match="one triple per adversary"):
+    with pytest.raises(InvalidProfile, match="one row per adversary"):
         validate_profile(
             s,
             StrategyProfile(
                 transmit_coeffs=(0.0, 0.0), randomized=True,
-                adversary=GeneralLinearGaussian(triples=((0.0, 0.0, 1.0),)),
+                adversary=GeneralLinearGaussian(rows=((0.0, 1.0, 0),)),
+                decoder_gain=0.0,
+            ),
+        )
+    with pytest.raises(InvalidProfile, match="nonnegative integers"):
+        validate_profile(
+            s,
+            StrategyProfile(
+                transmit_coeffs=(0.0, 0.0), randomized=True,
+                adversary=GeneralLinearGaussian(rows=((0.0, 1.0, 0), (0.0, 1.0, -1))),
                 decoder_gain=0.0,
             ),
         )

@@ -119,7 +119,7 @@ def _block_cases():
     distinct = StrategyProfile(
         transmit_coeffs=(0.9, 0.0, 0.3),  # a zero gain skips its noise row's add
         randomized=True,
-        adversary=GeneralLinearGaussian(triples=((-0.5, 0.3, 0.8), (0.0, 0.0, 0.0))),
+        adversary=GeneralLinearGaussian(rows=((-0.5, 0.8, 0), (0.0, 0.0, 1))),
         decoder_gain=0.7,
     )
     return [
@@ -148,8 +148,8 @@ def test_in_place_block_equals_the_allocating_reference():
 
 
 def test_zero_gain_sensors_consume_no_draws():
-    # A transmitter sending 0 and an adversary sending (0, 0, 0) on its own
-    # theta reach nothing, so appending them must leave the stream, and the
+    # A transmitter sending 0 and an adversary sending (c, s) = (0, 0) on its
+    # own theta reach nothing, so appending them must leave the stream, and the
     # result, bit-identical.
     sd = _asym_distinct_scenario()
     extra = dataclasses.replace(sd.transmitters[0], alpha=1.1, beta=0.9)
@@ -158,13 +158,13 @@ def test_zero_gain_sensors_consume_no_draws():
     base = StrategyProfile(
         transmit_coeffs=(0.9, -0.6, 0.3),
         randomized=True,
-        adversary=GeneralLinearGaussian(triples=((-0.5, 0.3, 0.8), (0.3, -0.8, 0.1))),
+        adversary=GeneralLinearGaussian(rows=((-0.5, 0.8, 0), (0.3, 0.1, 1))),
         decoder_gain=0.4,
     )
     for p in (base, dataclasses.replace(base, randomized=False)):
         padded = dataclasses.replace(
             p, transmit_coeffs=p.transmit_coeffs + (0.0,),
-            adversary=GeneralLinearGaussian(triples=p.adversary.triples + ((0.0, 0.0, 0.0),)))
+            adversary=GeneralLinearGaussian(rows=p.adversary.rows + ((0.0, 0.0, 2),)))
         for samples, seed in ((70_000, 11), (1, 3)):
             a = simulate.run_monte_carlo(sd, p, samples, seed=seed)
             b = simulate.run_monte_carlo(wider, padded, samples, seed=seed)
@@ -216,15 +216,15 @@ def test_monte_carlo_all_strategy_kinds_match_oracle():
     glg = StrategyProfile(
         transmit_coeffs=sym.theorem1_profile(sg).transmit_coeffs,
         randomized=True,
-        adversary=GeneralLinearGaussian(triples=((0.4, 0.3, math.sqrt(1.0 - 0.16 - 0.09)),)),
+        adversary=GeneralLinearGaussian(rows=((0.3, math.sqrt(1.0 - 2.0 * 0.09), 0),)),
         decoder_gain=0.0,
     )
     glg = dataclasses.replace(glg, decoder_gain=asym.bayes_decoder_gain(sg, glg))
     cases.append((sg, glg, 24))
 
-    # Distinct gains on every sensor and nonzero (a, b, s) differing per
-    # adversary, over several blocks: a gain taken from the wrong sensor shows
-    # up here.
+    # Distinct gains on every sensor and nonzero (c, s) differing per
+    # adversary, on swapped noise indices, over several blocks: a gain or a
+    # noise taken from the wrong sensor shows up here.
     sd = make_symmetric(3, 2, 1.0, 1.0, 1.0, Setting.ASYM_I,
                         sum_power_transmit=5.0, sum_power_attack=2.0)
     sd = dataclasses.replace(
@@ -237,7 +237,7 @@ def test_monte_carlo_all_strategy_kinds_match_oracle():
     distinct = StrategyProfile(
         transmit_coeffs=(0.9, -0.6, 0.3),
         randomized=False,
-        adversary=GeneralLinearGaussian(triples=((-0.5, 0.3, 0.8), (0.3, -0.8, 0.1))),
+        adversary=GeneralLinearGaussian(rows=((-0.5, 0.8, 1), (0.3, 0.1, 0))),
         decoder_gain=0.0,
     )
     distinct = dataclasses.replace(distinct, decoder_gain=asym.bayes_decoder_gain(sd, distinct))
@@ -273,7 +273,7 @@ def test_randomization_necessity_via_grid_search():
     rep_det = simulate.best_response_adversary_search(s, p_det)
     assert rep_det.best_deviation_cost > rep_det.base_cost + 1e-2
     # The winning deviation anti-correlates with the source.
-    assert "a=-" in rep_det.deviation_params
+    assert "c_k=-" in rep_det.deviation_params
 
 
 def test_adversary_search_zero_budget():
@@ -326,10 +326,33 @@ def test_verify_saddle_point_theorem1():
 
 def test_theorem2_profile_is_not_a_saddle():
     s = make_symmetric(2, 1, 1.0, 1.0, 1.0, Setting.SYM_II)
-    adv, tx = simulate.verify_saddle_point(s, sym.theorem2_profile(s))
-    # No saddle in pure strategies: the adversary finds a better deviation.
-    assert adv.best_deviation_cost > adv.base_cost + 1e-2
+    p = sym.theorem2_profile(s)
+    adv, tx = simulate.verify_saddle_point(s, p)
+    # The adversaries' realizable moves reach only the base: the mirror at
+    # the cap is their best response.
+    assert adv.best_deviation_cost == adv.base_cost
+    assert adv.deviation_params == "no deviation improves on the profile"
     assert tx.best_deviation_cost >= tx.base_cost - 1e-8
+    # No saddle in pure strategies: against the fixed mirror the transmitters
+    # have a cheaper response (0.357 against 0.833).
+    sig, own, jam = asym._adversary_output_stats(s, *p.adversary.lower(s.adversaries))
+    coeffs, _ = simulate._box_response(s, p, sig, 1.0 + own + jam)
+    fixed = asym.direct_mmse_cost(s, dataclasses.replace(p, transmit_coeffs=coeffs))
+    assert fixed < adv.base_cost - 1e-2
+    assert fixed == pytest.approx(0.3571428571428571, rel=1e-12)
+
+
+@pytest.mark.parametrize("M, K, alpha, beta, power", [
+    (5, 2, 1.0, 1.0, 1.0), (5, 2, 0.5, 2.0, 1.0),  # interior point on the budget
+    (3, 2, 0.5, 3.0, 2.0), (4, 2, 0.5, 3.0, 0.5),  # follower at the mirror
+])
+def test_rounding_is_no_adversary_deviation(M, K, alpha, beta, power):
+    # The Theorem-2 mirror is the adversaries' best response here; the
+    # search recomputes it an ulp off, and that is no move.
+    s = make_symmetric(M, K, alpha, beta, power, Setting.SYM_II)
+    report = simulate.best_response_adversary_search(s, sym.theorem2_profile(s))
+    assert report.deviation_params == "no deviation improves on the profile"
+    assert report.best_deviation_cost == report.base_cost
 
 
 def test_no_adversary_saddle_trivially_passes():
@@ -353,8 +376,9 @@ def test_theorem5_local_probe_suites():
 # Reference copies of the per-candidate loops they replaced: one profile
 # object and one oracle call per candidate.  Both searches are exact, so the
 # old 21x21 adversary deviation grid and its candidate families,
-# ``_ref_adversary_search``, are a lower bound on what the adversary search
-# reports, and the old random transmitter probes, ``_ref_transmitter_search``,
+# ``_ref_adversary_search`` (now over the realizable rows), are a lower
+# bound on what the adversary search reports, and the old random transmitter
+# probes, ``_ref_transmitter_search``,
 # an upper bound on what the transmitter search reports.
 
 def _ref_disc_grid(points):
@@ -363,6 +387,9 @@ def _ref_disc_grid(points):
 
 
 def _ref_adversary_search(s, p):
+    """Noise candidates and the 21-point disc over (c*sqrt(1 + beta^2), s)
+    on one shared noise: every adversary on the same row in the symmetric
+    settings, one adversary at a time under the sum budget."""
     base = asym.direct_mmse_cost(s, p)
     K = s.num_adversaries
     if K == 0:
@@ -371,16 +398,16 @@ def _ref_adversary_search(s, p):
     if s.setting.is_symmetric:
         budget = s.adversaries[0].power
         root = math.sqrt(budget)
-        candidates.append(("shared triple (a=0, b=0, s=full)",
-                           GeneralLinearGaussian(triples=((0.0, 0.0, root),) * K)))
+        m = math.sqrt(s.adversaries[0].input_second_moment)
+        candidates.append(("shared row (c=0, s=full)",
+                           GeneralLinearGaussian(rows=((0.0, root, 0),) * K)))
         candidates.append(("coordinated full-power noise", CoordinatedNoise(variance=budget)))
         candidates.append(("independent full-power noise",
                            IndependentNoise(variances=(budget,) * K)))
         for u, v in _ref_disc_grid(21):
-            a, b = u * root, v * root
-            ss = math.sqrt(max(budget - a * a - b * b, 0.0))
-            candidates.append((f"shared triple (a={a:.6g}, b={b:.6g}, s={ss:.6g})",
-                               GeneralLinearGaussian(triples=((a, b, ss),) * K)))
+            c, ss = u * root / m, v * root
+            candidates.append((f"shared row (c={c:.6g}, s={ss:.6g})",
+                               GeneralLinearGaussian(rows=((c, ss, 0),) * K)))
     else:
         budget = s.sum_power_attack or 0.0
         root = math.sqrt(budget)
@@ -391,13 +418,13 @@ def _ref_adversary_search(s, p):
                                IndependentNoise(variances=tuple(variances))))
         candidates.append(("uniform coordinated noise", CoordinatedNoise(variance=budget / K)))
         for j in range(K):
+            m = math.sqrt(s.adversaries[j].input_second_moment)
             for u, v in _ref_disc_grid(21):
-                a, b = u * root, v * root
-                ss = math.sqrt(max(budget - a * a - b * b, 0.0))
-                triples = [(0.0, 0.0, 0.0)] * K
-                triples[j] = (a, b, ss)
-                candidates.append((f"adversary {j} triple (a={a:.6g}, b={b:.6g}, s={ss:.6g})",
-                                   GeneralLinearGaussian(triples=tuple(triples))))
+                c, ss = u * root / m, v * root
+                rows = [(0.0, 0.0, 0)] * K
+                rows[j] = (c, ss, 0)
+                candidates.append((f"adversary {j} row (c={c:.6g}, s={ss:.6g})",
+                                   GeneralLinearGaussian(rows=tuple(rows))))
     best_cost, best_desc = base, "no deviation improves on the profile"
     for desc, strategy in candidates:
         cost = asym.direct_mmse_cost(s, dataclasses.replace(p, adversary=strategy))
@@ -443,7 +470,7 @@ def _ref_follower_cost(s, p, coeffs):
         response = _ref_follower_sym2(s, trial.transmit_coeffs)
         trial = dataclasses.replace(trial, adversary=LinearMirror(coeffs=response))
     elif _leads(s, p):
-        _, _, c_k = asym.adversary_linear_response(s, coeffs, s.sum_power_attack)
+        _, _, c_k = asym._adversary_response(s, coeffs, s.sum_power_attack)[:3]
         trial = dataclasses.replace(
             trial, adversary=LinearMirror(coeffs=tuple(float(c) for c in c_k)))
     return asym.direct_mmse_cost(s, trial)
@@ -625,7 +652,7 @@ def test_asym2_follower_failure_cases_skip_and_raise():
         seen, costs = set(), []
         for row in c_m:
             try:
-                _, _, c_k = asym.adversary_linear_response(s, row, s.sum_power_attack)
+                _, _, c_k = asym._adversary_response(s, row, s.sum_power_attack)[:3]
             except (NonConvergence, SingularDenominator, OverflowError) as exc:
                 seen.add(type(exc))
                 continue
@@ -664,7 +691,7 @@ def test_one_row_adversary_solve_failures_keep_type_message_and_residuals():
     ]
     for s, row, error, message, residuals in cases:
         with pytest.raises(error) as info:
-            asym.adversary_linear_response(s, row, s.sum_power_attack)
+            asym._adversary_response(s, row, s.sum_power_attack)[:3]
         assert type(info.value) is error and str(info.value) == message
         if residuals is not None:
             assert info.value.residuals == residuals
@@ -730,69 +757,89 @@ def _deviation_costs(s, p, rows, n_noises):
 
 
 def _random_deviation_costs(s, p, rng, draws=40, lanes=100):
-    """Costs of random deviations of the class: each lane gives adversary k
-    a random (a, b, s) on its budget (its own, or a random share of the sum
-    budget) on the noise j_k < J, with J <= K and the j_k drawn per draw."""
+    """Costs of random realizable deviations: each lane gives adversary k a
+    random row on its budget (its own, or a random share of the sum budget),
+    c_k on U_k and s_k on the noise j_k < J, with J <= K and the j_k drawn
+    per draw."""
     K = s.num_adversaries
+    m = np.sqrt([q.input_second_moment for q in s.adversaries])
     costs = []
     for _ in range(draws):
         J = int(rng.integers(1, K + 1))
         js = rng.integers(0, J, K)
-        direction = rng.standard_normal((K, 3, lanes))
+        direction = rng.standard_normal((K, 2, lanes))
         direction /= np.sqrt(np.sum(direction**2, axis=1, keepdims=True))
         if s.setting.is_symmetric:
             budget = np.array([[q.power] for q in s.adversaries])
         else:
             budget = s.sum_power_attack * rng.dirichlet(np.ones(K), lanes).T
-        triples = np.sqrt(budget)[:, None, :] * direction
-        rows = [(*triples[k], int(js[k])) for k in range(K)]
+        scaled = np.sqrt(budget)[:, None, :] * direction  # (c*sqrt(1 + beta^2), s)
+        rows = [(scaled[k, 0] / m[k], scaled[k, 1], int(js[k])) for k in range(K)]
         costs.append(_deviation_costs(s, p, rows, J))
     return np.concatenate(costs)
 
 
-_TRIPLE = re.compile(r"\(a=(\S+), b=0, s=(\S+)\)")
+_DEVIATION = re.compile(r"(.+): c_k=(\S+|\(.*?\)) on U_k, s_k=(\S+|\(.*?\)) on one shared noise")
+
+
+def _reported_rows(desc, K):
+    """(branch, rows) of a reported adversary deviation, from its text."""
+    branch, *values = _DEVIATION.fullmatch(desc).groups()
+    c, ss = ([float(x) for x in v.strip("()").split(", ")] if v.startswith("(")
+             else [float(v)] * K for v in values)
+    return branch, [(ck, sk, 0) for ck, sk in zip(c, ss)]
+
+
+def _random_asym2_cases(count=60):
+    """Random deterministic AsymII profiles on P_T, gains log-uniform on
+    0.05-20, against a silent adversary: the nulling, interior and follower
+    branches of the adversaries' response all occur among them."""
+    rng = np.random.default_rng(77)
+    cases = []
+    for _ in range(count):
+        M, K = (int(x) for x in rng.integers(1, 5, 2))
+        gains = np.exp(rng.uniform(math.log(0.05), math.log(20.0), (2, M + K)))
+        s = make_symmetric(M, K, 1.0, 1.0, 1.0, Setting.ASYM_II,
+                           sum_power_transmit=float(rng.uniform(0.5, 5.0)),
+                           sum_power_attack=float(rng.uniform(0.05, 2.0)))
+        s = dataclasses.replace(s, transmitters=_with_gains(s.transmitters, *gains[:, :M]),
+                                adversaries=_with_gains(s.adversaries, *gains[:, M:]))
+        c = rng.standard_normal(M)
+        c *= math.sqrt(s.sum_power_transmit / sum(
+            q.input_second_moment * x * x for q, x in zip(s.transmitters, c)))
+        cases.append((s, StrategyProfile(
+            transmit_coeffs=tuple(c.tolist()), randomized=False,
+            adversary=IndependentNoise(variances=(0.0,) * K), decoder_gain=0.0)))
+    return cases
 
 
 def test_adversary_best_response_is_exact_and_attained():
     rng = np.random.default_rng(2024)
-    interior = 0
-    for s, p in _search_cases() + _random_distinct_asym_cases():
-        report = _outcome(simulate.best_response_adversary_search, s, p)
+    branches = set()
+    for s, p in _search_cases() + _random_distinct_asym_cases() + _random_asym2_cases():
+        # The search answers on every profile, the follower's failure cases too.
+        report = simulate.best_response_adversary_search(s, p)
         _assert_dominates(report, _outcome(_ref_adversary_search, s, p))
-        if s.num_adversaries == 0 or isinstance(report, tuple):
+        if s.num_adversaries == 0:
             continue
         best = report.best_deviation_cost
-        # No random deviation of the class, and no source share u of the
-        # aligned coherent family, beats it.
+        # No random realizable deviation beats it.
         assert np.max(_random_deviation_costs(s, p, rng)) <= best + 1e-15
-        alphas = np.array([q.alpha for q in s.adversaries])
-        if s.setting.is_symmetric:
-            amps = np.sqrt([q.power for q in s.adversaries])
-        else:
-            amps = math.sqrt(s.sum_power_attack) * alphas / math.hypot(*alphas)
-        r_t, _ = asym._transmit_stats(s, p.transmit_coeffs)
-        u = np.linspace(0.0, 1.0, 4001)
-        family = [(-math.copysign(1.0, r_t) * w * u, 0.0, w * np.sqrt(1.0 - u * u), 0)
-                  for w in amps]
-        assert np.max(_deviation_costs(s, p, family, 1)) <= best + 1e-15
         if report.deviation_params.startswith("no "):
             continue
-        # The reported triple, split over the adversaries, attains the value.
-        a, ss = (float(x) for x in _TRIPLE.search(report.deviation_params).groups())
-        shares = (np.ones(s.num_adversaries) if s.setting.is_symmetric
-                  else alphas / math.hypot(*alphas))
-        rows = [(a * w, 0.0, ss * w, 0) for w in shares]
+        # The reported rows, read back from the text, attain the value.
+        branch, rows = _reported_rows(report.deviation_params, s.num_adversaries)
         assert _deviation_costs(s, p, rows, 1) == pytest.approx(best, rel=1e-5)
-        interior += a != 0.0 and ss != 0.0
-    assert interior > 0  # the interior branch 0 < u < 1 is taken
+        branches.add(branch)
+    assert branches == {"noise only", "source nulled", "interior", "Theorem-5 follower"}
 
 
 def _random_glg_cases(rng, count=40):
     """SymI and AsymI scenarios under random feasible transmit profiles,
     randomized and not, against random source-heavy GeneralLinearGaussian
-    adversaries on their budgets (their own, or a random split of a tenfold
-    P_A): a source share that outgrows the noise lets the sum budget go
-    slack."""
+    adversaries, rows (c_k, s_k, k), on their budgets (their own, or a
+    random split of a tenfold P_A): a source share that outgrows the noise
+    lets the sum budget go slack."""
     cases = []
     seed = int(rng.integers(1 << 30))
     for M, K, alpha, beta, power in random_symmetric_configs(count, seed):
@@ -800,16 +847,17 @@ def _random_glg_cases(rng, count=40):
         for s in (make_symmetric(M, K, alpha, beta, power, Setting.SYM_I),
                   dataclasses.replace(asym1, sum_power_attack=10.0 * asym1.sum_power_attack)):
             K = s.num_adversaries
-            direction = rng.standard_normal((K, 3)) + [rng.choice([-4.0, 4.0]), 0.0, 0.0]
+            direction = rng.standard_normal((K, 2)) + [rng.choice([-4.0, 4.0]), 0.0]
             direction /= np.sqrt(np.sum(direction**2, axis=1, keepdims=True))
             budgets = ([q.power for q in s.adversaries] if s.setting.is_symmetric
                        else s.sum_power_attack * rng.dirichlet(np.ones(K)))
-            triples = np.sqrt(budgets)[:, None] * direction
+            scaled = np.sqrt(budgets)[:, None] * direction  # (c*sqrt(1 + beta^2), s)
+            rows = tuple((x / math.sqrt(q.input_second_moment), y, k)
+                         for k, (q, (x, y)) in enumerate(zip(s.adversaries, scaled.tolist())))
             c = _random_transmit_lanes(s, rng, 1)[0]
             cases.append((s, StrategyProfile(
                 transmit_coeffs=tuple(c.tolist()), randomized=bool(rng.integers(2)),
-                adversary=GeneralLinearGaussian(triples=tuple(map(tuple, triples.tolist()))),
-                decoder_gain=0.0)))
+                adversary=GeneralLinearGaussian(rows=rows), decoder_gain=0.0)))
     return cases
 
 
@@ -840,7 +888,7 @@ def _named_response_cost(s, p, desc):
     x = float(re.search(r"=([-+.\deE]+)", desc).group(1))
     if desc.startswith("Theorem-5"):
         _, c_m = asym._transmit_side(s, x, s.sum_power_transmit)
-        return _follower_cost(s, c_m, asym.adversary_linear_response(s, c_m, s.sum_power_attack)[2])
+        return _follower_cost(s, c_m, asym._adversary_response(s, c_m, s.sum_power_attack)[2])
     if s.setting.is_symmetric:
         coeffs = np.full(s.num_transmitters, x)
         coeffs[_silent(s, p)] = 0.0
