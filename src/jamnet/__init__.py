@@ -25,7 +25,6 @@ from .model import (
     NumericalFailure,
     SensorParams,
     Setting,
-    SingularDenominator,
     StrategyProfile,
     make_symmetric,
     validate_profile,

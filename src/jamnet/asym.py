@@ -15,15 +15,17 @@ by nested bracketed root-finding: the outer residual is evaluated at every
 point of a fixed scan grid in one array pass, every sign change is counted,
 and scalar Brent then solves the first bracket, starting from the two
 scanned values at its ends; the report takes the root's inner solve from
-the Brent's own evaluations.  The inner adversary solve,
-``_adversary_response``, is one piece of arithmetic for one row of transmit
-coefficients (scalar Brent steps, inside the outer Brent) and for lanes of
-rows (Brent steps on all lanes at once, in the scan and on the frontier
-``simulate`` checks), so a scanned residual has the bits of the scalar
-residual at its point, and so has the exit-2 report without a sign change,
-which carries the first scanned residuals.  The budgets P_T and P_A may
-differ from lane to lane, so ``theorem5_scans`` scans all the points of a
-budget sweep in one pass and hands each point's slice to ``solve_theorem5``.
+the Brent's own evaluations.  The inner solve, ``_follower``, is the
+package's one Theorem-5 follower (``simulate`` checks with it too), solved
+on the unit sphere of the attack budget.  It is one piece of arithmetic for
+one row of transmit coefficients (scalar Brent steps, inside the outer
+Brent) and for lanes of rows (Brent steps on all lanes at once, in the scan
+and on the frontier ``simulate`` checks), so a scanned residual has the
+bits of the scalar residual at its point, and so has the exit-2 report
+without a sign change, which carries the first scanned residuals.  The
+budgets P_T and P_A may differ from lane to lane, so ``theorem5_scans``
+scans all the points of a budget sweep in one pass and hands each point's
+slice to ``solve_theorem5``.
 
 Every equilibrium profile of the package, the symmetric solvers' included,
 is built by one helper, ``_bayes_profile``, which attaches the Bayes
@@ -56,13 +58,9 @@ from .model import (
     NumericalFailure,
     SensorParams,
     Setting,
-    SingularDenominator,
     StrategyProfile,
     validate_profile,
 )
-
-DENOM_FLOOR = 1e-10
-
 
 # Theorem-5 solver constants: the bound on every first-order residual at a
 # solution, and the outer scan's grid size.
@@ -286,8 +284,6 @@ def _transmit_side(s: NetworkScenario, lam3, p_t):
     ab = np.array([p.alpha * p.beta for p in s.transmitters])
     with np.errstate(over="ignore"):  # overflow gives inf, as float arithmetic does
         denoms = one_b2 + lam3[..., None] * a2
-        if np.any(np.abs(denoms) < DENOM_FLOOR):
-            raise SingularDenominator(f"transmit denominator below {DENOM_FLOOR} at lambda3={lam3}")
         t2 = np.sum(one_b2 * ab * ab / denoms**2, axis=-1)
         if np.any(t2 <= 0.0):
             raise DegenerateInput("no information path: all alpha*beta vanish")
@@ -295,108 +291,142 @@ def _transmit_side(s: NetworkScenario, lam3, p_t):
         return lam4, lam4[..., None] * ab / (2.0 * denoms)
 
 
-def _square(x, live):
-    """x**2 with libm pow's bits, as float ``**`` gives them (numpy's ``**`` 2
-    is x*x, which differs from it in the last bit for about 1 in 1000 x).  On
-    lanes it raises float ``**``'s OverflowError where the square of a finite
-    ``live`` lane overflows."""
-    if type(x) is float:
-        return x ** 2
-    square = np.float_power(x, 2.0)
-    if np.any(live & np.isfinite(x) & np.isinf(square)):
-        raise OverflowError(34, "Numerical result out of range")
-    return square
+def _sphere(s: NetworkScenario, p_a):
+    """(root, u, v) on the adversaries' sum budget ``p_a`` (a float, or one
+    per lane; the sensor axis is last): c_k = root_k*x_k spends P_A at
+    |x| = 1, and sensor k lands u_k*x_k of the source and own-noise power
+    v_k*x_k^2, u_k = alpha_k*beta_k*sqrt(P_A/m_k), v_k = alpha_k^2*P_A/m_k,
+    m_k = 1 + beta_k^2, with sqrt(m_k) as hypot(1, beta_k)."""
+    alpha = np.array([p.alpha for p in s.adversaries])
+    beta = np.array([p.beta for p in s.adversaries])
+    h = np.hypot(1.0, beta)
+    budget = np.sqrt(p_a)[..., None]
+    root = budget / h
+    return root, alpha * budget * (beta / h), (alpha * root) ** 2
 
 
-def _adversary_response(s: NetworkScenario, c_m, p_a):
-    """Best linear response (lambda1, lambda2, c_k, ok) of the adversaries to
-    the transmit coefficients ``c_m``: one row of M, or lanes x M.  On lanes
-    ``p_a`` may be a budget per lane that broadcasts against them.
+def _follower(s: NetworkScenario, p_a):
+    """Theorem 5's follower on the sum budget ``p_a`` (a float, or one per
+    lane): a function of the transmit coefficients c_m, one row of M or
+    lanes x M, giving (lambda1, lambda2, c_k, ok), the adversaries' best
+    linear response spending the budget.
 
-    Solves the adversary-side first-order system: lambda2 is affine in
-    lambda1 via the combined stationarity/feasibility relation, and the
-    power-equality equation g(lambda1) = 0 is strictly increasing on
-    (0, min_k (1+beta_k^2)/alpha_k^2), so the root is unique when it exists.
-    No root means the adversary can null the received signal outright with
-    slack power (no power-equality KKT point).  ``_brentq`` solves one row,
-    which raises NonConvergence or SingularDenominator where it fails;
-    ``_brentq_lanes`` solves lanes, and ok is False on the lanes that would
-    raise.  A lane has its row's bits.  Both raise float ``**``'s
-    OverflowError where lambda2^2 overflows on a row or lane being solved.
+    It minimizes N^2/D, N = r_t + sum u_k*x_k, D = 1 + own_t + sum v_k*x_k^2,
+    on the unit sphere of ``_sphere``.  The first-order conditions put x on
+    the curve x ~ -sign(r_t)*e, e_k = u_k/U*(1 - nu)/(1 - nu*v_k/V),
+    U = max u, V = max v, nu in [0, 1], along which the stationarity gap
+    nu*D*|e|*U/V - (1 - nu)*|N| rises from -|N| to D*|e|*U/V; its root is
+    the follower.  The curve holds only ratios of like quantities; where U/V
+    overflows, the nulling direction nu = 0 is the answer.  Then
+    lambda1 = nu*P_A/V = nu*min_k m_k/alpha_k^2, below nu = 1/2 taken as its
+    value at the root, (1 - nu)*|N|*P_A/(D*|e|*U), free of nu's absolute
+    error; lambda2 is affine in it; and c_k = root_k*x_k.
+
+    Where |r_t| <= |u| the budget nulls the source and no follower spends
+    it: one row raises NonConvergence, with residual |r_t| - |u|.  A
+    follower that is not finite raises NumericalFailure.  Lanes have ok
+    False instead, and each lane has its row's bits.
     """
     if s.num_adversaries < 1:
         raise EmptyAdversarySet("no adversarial sensors")
-    one = np.ndim(c_m) == 1
+    ab_t = np.array([p.alpha * p.beta for p in s.transmitters])
+    a2_t = np.array([p.alpha ** 2 for p in s.transmitters])
     with np.errstate(all="ignore"):
-        ab_t = np.array([p.alpha * p.beta for p in s.transmitters])
-        a2_t = np.array([p.alpha ** 2 for p in s.transmitters])
-        # Running sums add the sensors one at a time, in order, as sum() does.
-        r_m = np.add.accumulate(ab_t * c_m, axis=-1)[..., -1]
-        s_own = np.add.accumulate(a2_t * c_m * c_m, axis=-1)[..., -1]
-        # On one row r_m, s_own and p_a as Python floats make lambda2 one, so
-        # _square takes float ** (lanes take np.float_power with its bits).
-        if one:
-            r_m, s_own, p_a = float(r_m), float(s_own), float(p_a)
-        else:
-            p_a = np.asarray(p_a, dtype=float)
+        root, u, v = _sphere(s, p_a)
+        big_u, big_v = np.maximum.reduce(u, axis=-1), np.maximum.reduce(v, axis=-1)
+        unit = u / np.where(big_u > 0.0, big_u, 1.0)[..., None]
+        rho = v / np.where(big_v > 0.0, big_v, 1.0)[..., None]
+        q, span = big_u / big_v, np.hypot.reduce(u, axis=-1)
+        # e_k is fixed where v_k = V, at u_k/U or 1e-150, which keeps the
+        # largest v on the curve where its u underflows.  Below nu = 1 the
+        # sensor of the largest u has e_k >= 1 - nu >= 2^-53, so |e|^2 >= 1e-300.
+        top = rho == 1.0
+        fixed = np.where(top, np.maximum(unit, 1e-150), 0.0)
+        unit, rho = np.where(top, 0.0, unit), np.where(top, 0.0, rho)
 
-        a_adv = np.array([p.alpha for p in s.adversaries])
-        b2_adv = np.array([p.input_second_moment for p in s.adversaries])
-        ab_adv = np.array([p.alpha * p.beta for p in s.adversaries])
-        a2_adv, num = a_adv**2, b2_adv * ab_adv**2
-        lam1_max = float(np.min(b2_adv / a2_adv))
+    def respond(c_m):
+        one = np.ndim(c_m) == 1
+        with np.errstate(all="ignore"):
+            # Running sums add the sensors one at a time, in order, as sum() does.
+            r_m = np.add.accumulate(ab_t * c_m, axis=-1)[..., -1]
+            s_own = np.add.accumulate(a2_t * c_m * c_m, axis=-1)[..., -1]
+            # One row's multipliers are Python floats.
+            budget = float(p_a) if one else p_a
+            if one:
+                r_m, s_own = float(r_m), float(s_own)
+            toward = -np.copysign(1.0, r_m)
 
-        def lam2_of(lam1):
-            return -(2.0 * p_a + 2.0 * lam1 * (1.0 + s_own)) / r_m
+            def curve(nu):
+                """(stationarity gap, (e, |e|, |N|, D)) at nu, lane by lane."""
+                at = nu if isinstance(nu, float) else nu[..., None]
+                e = unit * (1.0 - at) / (1.0 - at * rho) + fixed
+                ee = e * e
+                sq = np.add.reduce(ee, axis=-1)
+                norm = np.sqrt(sq)
+                n = abs(r_m + toward * np.add.reduce(u * e, axis=-1) / norm)
+                d = 1.0 + s_own + np.add.reduce(v * ee, axis=-1) / sq
+                return nu * d * norm * q - (1.0 - nu) * n, (e, norm, n, d)
 
-        def denoms(lam1):
-            return b2_adv - np.multiply.outer(lam1, a2_adv)
+            def gap(nu):
+                return curve(nu)[0]
 
-        def power_gap(lam1, live=True):
-            a2 = np.add.reduce(num / denoms(lam1)**2, axis=-1)  # np.sum, minus its wrapper
-            return _square(lam2_of(lam1), live) / 4.0 * a2 - p_a
+            def require(good, error):
+                """The lanes where ``good`` holds; one row raises error() instead."""
+                if one and not good:
+                    raise error()
+                return good
 
-        def require(good, error):
-            """The lanes where ``good`` holds; one row raises error() instead."""
-            if one and not good:
-                raise error()
-            return good
+            def nulled():
+                return NonConvergence(
+                    "adversary power-equality equation has no positive root "
+                    "(attack budget dominates the received signal)",
+                    residuals=(float(abs(r_m) - span),))
 
-        lo, hi = lam1_max * 1e-14, lam1_max * (1.0 - 1e-9)
-        ok = require(~(np.abs(r_m) < DENOM_FLOOR), lambda: SingularDenominator(
-            "transmit signal term vanishes; adversary system singular"))
-        g_lo = power_gap(lo, ok)
-        ok = ok & require(~(g_lo >= 0.0), lambda: NonConvergence(
-            "adversary power-equality equation has no positive root "
-            "(attack budget dominates the received signal)", residuals=(float(g_lo),)))
-        g_hi = power_gap(hi, ok)
-        ok = ok & require(g_hi > 0.0, lambda: NonConvergence(
-            "adversary power-equality equation has no bracket",
-            residuals=(float(g_lo), float(g_hi))))
-        if one:
-            lam1 = _brentq(power_gap, lo, hi)
-        else:
-            lam1 = _brentq_lanes(power_gap, lo, hi, g_lo, g_hi, ok)
-        lam2, d = lam2_of(lam1), denoms(lam1)
-        ok = ok & require(~np.any(np.abs(d) < DENOM_FLOOR, axis=-1), lambda: SingularDenominator(
-            "adversary denominator below floor at converged lambda1"))
-        return lam1, lam2, np.multiply.outer(lam2, ab_adv) / (2.0 * d), ok
+            def overflow():
+                return NumericalFailure(
+                    "adversary follower is not finite: a gain-power product over- or underflows")
+
+            ok = require(abs(r_m) > span, nulled)
+            gap0 = np.where(np.isfinite(q), gap(0.0), 0.0)
+            gap1 = gap(1.0)
+            short = gap0 >= 0.0  # the nulling direction is the answer
+            ok = ok & require(short | ((gap0 < 0.0) & (gap1 >= 0.0)), overflow)
+            if one:
+                nu = 0.0 if short else _brentq(gap, 0.0, 1.0, float(gap0), float(gap1))
+            else:
+                nu = np.where(short, 0.0, _brentq_lanes(gap, 0.0, 1.0, gap0, gap1, ok & ~short))
+            e, norm, n, d = curve(nu)[1]
+            c_k = root * ((toward / norm)[..., None] * e)
+            ok = ok & require(np.isfinite(c_k).all(axis=-1), overflow)
+            at_root = (1.0 - nu) * n * budget / (d * norm * big_u)
+            lam1 = np.where(nu < 0.5, at_root, nu * budget / big_v)
+            ok = ok & require(lam1 > 0.0, nulled)
+            if one:
+                lam1 = float(lam1)
+            return lam1, -(2.0 * budget + 2.0 * lam1 * (1.0 + s_own)) / r_m, c_k, ok
+
+    return respond
 
 
-def _outer_solve(s: NetworkScenario, lam3, p_t, p_a):
-    """(F, ok, solve): the outer residual F = lambda4*lambda1 + lambda2*lambda3
-    at a trial lambda3, or at each of an array of them as lanes, with
-    ``_adversary_response``'s ok and the solve (lambda4, c_m, lambda1,
-    lambda2, c_k) it came from.  P_T and P_A may be given per lane."""
-    with np.errstate(all="ignore"):
-        lam4, c_m = _transmit_side(s, lam3, p_t)
-        lam1, lam2, c_k, ok = _adversary_response(s, c_m, p_a)
-        return lam4 * lam1 + lam2 * lam3, ok, (lam4, c_m, lam1, lam2, c_k)
+def _outer(s: NetworkScenario, p_t, p_a):
+    """The outer residual at budgets P_T and P_A (floats, or per lane) as a
+    function of a trial lambda3, or of an array of them as lanes: (F, ok,
+    solve), F = lambda4*lambda1 + lambda2*lambda3, with the follower's ok
+    and the solve (lambda4, c_m, lambda1, lambda2, c_k) it came from."""
+    respond = _follower(s, p_a)
+
+    def outer(lam3):
+        with np.errstate(all="ignore"):
+            lam4, c_m = _transmit_side(s, lam3, p_t)
+            lam1, lam2, c_k, ok = respond(c_m)
+            return lam4 * lam1 + lam2 * lam3, ok, (lam4, c_m, lam1, lam2, c_k)
+
+    return outer
 
 
 def _outer_residual(s: NetworkScenario, lam3, p_t, p_a):
-    """(F, ok) of ``_outer_solve``."""
-    return _outer_solve(s, lam3, p_t, p_a)[:2]
+    """(F, ok) of ``_outer`` at lambda3."""
+    return _outer(s, p_t, p_a)(lam3)[:2]
 
 
 def _brentq(f, xa: float, xb: float, fa: float | None = None,
@@ -471,10 +501,11 @@ def _brentq_lanes(f, xa: float, xb: float, fa, fb, todo):
 
     The steps are scipy's (Brent 1973, as in scipy/optimize/Zeros/brentq.c)
     in the same double arithmetic, so each lane's root has the bits that
-    ``_brentq`` gives for that lane alone.  ``f(x, live)`` maps an array of
-    abscissae, one per lane, to the lane values; ``live`` marks the lanes
-    whose value brentq would ask for.  fa and fb are f at xa and xb, nonzero
-    and of opposite signs on every lane in ``todo``.  Other lanes give NaN.
+    ``_brentq`` gives for that lane alone.  ``f(x)`` maps an array of
+    abscissae, one per lane, to the lane values.  fa and fb are f at xa and
+    xb, of opposite signs on every lane in ``todo``, where fa is nonzero; a
+    lane where fb is zero has the root xb, as in ``_brentq``.  Other lanes
+    give NaN.
     """
     xtol, rtol = 1e-15, 8.9e-16
     xpre, xcur = np.full(fa.shape, xa), np.full(fa.shape, xb)
@@ -510,7 +541,7 @@ def _brentq_lanes(f, xa: float, xb: float, fa, fb, todo):
 
         xpre, fpre = xcur, fcur
         xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-        fcur = f(xcur, todo)
+        fcur = f(xcur)
     if todo.any():
         raise RuntimeError("Failed to converge after 256 iterations")
     return root
@@ -634,11 +665,12 @@ def solve_theorem5(s: NetworkScenario, scan: tuple | None = None) -> Equilibrium
         raise InvalidScenario("solve_theorem5 requires P_A > 0")
 
     solves = {}  # lambda3 -> the inner solve of each scalar residual evaluation
+    outer = _outer(s, p_t, p_a)
 
     def outer_residual(lam3: float) -> float:
         nonlocal evals
         evals += 1
-        value, _, solves[lam3] = _outer_solve(s, lam3, p_t, p_a)
+        value, _, solves[lam3] = outer(lam3)
         return value
 
     if scan is None:
@@ -665,13 +697,14 @@ def solve_theorem5(s: NetworkScenario, scan: tuple | None = None) -> Equilibrium
 
     # Brent returns an abscissa it evaluated, or a bracket end, which only
     # the scan evaluated.
-    lam4, c_m, lam1, lam2, c_k = solves.get(lam3) or _outer_solve(s, lam3, p_t, p_a)[2]
+    lam4, c_m, lam1, lam2, c_k = solves.get(lam3) or outer(lam3)[2]
     lam4 = float(lam4)
 
     transmit_coeffs = tuple(float(c) for c in c_m)
     adversary_coeffs = tuple(float(c) for c in c_k)
-    residuals = kkt_residuals(s, (lam1, lam2, lam3, lam4), transmit_coeffs, adversary_coeffs)
-    if max(abs(r) for r in residuals) >= KKT_TOL:
+    with np.errstate(all="ignore"):  # a residual that overflows is not below the tolerance
+        residuals = kkt_residuals(s, (lam1, lam2, lam3, lam4), transmit_coeffs, adversary_coeffs)
+    if not all(abs(r) < KKT_TOL for r in residuals):
         raise NonConvergence(
             "first-order residuals above tolerance at the located root",
             iterations=evals,
@@ -688,12 +721,10 @@ def solve_theorem5(s: NetworkScenario, scan: tuple | None = None) -> Equilibrium
             for p in s.transmitters
         )
     )
-    s_k = float(
-        sum(
-            (p.alpha * p.beta) ** 2 / (p.input_second_moment - lam1 * p.alpha ** 2)
-            for p in s.adversaries
-        )
-    )
+    s_k = 0.0  # its terms are infinite where lambda1 = m_k/alpha_k^2, all power on sensor k
+    for p in s.adversaries:
+        d = p.input_second_moment - lam1 * p.alpha ** 2
+        s_k += (p.alpha * p.beta) ** 2 / d if d else math.inf
     closed = 1.0 / (1.0 + lam3 * s_m - lam1 * s_k)
     printed = 1.0 / (1.0 + lam3 * s_m / 2.0 - lam1 * s_k / 2.0)
     r_m = float(sum(p.alpha * p.beta * c for p, c in zip(s.transmitters, transmit_coeffs)))

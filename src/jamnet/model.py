@@ -66,10 +66,6 @@ class NonConvergence(JamnetError):
         self.residuals = tuple(residuals)
 
 
-class SingularDenominator(JamnetError):
-    """A guarded denominator fell below the safety floor."""
-
-
 class NumericalFailure(JamnetError):
     """A numerical construction produced non-normalizable or non-finite data."""
 

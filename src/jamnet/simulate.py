@@ -43,6 +43,7 @@ from .model import (
     InvalidProfile,
     LinearMirror,
     NetworkScenario,
+    NonConvergence,
     Setting,
     StrategyProfile,
     _usable_cpus,
@@ -203,35 +204,6 @@ def _values(xs) -> str:
     return text[0] if len(set(text)) == 1 else "(" + ", ".join(text) + ")"
 
 
-def _follower(u, v, r_t: float, own_t: float) -> np.ndarray:
-    """Theorem 5's follower where no c nulls r_t, on the unit sphere
-    x_k = c_k*sqrt(m_k/P): the x minimizing N^2/D, N = r_t + sum u_k*x_k and
-    D = 1 + own_t + sum v_k*x_k^2, with u_k = alpha_k*beta_k*sqrt(P/m_k) and
-    v_k = alpha_k^2*P/m_k the source share and own-noise power that sensor k
-    lands at full budget.  The first-order conditions put x on the curve
-    x ~ e, e_k = u_k/U*(1 - nu)/(1 - nu*v_k/V), U = max u, V = max v, from
-    the nulling direction at nu = 0 to all power on the largest v at nu = 1;
-    along it the stationarity gap nu*D*|e|*U/V - (1 - nu)*|N| rises from
-    -|N| < 0 to D*|e|*U/V > 0.  The curve holds only ratios of like
-    quantities, so no gain scale under- or overflows it; where U/V does,
-    the own-noise powers are nothing beside the source share and the
-    nulling direction is the answer."""
-    big_u, top = float(np.max(u)), float(np.max(v))
-    unit, rho, q = u / big_u if big_u else u, v / top if top else v, big_u / top if top else math.inf
-
-    def solve(nu: float):
-        # 1e-300 keeps the largest v on the curve where its u underflows.
-        e = np.where(rho == 1.0, np.maximum(unit, 1e-300), unit * (1.0 - nu) / (1.0 - nu * rho))
-        norm = math.hypot(*e)
-        x = -math.copysign(1.0, r_t) / norm * e
-        d = 1.0 + own_t + float(np.sum(v * x * x))
-        return nu * d * norm * q - (1.0 - nu) * abs(r_t + float(np.sum(u * x))), x
-
-    gap0 = solve(0.0)[0] if math.isfinite(q) else 0.0
-    nu = 0.0 if gap0 >= 0.0 else asym._brentq(lambda t: solve(t)[0], 0.0, 1.0, gap0)
-    return solve(nu)[1]
-
-
 def best_response_adversary_search(s: NetworkScenario, p: StrategyProfile) -> BestResponseReport:
     """The adversaries' exact best response within the realizable class.
 
@@ -245,13 +217,17 @@ def best_response_adversary_search(s: NetworkScenario, p: StrategyProfile) -> Be
     a_k = alpha_k*beta_k, g_k = w^2*m_k - alpha_k^2, B = 1 + own_t + w^2*P.
     The branches: noise only against randomized transmitters (gamma =
     sum a_k^2/g_k <= 1 makes c = 0 best), or where r_t = 0 or P = 0; the
-    source nulled, cost 1, where r_t^2 <= P*sum a_k^2/m_k = |u|^2 (see
-    ``_follower``), with the least power, c_k ~ u_k/sqrt(m_k); the one critical
-    point c_k = -sign(r_t)*X*(a_k/g_k)/gamma at X = B*gamma/|r_t| where it
-    fits the budget; else Theorem 5's follower, with no noise left.  The
-    attaining rows are costed by the oracle's cost core; a gain over the
-    base below ROUNDING (a point of the budget that recomputes the profile's
-    own, an ulp off) is no deviation.
+    one critical point c_k = -sign(r_t)*X*(a_k/g_k)/gamma at
+    X = B*gamma/|r_t| where it fits the budget; else Theorem 5's follower
+    (``asym._follower``), with no noise left, or, where its solve
+    finds that the budget nulls the source (r_t^2 <= P*sum a_k^2/m_k), the
+    source nulled, cost 1, with the least power, c_k ~ u_k/sqrt(m_k) on the
+    unit sphere of ``asym._sphere``.  The critical point never fits the
+    budget where the source can be nulled, since B > w^2*P and g_k <=
+    w^2*m_k put its power above P.  Sensor k's noise amplitude is
+    sqrt(P)*alpha_k/w.  The attaining rows are costed by the oracle's cost
+    core; a gain over the base below ROUNDING (a point of the budget that
+    recomputes the profile's own, an ulp off) is no deviation.
     """
     base = asym.direct_mmse_cost(s, p)
     if not s.adversaries:
@@ -260,32 +236,28 @@ def best_response_adversary_search(s: NetworkScenario, p: StrategyProfile) -> Be
     alpha = np.array([q.alpha for q in s.adversaries])
     beta = np.array([q.beta for q in s.adversaries])
     m2 = np.array([q.input_second_moment for q in s.adversaries])
-    w, symmetric = math.hypot(*alpha), s.setting.is_symmetric
-    budget = sum(q.power for q in s.adversaries) if symmetric else s.sum_power_attack
-    # The symmetric amplitudes sqrt(P_k) equal sqrt(P)*alpha_k/w up to
-    # rounding; they keep a SymI profile's own noise bits.
-    amps = [math.sqrt(q.power) if symmetric else math.sqrt(budget) * (q.alpha / w)
-            for q in s.adversaries]
+    w = math.hypot(*alpha)
+    budget = sum(q.power for q in s.adversaries) if s.setting.is_symmetric else s.sum_power_attack
     c = np.zeros(len(alpha))
     with np.errstate(all="ignore"):  # a nonfinite interior point fails the budget test
-        # c_k = root_k*x_k on the unit sphere, where sensor k lands u_k*x_k of the source.
-        h = np.hypot(1.0, beta)
-        root, u = math.sqrt(budget) / h, alpha * math.sqrt(budget) * (beta / h)
-        span = math.hypot(*u)
         if p.randomized or r_t == 0.0 or budget == 0.0:
             branch = "noise only"
-        elif abs(r_t) <= span:
-            branch, c = "source nulled", -(r_t / span) * (u / span) * root
         else:
             # X*(a_k/g_k)/gamma = B*a_k/(|r_t|*g_k); w^2*beta^2 + (w^2 - alpha^2) is exact at K = 1.
             w2 = w * w
             g = w2 * (beta * beta) + (w2 - alpha * alpha)
             branch, c = "interior", -(1.0 + own_t + w2 * budget) / r_t * (alpha * beta / g)
-            if not np.sum(m2 * c * c) <= budget:
-                branch, c = "Theorem-5 follower", _follower(u, (alpha * root) ** 2, r_t, own_t) * root
+        if branch == "interior" and not np.sum(m2 * c * c) <= budget:
+            try:
+                branch, c = "Theorem-5 follower", asym._follower(s, budget)(
+                    np.asarray(p.transmit_coeffs))[2]
+            except NonConvergence:  # the budget nulls the source
+                root, u, _ = asym._sphere(s, budget)
+                span = np.hypot.reduce(u)
+                branch, c = "source nulled", -(r_t / span) * (u / span) * root
         # The share of the budget left for the shared noise (1 where c = 0).
         spare = 0.0 if branch == "Theorem-5 follower" else max(0.0, 1.0 - np.sum(m2 * c * c) / budget)
-    noise = [amp * math.sqrt(spare) for amp in amps]
+    noise = [math.sqrt(budget) * (q.alpha / w) * math.sqrt(spare) for q in s.adversaries]
     rows = [(float(ck) + 0.0, sk, 0) for ck, sk in zip(c, noise)]  # + 0.0: no -0 in the text
     best = asym._cost(r_t, own_t, *asym._adversary_output_stats(s, rows, 1), p.randomized)
     if not best > base + ROUNDING:
@@ -355,7 +327,7 @@ def _frontier_response(s: NetworkScenario):
     p_t = s.sum_power_transmit
     lam3 = asym._scan_grid(p_t)
     _, c_m = asym._transmit_side(s, lam3, p_t)
-    _, _, c_k, ok = asym._adversary_response(s, c_m, s.sum_power_attack)
+    _, _, c_k, ok = asym._follower(s, s.sum_power_attack)(c_m)
     if not ok.any():
         return math.inf, ""
     rows = LinearMirror(coeffs=tuple(c_k[ok].T)).lower(s.adversaries)

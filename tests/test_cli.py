@@ -400,6 +400,25 @@ def test_verify_tiny_adversary_gains_exit_0(tmp_path, capsys):
     assert adv["best_deviation_cost"] >= adv["base_cost"]
 
 
+@pytest.mark.parametrize("command", ["solve-asym", "verify"])
+def test_asym2_source_copying_adversary_exit_0(tmp_path, capsys, command):
+    # An adversary at beta = 1e150 copies the source: at full budget it lands
+    # alpha*sqrt(P_A)*S = 0.5*S and own noise far below the float range, and
+    # its multiplier bound (1 + beta^2)/alpha^2 is 4e300.  Against the one
+    # transmitter (r_t = 1, own_t = 1) the follower leaves N = 0.5, D = 2:
+    # cost 1 - 0.25/2.25 = 8/9, which verify certifies on both sides.
+    cfg = _write_config(tmp_path, setting="AsymII", sum_power_transmit=2.0,
+                        sum_power_attack=1.0, transmitters=_sensors(1.0, 1.0),
+                        adversaries=_sensors(0.5, 1e150))
+    assert main([command, "--config", str(cfg)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    payload = json.loads((tmp_path / "run.json").read_text())
+    assert payload["report"]["oracle_cost"] == pytest.approx(8.0 / 9.0, rel=1e-15)
+    if command == "verify":
+        for check in ("adversary_check", "transmitter_check"):
+            assert payload[check]["deviation_params"].startswith("no ")
+
+
 def test_large_budgets_validate_and_exit_0(tmp_path, capsys):
     # Above about 1e7 a full-power profile's rounding exceeds an absolute
     # 1e-9 of its budget; the tolerance grows with the budget.
@@ -440,11 +459,20 @@ _MC = {"monte_carlo": {"samples": 1000, "seed": 1}}
         ("solve-asym", {**_ASYM_BUDGETS, "transmitters": _sensors(1e200, 1.0)}, "OverflowError"),
         ("solve-asym", {**_ASYM_BUDGETS, "setting": "AsymII",
                         "transmitters": _sensors(1e200, 1.0)}, "OverflowError"),
-        # lambda1 reaches 1e200 and lambda2^2 overflows in the outer scan.
+        # An adversary at alpha = beta = 1e-100 lands nothing: its follower
+        # exists at every scanned lambda3 (lambda1 near 3e199), and the outer
+        # residual stays positive on the scan.
         ("solve-asym", {**_ASYM_BUDGETS, "setting": "AsymII",
                         "transmitters": [{"alpha": 1e-100, "beta": 1e-100, "power": 0.0},
                                          {"alpha": 1.0, "beta": 1.0, "power": 0.0}],
-                        "adversaries": _sensors(1e-100, 1e-100)}, "OverflowError"),
+                        "adversaries": _sensors(1e-100, 1e-100)}, "NonConvergence"),
+        # An adversary at alpha = 1e-100 beside two ordinary transmitters: its
+        # follower's lambda1 is near 1e100, and the outer residual stays
+        # positive on the scan.
+        ("solve-asym", {**_ASYM_BUDGETS, "setting": "AsymII",
+                        "transmitters": [{"alpha": 1.0, "beta": 1.0, "power": 0.0},
+                                         {"alpha": 0.5, "beta": 2.0, "power": 0.0}],
+                        "adversaries": _sensors(1e-100, 1.0)}, "NonConvergence"),
         # sum(beta^2) overflows: every distortion would be inf/inf.
         ("ceo-curve", {"transmitters": _sensors(1.0, 1e200), "adversaries": []},
          "NumericalFailure"),
@@ -458,8 +486,8 @@ _MC = {"monte_carlo": {"samples": 1000, "seed": 1}}
        for setting in ("SymI", "SymII") for command in ("closed-form", "simulate", "verify")],
     ids=["SymI-gain-1e200", "SymI-alpha-1e170", "AsymI-no-information-path",
          "AsymII-no-information-path", "AsymI-alpha-1e200", "AsymII-alpha-1e200",
-         "AsymII-scan-square-overflow", "ceo-curve-beta-1e200", "SymIII-alpha-1e200",
-         "SymIII-power-0"]
+         "AsymII-scan-square-overflow", "AsymII-weak-adversary", "ceo-curve-beta-1e200",
+         "SymIII-alpha-1e200", "SymIII-power-0"]
     + [f"{setting}-{command}-alpha2P-overflow"
        for setting in ("SymI", "SymII") for command in ("closed-form", "simulate", "verify")],
 )
@@ -598,8 +626,8 @@ def test_seed_without_monte_carlo_changes_nothing(tmp_path):
 
 
 @pytest.mark.parametrize("overrides", [
-    # beta = 1e-11 puts r_t near 2e-11, below the Theorem-5 solver's
-    # denominator floor.
+    # beta = 1e-11 puts r_t near 2e-11 and the adversary's source share near
+    # 1e-11 of its own-noise amplitude.
     {"setting": "SymII", "transmitters": {**_sensors(1.0, 1e-11), "count": 2},
      "adversaries": _sensors(1.0, 1e-11)},
     {"setting": "SymII", "transmitters": {**_sensors(1e-12, 1e-11), "count": 2},

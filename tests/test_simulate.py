@@ -14,7 +14,6 @@ from jamnet import (
     LinearMirror,
     NonConvergence,
     Setting,
-    SingularDenominator,
     StrategyProfile,
     make_symmetric,
 )
@@ -470,7 +469,7 @@ def _ref_follower_cost(s, p, coeffs):
         response = _ref_follower_sym2(s, trial.transmit_coeffs)
         trial = dataclasses.replace(trial, adversary=LinearMirror(coeffs=response))
     elif _leads(s, p):
-        _, _, c_k = asym._adversary_response(s, coeffs, s.sum_power_attack)[:3]
+        _, _, c_k = asym._follower(s, s.sum_power_attack)(coeffs)[:3]
         trial = dataclasses.replace(
             trial, adversary=LinearMirror(coeffs=tuple(float(c) for c in c_k)))
     return asym.direct_mmse_cost(s, trial)
@@ -506,7 +505,7 @@ def _ref_transmitter_search(s, p):
             trial = trial * math.sqrt(s.sum_power_transmit / norm)
         try:
             cost = _ref_follower_cost(s, p, trial)
-        except (NonConvergence, SingularDenominator):
+        except NonConvergence:  # the adversaries null the source
             continue
         if cost < best_cost:
             best_cost, best_desc = cost, f"coefficient perturbation #{i}"
@@ -557,10 +556,10 @@ def _with_gains(sensors, alphas, betas):
 
 
 def _asym2_follower_failure_cases():
-    """AsymII profiles near every failure of the adversary solve: the attack
+    """AsymII profiles at the edges of the adversary solve: the attack
     budget that just nulls the profile's source term, transmit gains that
-    put |r_m| around its 1e-10 floor, and an adversary whose power gap's
-    square overflows."""
+    put |r_m| near 1e-10, and an adversary at alpha = beta = 1e-100, whose
+    follower's lambda1 is about 3e199."""
     cases = []
     # The attack budget sits where the adversaries can just null the base
     # profile's source term; the base adversary is that nulling mirror
@@ -577,15 +576,14 @@ def _asym2_follower_failure_cases():
     nulling = LinearMirror(coeffs=tuple(-r_m * w / null_power for w in weights))
     cases.append((s, StrategyProfile(transmit_coeffs=tuple(c.tolist()), randomized=False,
                                      adversary=nulling, decoder_gain=0.0)))
-    # Transmit gains of 1e-7 and opposite coefficients put |r_m| around the
-    # 1e-10 floor.
+    # Transmit gains of 1e-7 and opposite coefficients put |r_m| near 1e-10.
     s = make_symmetric(2, 2, 1.0, 1.0, 1.0, Setting.ASYM_II, sum_power_transmit=2.0,
                        sum_power_attack=1e-8)
     s = dataclasses.replace(s, transmitters=_with_gains(s.transmitters, (1e-7,) * 2, (1.0,) * 2),
                             adversaries=_with_gains(s.adversaries, (1.0,) * 2, (1e-6,) * 2))
     cases.append((s, StrategyProfile(transmit_coeffs=(1.0, -1.0), randomized=False,
                                      adversary=LinearMirror(coeffs=(0.0, 0.0)), decoder_gain=0.0)))
-    # An adversary with alpha = beta = 1e-100: the power gap's square overflows.
+    # An adversary with alpha = beta = 1e-100 lands next to nothing.
     s = make_symmetric(2, 1, 1.0, 1.0, 1.0, Setting.ASYM_II, sum_power_transmit=2.0,
                        sum_power_attack=1.0)
     s = dataclasses.replace(s, adversaries=_with_gains(s.adversaries, (1e-100,), (1e-100,)))
@@ -614,11 +612,11 @@ def _outcome(search, s, p):
 
 
 def _frontier_failure_cases():
-    """Deterministic AsymII profiles whose Theorem-5 frontier meets every
-    outcome of the adversary solve: on the first two some lanes' followers
-    raise NonConvergence or SingularDenominator, and on the last every one
-    raises OverflowError."""
-    (nulls, p), _, (overflow, q) = _asym2_follower_failure_cases()
+    """Deterministic AsymII profiles whose Theorem-5 frontier meets both
+    outcomes of the adversary solve: on the first two the budget nulls the
+    source on some lanes and not on others, and on the last every lane has
+    a follower."""
+    (nulls, p), _, (weak, q) = _asym2_follower_failure_cases()
     # The attack budget just nulls the middle frontier point, so the
     # adversaries can null the lanes of smaller |r_m| outright.
     lam3 = asym._scan_grid(nulls.sum_power_transmit)
@@ -626,8 +624,9 @@ def _frontier_failure_cases():
         nulls, asym._transmit_side(nulls, lam3, nulls.sum_power_transmit)[1].T)
     null_power = sum((a.alpha * a.beta) ** 2 / a.input_second_moment for a in nulls.adversaries)
     half = dataclasses.replace(nulls, sum_power_attack=float(r_m[48]) ** 2 / null_power)
-    # Gains 1e-5*1e-6 and 10*1e-11: |r_m| falls through the 1e-10 floor as
-    # lambda3 moves the power onto the first transmitter.
+    # Gains 1e-5*1e-6 and 10*1e-11: |r_m| falls below the budget's nulling
+    # reach, about 1.4e-10, as lambda3 moves the power onto the first
+    # transmitter.
     tiny = make_symmetric(2, 2, 1.0, 1.0, 1.0, Setting.ASYM_II, sum_power_transmit=2.0,
                           sum_power_attack=1e-8)
     tiny = dataclasses.replace(tiny, transmitters=_with_gains(tiny.transmitters, (1e-5, 10.0),
@@ -635,7 +634,7 @@ def _frontier_failure_cases():
                                adversaries=_with_gains(tiny.adversaries, (1.0,) * 2, (1e-6,) * 2))
     silent = StrategyProfile(transmit_coeffs=(1.0, 0.0), randomized=False,
                              adversary=LinearMirror(coeffs=(0.0, 0.0)), decoder_gain=0.0)
-    return [(half, p), (tiny, silent), (overflow, q)]
+    return [(half, p), (tiny, silent), (weak, q)]
 
 
 def _follower_cost(s, transmit_coeffs, response):
@@ -644,7 +643,33 @@ def _follower_cost(s, transmit_coeffs, response):
         adversary=LinearMirror(coeffs=tuple(float(c) for c in response)), decoder_gain=0.0))
 
 
+def _ellipse_scan_cost(s, transmit_coeffs, points=4001, zooms=4):
+    """The adversaries' largest cost over their budget ellipse
+    sum m_k*c_k^2 = P_A (K <= 2) against fixed transmit coefficients, from a
+    dense scan of its angle, zoomed in on the best point ``zooms`` times;
+    each point is costed by the oracle's cost core."""
+    radii = [math.sqrt(s.sum_power_attack / q.input_second_moment) for q in s.adversaries]
+    r_t, own_t = asym._transmit_stats(s, transmit_coeffs)
+
+    def costs(theta):
+        rows = [(r * f(theta), 0.0, 0) for r, f in zip(radii, (np.cos, np.sin))]
+        return asym._cost(r_t, own_t, *asym._adversary_output_stats(s, rows, 0), False)
+
+    if len(radii) == 1:
+        return float(np.max(costs(np.array([0.0, math.pi]))))
+    lo, hi = 0.0, 2.0 * math.pi
+    for _ in range(zooms):
+        theta = np.linspace(lo, hi, points)
+        values = costs(theta)
+        i = int(np.argmax(values))
+        lo, hi = theta[max(i - 1, 0)], theta[min(i + 1, points - 1)]
+    return float(values[i])
+
+
 def test_asym2_follower_failure_cases_skip_and_raise():
+    # Frontier lanes where the budget nulls the source are skipped (the one
+    # row solve raises NonConvergence there); every other lane has a follower,
+    # and the transmitter search answers on all three cases.
     outcomes = []
     for s, p in _frontier_failure_cases():
         lam3 = asym._scan_grid(s.sum_power_transmit)
@@ -652,56 +677,53 @@ def test_asym2_follower_failure_cases_skip_and_raise():
         seen, costs = set(), []
         for row in c_m:
             try:
-                _, _, c_k = asym._adversary_response(s, row, s.sum_power_attack)[:3]
-            except (NonConvergence, SingularDenominator, OverflowError) as exc:
+                _, _, c_k = asym._follower(s, s.sum_power_attack)(row)[:3]
+            except NonConvergence as exc:
                 seen.add(type(exc))
                 continue
             seen.add(None)
             costs.append(_follower_cost(s, row, c_k))
         outcomes.append(seen)
-        # The search skips the failed followers and reports the best of the
-        # rest, or propagates the OverflowError.
-        report = _outcome(simulate.best_response_transmitter_search, s, p)
-        if OverflowError in seen:
-            assert report == (OverflowError, "(34, 'Numerical result out of range')")
-        else:
-            assert report.best_deviation_cost == min([report.base_cost] + costs)
-    assert outcomes == [{None, NonConvergence}, {None, NonConvergence, SingularDenominator},
-                        {OverflowError}]
+        report = simulate.best_response_transmitter_search(s, p)
+        assert report.best_deviation_cost == min([report.base_cost] + costs)
+    assert outcomes == [{None, NonConvergence}, {None, NonConvergence}, {None}]
 
 
 def test_one_row_adversary_solve_failures_keep_type_message_and_residuals():
-    (nulls, p), (tiny, _), (overflow, _) = _asym2_follower_failure_cases()
-    # An adversary that sees the source through beta = 1e-12 cannot spend its
-    # budget inside the bracket: the power gap is still negative at its top.
+    (nulls, p), (tiny, _), (weak, _) = _asym2_follower_failure_cases()
+    # The nulled row keeps its type and message; its residual is
+    # |r_t| - |u| <= 0, how far the source term falls short of the budget's
+    # nulling reach |u| = sqrt(P_A*sum (alpha_k*beta_k)^2/m_k).
+    row = 0.5 * np.array(p.transmit_coeffs)
+    with pytest.raises(NonConvergence) as info:
+        asym._follower(nulls, nulls.sum_power_attack)(row)
+    assert str(info.value) == ("adversary power-equality equation has no positive root "
+                               "(attack budget dominates the received signal)")
+    r_t = sum(q.alpha * q.beta * c for q, c in zip(nulls.transmitters, row))
+    reach = math.sqrt(nulls.sum_power_attack * sum(
+        (q.alpha * q.beta) ** 2 / q.input_second_moment for q in nulls.adversaries))
+    assert info.value.residuals == (-0.8327920954763844,)
+    assert info.value.residuals[0] == pytest.approx(abs(r_t) - reach, rel=1e-15)
+    assert not asym._follower(nulls, nulls.sum_power_attack)(row[None, :])[3][0]
+    # Rows at the edges of the solve have a follower, whose cost is the best
+    # of the budget ellipse: |r_m| = 5e-11, an adversary that sees the source
+    # through beta = 1e-12, one at alpha = beta = 1e-100, and the nulled row
+    # scaled past the budget's reach.
     blind = make_symmetric(2, 1, 1.0, 1.0, 1.0, Setting.ASYM_II, sum_power_transmit=2.0,
                            sum_power_attack=1.0)
     blind = dataclasses.replace(blind, adversaries=_with_gains(blind.adversaries, (1.0,),
                                                                (1e-12,)))
-    cases = [
-        (nulls, 0.5 * np.array(p.transmit_coeffs), NonConvergence,
-         "adversary power-equality equation has no positive root "
-         "(attack budget dominates the received signal)", (8.322512091455874,)),
-        (tiny, np.array([1.0, -1.0]), SingularDenominator,
-         "transmit signal term vanishes; adversary system singular", None),
-        (blind, np.array([1.0, 1.0]), NonConvergence,
-         "adversary power-equality equation has no bracket", (-1.0, -0.9999959999997797)),
-        (overflow, np.array([1.0, 0.0]), OverflowError,
-         "(34, 'Numerical result out of range')", None),
-    ]
-    for s, row, error, message, residuals in cases:
-        with pytest.raises(error) as info:
-            asym._adversary_response(s, row, s.sum_power_attack)[:3]
-        assert type(info.value) is error and str(info.value) == message
-        if residuals is not None:
-            assert info.value.residuals == residuals
-            assert all(type(r) is float for r in info.value.residuals)
-        # The lanes mask the same row, or raise the same OverflowError.
-        if error is OverflowError:
-            with pytest.raises(OverflowError, match="out of range"):
-                asym._adversary_response(s, row[None, :], s.sum_power_attack)
-        else:
-            assert not asym._adversary_response(s, row[None, :], s.sum_power_attack)[3][0]
+    for s, row in [(dataclasses.replace(tiny, sum_power_attack=1e-12), np.array([1.0, -0.9995])),
+                   (blind, np.array([1.0, 1.0])), (weak, np.array([1.0, 0.0])),
+                   (nulls, 3.0 * row)]:
+        lam1, lam2, c_k, ok = asym._follower(s, s.sum_power_attack)(row)
+        assert ok and lam1 > 0.0 and math.isfinite(lam2)
+        assert sum(q.input_second_moment * c * c for q, c in zip(s.adversaries, c_k)) == (
+            pytest.approx(s.sum_power_attack, rel=1e-14))
+        assert abs(_follower_cost(s, row, c_k) - _ellipse_scan_cost(s, row)) <= 1e-12
+        # The lanes solve the same row with its bits.
+        lanes = asym._follower(s, s.sum_power_attack)(row[None, :])
+        assert lanes[3][0] and lanes[2][0].tolist() == c_k.tolist()
 
 
 def test_batched_searches_equal_the_scalar_loops():
@@ -711,9 +733,6 @@ def test_batched_searches_equal_the_scalar_loops():
         _assert_dominates(adv, _outcome(_ref_adversary_search, s, p))
         tx = _outcome(simulate.best_response_transmitter_search, s, p)
         _assert_dominates(tx, _outcome(_ref_transmitter_search, s, p))
-        if isinstance(tx, tuple):
-            assert tx[0] is OverflowError
-            continue
         found.add((adv.deviation_params.startswith("no "), tx.deviation_params.startswith("no ")))
     # Both outcomes occur on both sides.
     assert {a for a, _ in found} == {True, False} and {t for _, t in found} == {True, False}
@@ -888,7 +907,7 @@ def _named_response_cost(s, p, desc):
     x = float(re.search(r"=([-+.\deE]+)", desc).group(1))
     if desc.startswith("Theorem-5"):
         _, c_m = asym._transmit_side(s, x, s.sum_power_transmit)
-        return _follower_cost(s, c_m, asym._adversary_response(s, c_m, s.sum_power_attack)[2])
+        return _follower_cost(s, c_m, asym._follower(s, s.sum_power_attack)(c_m)[2])
     if s.setting.is_symmetric:
         coeffs = np.full(s.num_transmitters, x)
         coeffs[_silent(s, p)] = 0.0
@@ -922,7 +941,7 @@ def test_transmitter_best_response_is_exact_and_attained():
                         q.input_second_moment * x * x for q, x in zip(s.transmitters, c)))
                 try:
                     assert _ref_follower_cost(s, p, c) >= best - 1e-15
-                except (NonConvergence, SingularDenominator):
+                except NonConvergence:  # the adversaries null the source
                     pass
         else:
             c = _random_transmit_lanes(s, rng, 4000, _silent(s, p))
