@@ -200,7 +200,10 @@ def _schedule(s: NetworkScenario, lam1: float, p_t: float):
         for p, d in zip(s.transmitters, denoms)
     )
     if t2 <= 0.0:
-        raise DegenerateInput("no information path: all alpha*beta vanish")
+        if not any((p.alpha * p.beta) ** 2 for p in s.transmitters):
+            raise DegenerateInput("no information path: all alpha*beta vanish")
+        raise NumericalFailure(
+            "transmit-side sum underflows to 0: lambda1*alpha^2 overflows the float range")
     lam2 = math.sqrt(4.0 * p_t / t2)
     coeffs = tuple(
         lam2 * p.alpha * p.beta / (2.0 * d) for p, d in zip(s.transmitters, denoms)
@@ -286,7 +289,10 @@ def _transmit_side(s: NetworkScenario, lam3, p_t):
         denoms = one_b2 + lam3[..., None] * a2
         t2 = np.sum(one_b2 * ab * ab / denoms**2, axis=-1)
         if np.any(t2 <= 0.0):
-            raise DegenerateInput("no information path: all alpha*beta vanish")
+            if not np.any(ab * ab):
+                raise DegenerateInput("no information path: all alpha*beta vanish")
+            raise NumericalFailure(
+                "transmit-side sum underflows to 0: lambda3*alpha^2 overflows the float range")
         lam4 = 2.0 * np.sqrt(p_t / t2)
         return lam4, lam4[..., None] * ab / (2.0 * denoms)
 

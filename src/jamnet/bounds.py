@@ -5,22 +5,28 @@ splits as D(R) = D_est + D_rd(R): an estimation floor from the sensing noise
 plus a classical Gaussian rate-distortion term on the sufficient statistic.
 The maximal-correlation lemma (linear maximizers, rho* = |rho| for bivariate
 normals) is verified at desk scale by the second singular value of the
-discretized conditional-expectation operator.  The operator's rows are built
-in stripes of x-cells on a thread pool of min(grid_n, CPUs this process may
-use) workers, into arrays the calling thread allocates; the worker count
-never changes the operator.  Normalization, marginals and the SVD run on the
-calling thread.
+discretized conditional-expectation operator B.  The quantized bivariate
+normal keeps the two symmetries of the continuous one, (X, Y) -> (Y, X) and
+(X, Y) -> (-X, -Y): the conditional-CDF quadrature runs only on a
+fundamental domain of about n^2/4 of the n^2 cells, and the rest of the mass
+is copied from it, so B is exactly symmetric and commutes with the
+reflection.  The second singular value is then the larger of two half-size
+symmetric eigenproblems: B on the odd vectors (by Mehler's expansion the
+maximal correlation's singular function is odd) and B on the even vectors
+deflated by the constants' singular pair.  Everything runs on the calling
+thread, and the result is bit-for-bit the same for any worker count and any
+BLAS thread count.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
+import functools
 import math
 
 import numpy as np
 
-from .model import NumericalFailure, _usable_cpus
+from .model import NumericalFailure
 
 # Default quantization of the maximal-correlation check (and the grid the CLI's
 # maxcorr command reports): cells per axis and the half-width, in standard
@@ -104,28 +110,40 @@ def ru_spectrum(betas) -> np.ndarray:
     return np.sort(eigs)
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 12-point Gauss-Legendre rule on [-1, 1] (nodes antisymmetric,
+    weights symmetric, bit for bit), formed once per process and read-only,
+    since every call shares it."""
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def discretized_correlation_operator(
     rho: float, grid_n: int = MAXCORR_GRID_N, range_sigmas: float = MAXCORR_RANGE_SIGMAS
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Quantize the bivariate normal and form the correlation kernel.
 
     Each axis is partitioned into grid_n cells whose interior edges are
-    equispaced over [-range_sigmas, range_sigmas]; the two edge cells extend
-    to infinity so the quantization is a genuine deterministic function of
-    each variable (hence the discrete maximal correlation approaches |rho|
-    from below as the grid refines).  Cell masses come from per-cell
-    Gauss-Legendre quadrature of phi(x) * [Phi ranges of Y | x], exact to
-    quadrature precision; the conditional normal CDF is evaluated once per
-    interior edge and node.  Returns (grid, px, py, B) with
+    equispaced over [-range_sigmas, range_sigmas], exactly antisymmetric
+    about 0; the two edge cells extend to infinity so the quantization is a
+    genuine deterministic function of each variable (hence the discrete
+    maximal correlation approaches |rho| from below as the grid refines).
+    Cell masses come from per-cell Gauss-Legendre quadrature of
+    phi(x) * [Phi ranges of Y | x].  Returns (grid, px, py, B) with
     B = P / sqrt(px py^T); the singular values of B are 1 (constants)
     followed by the maximal correlation of the quantized pair.
 
-    The rows of the joint mass are built in contiguous stripes of x-cells on
-    a thread pool of min(grid_n, CPUs this process may use) workers.  Each
-    stripe computes its CDF rows, their differences and its mass rows in
-    place, into arrays the calling thread allocates; the workers call only
-    numpy and ``ndtr``.  A row's arithmetic does not depend on the stripe
-    that holds it, so the worker count never changes the result.
+    The joint law is invariant under the swap (X, Y) -> (Y, X) and the
+    reflection (X, Y) -> (-X, -Y), so the quadrature runs only on the
+    fundamental domain D = {(i, j): j <= min(i, n-1-i)}, about n^2/4 cells,
+    and every other cell is copied from its image in D.  The joint mass is
+    therefore bitwise symmetric under the transpose and under
+    (i, j) -> (n-1-i, n-1-j); px == py, and B is symmetric and commutes with
+    the reflection.  On D a cell that differences two conditional-CDF values
+    has its y-edges at most about a cell above the conditional mean, so no
+    cell differences two values near 1.
     """
     if abs(rho) >= 1.0:
         raise ValueError("|rho| must be < 1")
@@ -136,60 +154,96 @@ def discretized_correlation_operator(
 
     from scipy.special import ndtr
 
-    edges = np.linspace(-range_sigmas, range_sigmas, grid_n - 1)
+    n = grid_n
+    # n-1 interior edges, exactly antisymmetric: linspace's lower half, 0 in
+    # the middle when n is even, and the lower half negated.
+    low = np.linspace(-range_sigmas, range_sigmas, n - 1)[: (n - 1) // 2]
+    edges = np.concatenate((low, [0.0] if n % 2 == 0 else [], -low[::-1]))
     # Quadrature cells: tails truncated at 9 sigma (mass beyond ~1e-19).
     far = max(range_sigmas + 1.0, 9.0)
     bounds_x = np.concatenate(([-far], edges, [far]))
-    order = 12
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gauss_legendre()
     lo = bounds_x[:-1]
     hi = bounds_x[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    t = mid[:, None] + half[:, None] * nodes[None, :]  # (cells, order)
+    t = mid[:, None] + half[:, None] * nodes[None, :]  # (cells, nodes)
     w = half[:, None] * weights[None, :] * np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
 
-    # Cell j of Y spans (edge j-1, edge j]: the conditional CDF at each
-    # interior edge, between a first column of 0 and a last of 1 for the
-    # infinite ends, differenced.
-    s = math.sqrt(1.0 - rho * rho)
-    # Every array the stripes touch is allocated here, on the calling thread,
-    # so the pool threads' malloc arenas never hold operator-sized buffers.
-    rt = rho * t
-    cdf = np.empty((grid_n, order, grid_n + 1))
-    cdf[:, :, 0] = 0.0
-    cdf[:, :, -1] = 1.0
-    dcdf = np.empty((grid_n, order, grid_n))
-    mass = np.empty((grid_n, grid_n))
+    # D row by row, flattened: row i holds columns 0 .. min(i, n-1-i).  Cell
+    # j of Y spans (edge j-1, edge j]; column 0 is the CDF at edge 0 itself,
+    # every later column the difference of two consecutive edges.
+    i = np.arange(n)
+    span = np.minimum(i, n - 1 - i) + 1
+    row = np.repeat(i, span)
+    first = np.cumsum(span) - span
+    col = np.arange(row.size) - first[row]
+    cdf = np.take(rho * t, row, axis=0)
+    np.subtract(edges[col][:, None], cdf, out=cdf)
+    cdf /= math.sqrt(1.0 - rho * rho)
+    ndtr(cdf, out=cdf)
+    dcdf = np.empty_like(cdf)
+    np.subtract(cdf[1:], cdf[:-1], out=dcdf[1:])
+    dcdf[first] = cdf[first]
+    on_d = np.einsum("kq,kq->k", w[row], dcdf)
 
-    workers = min(grid_n, _usable_cpus())
-    cuts = [grid_n * k // workers for k in range(workers + 1)]
-
-    def stripe(k: int) -> None:
-        rows = slice(cuts[k], cuts[k + 1])
-        inner = cdf[rows, :, 1:-1]
-        np.subtract(edges[None, None, :], rt[rows, :, None], out=inner)
-        inner /= s
-        ndtr(inner, out=inner)
-        np.subtract(cdf[rows, :, 1:], cdf[rows, :, :-1], out=dcdf[rows])
-        np.einsum("cq,cqj->cj", w[rows], dcdf[rows], out=mass[rows])
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(stripe, range(workers)))
+    # D and its images under the transpose, the reflection and both cover
+    # the grid; a cell in two images gets the same D cell from each.
+    mass = np.empty((n, n))
+    for r, c in ((row, col), (col, row), (n - 1 - row, n - 1 - col), (n - 1 - col, n - 1 - row)):
+        mass[r, c] = on_d
 
     total = mass.sum()
     if not np.isfinite(total) or total <= 0.0:
         raise NumericalFailure("joint mass matrix is not normalizable")
     mass /= total
     px = mass.sum(axis=1)
-    py = mass.sum(axis=0)
-    if np.any(px <= 0.0) or np.any(py <= 0.0):
+    px[(n + 1) // 2:] = px[: n // 2][::-1]  # the reflection's image, bit for bit
+    if np.any(px <= 0.0):
         raise NumericalFailure("marginal mass vanished on the grid")
 
     h = edges[1] - edges[0]
     centers = np.concatenate(([edges[0] - 0.5 * h], edges[:-1] + 0.5 * h, [edges[-1] + 0.5 * h]))
-    b = mass / np.sqrt(np.outer(px, py))
-    return centers, px, py, b
+    b = mass / np.sqrt(np.outer(px, px))
+    return centers, px, px.copy(), b  # py == px: the mass is symmetric
+
+
+def _reflection_blocks(px: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B on the odd and on the even vectors of the central reflection.
+
+    B commutes with the reflection, so its spectrum is that of two symmetric
+    blocks.  The odd block acts on (e_i - e_{n-1-i})/sqrt(2), i < n//2.  The
+    even block acts on (e_i + e_{n-1-i})/sqrt(2) and, for odd n, the centre
+    cell e_c, and is deflated by sqrt(p) sqrt(p)^T: the constants' singular
+    pair (value 1) is even, and removing it leaves the maximal correlation as
+    the largest |eigenvalue| of the two blocks.  All of it is elementwise, so
+    the blocks have the same bits on any BLAS thread count.
+    """
+    n = b.shape[0]
+    m, e = n // 2, (n + 1) // 2
+    # odd[i, k] = B[i, k] - B[i, n-1-k]; even[i, k] = D[i, k] + D[i, n-1-k]
+    # with D = B - sqrt(p) sqrt(p)^T, scaled by 1/sqrt(2) on the centre row
+    # and column (whose basis vector is e_c, not a pair).
+    odd = b[:m, :m] - b[:m, ::-1][:, :m]
+    root = np.sqrt(px)
+    deflated = b[:e] - np.outer(root[:e], root)
+    even = deflated[:, :e] + deflated[:, ::-1][:, :e]
+    if n % 2:
+        even[-1] /= math.sqrt(2.0)
+        even[:, -1] /= math.sqrt(2.0)
+    return odd, even
+
+
+def _top_block(px: np.ndarray, b: np.ndarray) -> tuple[float, bool, np.ndarray]:
+    """(sigma2, odd, block): the largest |eigenvalue| of the two reflection
+    blocks, whether it is the odd block's, and that block."""
+    best = None
+    for odd, block in zip((True, False), _reflection_blocks(px, b)):
+        lam = np.linalg.eigvalsh(block)
+        top = float(max(-lam[0], lam[-1]))
+        if best is None or top > best[0]:
+            best = (top, odd, block)
+    return best
 
 
 def maximal_correlation_discrete(
@@ -198,18 +252,28 @@ def maximal_correlation_discrete(
     """Second singular value of the discretized conditional-expectation
     operator; equals |rho| up to discretization error, attained by (nearly)
     affine singular functions."""
-    _, _, _, b = discretized_correlation_operator(rho, grid_n, range_sigmas)
-    svals = np.linalg.svd(b, compute_uv=False)
-    return float(svals[1])
+    _, px, _, b = discretized_correlation_operator(rho, grid_n, range_sigmas)
+    return _top_block(px, b)[0]
 
 
 def maximal_correlation_functions(
     rho: float, grid_n: int = MAXCORR_GRID_N, range_sigmas: float = MAXCORR_RANGE_SIGMAS
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """(sigma2, grid, f, g): the second singular value and the associated
-    singular functions f(x), g(y) in probability coordinates."""
-    x, px, py, b = discretized_correlation_operator(rho, grid_n, range_sigmas)
-    u, svals, vt = np.linalg.svd(b)
-    f = u[:, 1] / np.sqrt(px)
-    g = vt[1, :] / np.sqrt(py)
-    return float(svals[1]), x, f, g
+    singular functions f(x), g(y) in probability coordinates.
+
+    B is symmetric, so f is the top block's eigenvector extended to the whole
+    grid (oddly or evenly) and divided by sqrt(p), and g = sign(lambda) * f.
+    """
+    x, px, _, b = discretized_correlation_operator(rho, grid_n, range_sigmas)
+    sigma2, odd, block = _top_block(px, b)
+    lam, vec = np.linalg.eigh(block)
+    k = 0 if -lam[0] > lam[-1] else -1
+    v = vec[:, k]
+    n, m = b.shape[0], b.shape[0] // 2
+    if odd:
+        full = np.concatenate((v, [0.0] if n % 2 else [], -v[::-1])) / math.sqrt(2.0)
+    else:
+        full = np.concatenate((v[:m] / math.sqrt(2.0), v[m:], v[:m][::-1] / math.sqrt(2.0)))
+    f = full / np.sqrt(px)
+    return sigma2, x, f, math.copysign(1.0, lam[k]) * f

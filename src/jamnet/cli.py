@@ -483,7 +483,8 @@ def run_command(cfg: RunConfig) -> int:
             "type": type(exc).__name__,
             "message": str(exc),
             "iterations": getattr(exc, "iterations", None),
-            "residuals": list(getattr(exc, "residuals", ())),
+            # null for a residual that overflowed: the report stays strict JSON
+            "residuals": [r if math.isfinite(r) else None for r in getattr(exc, "residuals", ())],
         }
         rows, code = None, 2
         line = f"jamnet {cfg.command}: FAILED ({type(exc).__name__}: {exc})"

@@ -16,6 +16,7 @@ from jamnet import (
     LinearMirror,
     NetworkScenario,
     NonConvergence,
+    NumericalFailure,
     SensorParams,
     Setting,
     StrategyProfile,
@@ -443,7 +444,7 @@ def test_theorem5_from_a_merged_scan_equals_the_lone_solve():
     # denominators, which only that point's own scan reports.
     overflowing = dataclasses.replace(s, sum_power_transmit=1e300)
     assert asym.theorem5_scans([points[0], overflowing]) == [None, None]
-    with pytest.raises(DegenerateInput, match="no information path"):
+    with pytest.raises(NumericalFailure, match="lambda3\\*alpha\\^2 overflows"):
         asym.solve_theorem5(overflowing)
 
 

@@ -1,6 +1,9 @@
+import json
 import math
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,13 +84,19 @@ def test_maximal_correlation_error_shrinks_when_grid_doubles():
 
 
 def test_maximal_correlation_singular_functions_affine():
-    sig, x, f, g = bounds.maximal_correlation_functions(0.5, 257, 5.0)
-    inner = slice(1, -1)  # edge cells hold the tails; their centers are nominal
-    design = np.vstack([np.ones_like(x[inner]), x[inner]]).T
-    for func in (f, g):
-        _, residual, *_ = np.linalg.lstsq(design, func[inner], rcond=None)
-        rel = math.sqrt(residual[0]) / np.linalg.norm(func[inner])
-        assert rel < 1e-3
+    for rho in (0.5, -0.5):
+        sig, x, f, g = bounds.maximal_correlation_functions(rho, 257, 5.0)
+        assert sig == bounds.maximal_correlation_discrete(rho, 257, 5.0)
+        assert abs(sig - abs(rho)) <= 1e-2
+        # B is symmetric: the right singular function is the left one times
+        # the sign of the eigenvalue, here the sign of rho.
+        assert (g == math.copysign(1.0, rho) * f).all()
+        inner = slice(1, -1)  # edge cells hold the tails; their centers are nominal
+        design = np.vstack([np.ones_like(x[inner]), x[inner]]).T
+        for func in (f, g):
+            _, residual, *_ = np.linalg.lstsq(design, func[inner], rcond=None)
+            rel = math.sqrt(residual[0]) / np.linalg.norm(func[inner])
+            assert rel < 1e-3
 
 
 def test_maximal_correlation_input_guards():
@@ -125,38 +134,98 @@ def _ref_correlation_operator(rho, grid_n, range_sigmas):
     return px, py, mass / np.sqrt(np.outer(px, py))
 
 
-def test_correlation_operator_equals_the_two_sided_cdf_build():
-    for rho in (0.0, 0.3, 0.5, 0.9, -0.7):
-        for grid_n, sigmas in ((bounds.MAXCORR_GRID_N, bounds.MAXCORR_RANGE_SIGMAS), (65, 3.0)):
+# The build on the fundamental domain differs from the two-sided build only
+# in the wide [far, range] edge cells and at rounding level elsewhere.
+# Measured (numpy 2.4, scipy 1.17) over the rho below: at (257, 5 sigma) the
+# second singular value moves by at most 7.2e-13 and B by 1.8e-6; at
+# (65, 3 sigma), where the edge cells are 6 sigma wide, by 9.2e-8 and 6.8e-5.
+_REF_BOUNDS = {(bounds.MAXCORR_GRID_N, bounds.MAXCORR_RANGE_SIGMAS): (1e-12, 2e-6),
+               (65, 3.0): (1e-7, 1e-4)}
+
+
+def test_correlation_operator_is_close_to_the_two_sided_cdf_build():
+    for (grid_n, sigmas), (sigma_tol, b_tol) in _REF_BOUNDS.items():
+        for rho in (0.0, 0.3, 0.5, 0.9, -0.7, 0.95, -0.95):
             _, px, py, b = bounds.discretized_correlation_operator(rho, grid_n, sigmas)
             ref_px, ref_py, ref_b = _ref_correlation_operator(rho, grid_n, sigmas)
-            assert (px == ref_px).all() and (py == ref_py).all()
-            assert (b == ref_b).all(), rho
+            assert np.abs(b - ref_b).max() <= b_tol, (grid_n, rho)
+            ref_sigma = np.linalg.svd(ref_b, compute_uv=False)[1]
+            sigma = bounds.maximal_correlation_discrete(rho, grid_n, sigmas)
+            assert abs(sigma - ref_sigma) <= sigma_tol, (grid_n, rho)
+
+
+def test_correlation_operator_keeps_both_symmetries():
+    for grid_n in (3, 4, 65, 130, 257, 514):
+        for rho in (0.0, 0.5, -0.7, 0.95):
+            _, px, py, b = bounds.discretized_correlation_operator(rho, grid_n, 5.0)
+            mass = b * np.sqrt(np.outer(px, py))
+            assert (px == py).all()
+            assert (px == px[::-1]).all()
+            assert (b == b.T).all() and (b == b[::-1, ::-1]).all()
+            assert (mass == mass.T).all() and (mass == mass[::-1, ::-1]).all()
+            assert abs(mass.sum() - 1.0) <= 1e-13
+            assert np.abs(mass.sum(axis=1) - px).max() <= 1e-15
+
+
+def test_correlation_operator_evaluates_the_cdf_on_a_quarter_of_the_cells(monkeypatch):
+    import scipy.special
+
+    ndtr = scipy.special.ndtr
+    evaluated = []
+
+    def counting(z, *args, **kwargs):
+        evaluated.append(np.size(z))
+        return ndtr(z, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.special, "ndtr", counting)
+    n = bounds.MAXCORR_GRID_N
+    star = bounds.maximal_correlation_discrete(0.5)
+    monkeypatch.setattr(scipy.special, "ndtr", ndtr)
+    assert star == bounds.maximal_correlation_discrete(0.5)
+    # 12 quadrature nodes per x-cell, one CDF per y-edge the fundamental
+    # domain uses: the two-sided build took 12*n*(n-1).
+    assert 0 < sum(evaluated) <= 12 * n * n / 4 + 12 * n
 
 
 def test_correlation_operator_is_independent_of_the_worker_count(monkeypatch):
-    # One to four usable CPUs give one- to four-worker pools on any machine;
-    # at grid_n = 3 the four-CPU pool is capped at three one-cell stripes.
-    # A short switch interval interleaves the stripes' writes into the shared
-    # arrays as finely as the interpreter allows.
+    # The operator is built on the calling thread: one to four usable CPUs
+    # give the same bits, for the operator and for the singular functions.
     cases = ((bounds.MAXCORR_GRID_N, bounds.MAXCORR_RANGE_SIGMAS), (65, 3.0), (3, 5.0))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for grid_n, sigmas in cases:
-            for rho in (0.0, 0.5, -0.7):
-                ref_px, ref_py, ref_b = _ref_correlation_operator(rho, grid_n, sigmas)
-                runs = []
-                for cpus in ({0}, {0, 1}, {0, 1, 2}, {0, 1, 2, 3}):
-                    monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c,
-                                        raising=False)
-                    _, px, py, b = bounds.discretized_correlation_operator(rho, grid_n, sigmas)
-                    assert (px == ref_px).all() and (py == ref_py).all() and (b == ref_b).all()
-                    runs.append(bounds.maximal_correlation_functions(rho, grid_n, sigmas))
-                one_worker = runs[0]
-                for run in runs[1:]:
-                    assert run[0] == one_worker[0]
-                    for got, want in zip(run[1:], one_worker[1:]):
-                        assert (got == want).all()
-    finally:
-        sys.setswitchinterval(interval)
+    for grid_n, sigmas in cases:
+        for rho in (0.0, 0.5, -0.7):
+            runs = []
+            for cpus in ({0}, {0, 1}, {0, 1, 2}, {0, 1, 2, 3}):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c,
+                                    raising=False)
+                runs.append(bounds.discretized_correlation_operator(rho, grid_n, sigmas)
+                            + bounds.maximal_correlation_functions(rho, grid_n, sigmas))
+            one_worker = runs[0]
+            for run in runs[1:]:
+                assert run[4] == one_worker[4]
+                for k in (0, 1, 2, 3, 5, 6, 7):
+                    assert (run[k] == one_worker[k]).all()
+
+
+def test_maxcorr_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # The golden maxcorr config over a 39-point rho sweep, run in fresh
+    # interpreters with one and with two OpenBLAS (and OpenMP) threads.
+    from test_golden_outputs import CASES
+
+    command, config = CASES["maxcorr"]
+    cfg = tmp_path / "maxcorr.cfg.json"
+    cfg.write_text(json.dumps({**config, "sweep": {"param": "rho", "from": -0.95, "to": 0.95,
+                                                   "steps": 39}}))
+    src = str(Path(bounds.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        done = subprocess.run([sys.executable, "-m", "jamnet.cli", command, "--config", str(cfg),
+                               "--out", str(out)], capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append((out.with_suffix(".csv").read_bytes(), out.with_suffix(".json").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].count(b"\n") == 40

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -473,6 +474,13 @@ _MC = {"monte_carlo": {"samples": 1000, "seed": 1}}
                         "transmitters": [{"alpha": 1.0, "beta": 1.0, "power": 0.0},
                                          {"alpha": 0.5, "beta": 2.0, "power": 0.0}],
                         "adversaries": _sensors(1e-100, 1.0)}, "NonConvergence"),
+        # The transmit multiplier times alpha^2 overflows (Theorem 4's lambda1
+        # near P_T; the top of Theorem 5's lambda3 grid reaches P_T): the
+        # transmit-side sum underflows although every alpha*beta is ordinary.
+        ("solve-asym", {**_ASYM_BUDGETS, "sum_power_transmit": 1e300,
+                        "transmitters": _sensors(1.0, 0.8)}, "NumericalFailure"),
+        ("solve-asym", {**_ASYM_BUDGETS, "setting": "AsymII", "sum_power_transmit": 1e300,
+                        "transmitters": _sensors(1.0, 0.8)}, "NumericalFailure"),
         # sum(beta^2) overflows: every distortion would be inf/inf.
         ("ceo-curve", {"transmitters": _sensors(1.0, 1e200), "adversaries": []},
          "NumericalFailure"),
@@ -486,8 +494,9 @@ _MC = {"monte_carlo": {"samples": 1000, "seed": 1}}
        for setting in ("SymI", "SymII") for command in ("closed-form", "simulate", "verify")],
     ids=["SymI-gain-1e200", "SymI-alpha-1e170", "AsymI-no-information-path",
          "AsymII-no-information-path", "AsymI-alpha-1e200", "AsymII-alpha-1e200",
-         "AsymII-scan-square-overflow", "AsymII-weak-adversary", "ceo-curve-beta-1e200",
-         "SymIII-alpha-1e200", "SymIII-power-0"]
+         "AsymII-scan-square-overflow", "AsymII-weak-adversary", "AsymI-transmit-overflow",
+         "AsymII-transmit-overflow", "ceo-curve-beta-1e200", "SymIII-alpha-1e200",
+         "SymIII-power-0"]
     + [f"{setting}-{command}-alpha2P-overflow"
        for setting in ("SymI", "SymII") for command in ("closed-form", "simulate", "verify")],
 )
@@ -499,8 +508,29 @@ def test_numerical_failures_exit_2_with_error_block(tmp_path, capsys, command, o
     assert len(out) == 1 and out[0].startswith(f"jamnet {command}: FAILED ({error}")
     text = (tmp_path / "run.json").read_text()
     assert "NaN" not in text
-    assert json.loads(text)["error"]["type"] == error
+    assert _strict_json(text)["error"]["type"] == error
     assert not (tmp_path / "run.csv").exists()
+
+
+def _strict_json(text: str):
+    """json.loads that refuses the non-standard NaN, Infinity and -Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_nonfinite_residuals_are_written_as_null(tmp_path, capsys):
+    # m_k = 1 + beta_k^2 overflows in the KKT check: the residuals hold -inf
+    # and NaN, which the error block writes as null.
+    cfg = _write_config(tmp_path, setting="AsymII", sum_power_transmit=2.0,
+                        sum_power_attack=1e-6, transmitters=_sensors(1.0, 1.0),
+                        adversaries=_sensors(1.0, 1e200))
+    assert main(["solve-asym", "--config", str(cfg)]) == 2
+    capsys.readouterr()
+    residuals = _strict_json((tmp_path / "run.json").read_text())["error"]["residuals"]
+    assert None in residuals
+    assert all(r is None or math.isfinite(r) for r in residuals)
+    assert any(isinstance(r, float) for r in residuals)
 
 
 @pytest.mark.parametrize(
@@ -778,7 +808,7 @@ def _documents(draw):
     "adversaries": _sensors(1.0, 1.0), "sum_power_transmit": float("nan")})
 def test_config_fuzz_ends_in_a_documented_exit(tmp_path_factory, command, document):
     # Gains and powers from 1e-300 to 1e300 and junk in any field: the run exits 0,
-    # 1 or 2 with one line, and a successful run writes no NaN or infinity.
+    # 1 or 2 with one line, and a report (exit 0 or 2) holds no NaN or infinity.
     work = tmp_path_factory.getbasetemp() / "fuzz"
     work.mkdir(exist_ok=True)
     config = work / "cfg.json"
@@ -791,6 +821,6 @@ def test_config_fuzz_ends_in_a_documented_exit(tmp_path_factory, command, docume
     assert code in (0, 1, 2)
     lines = (out.getvalue() + err.getvalue()).splitlines()
     assert len(lines) == 1 and lines[0]
-    if code == 0:
+    if code in (0, 2):
         text = (work / "run.json").read_text()
         assert "NaN" not in text and "Infinity" not in text
