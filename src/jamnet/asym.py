@@ -7,9 +7,12 @@ one profile: the core takes five sufficient statistics (two of the
 transmitters, three of the adversaries) as floats or as arrays over many
 candidates, so batched searches cost every candidate with the same bits.
 
+``_schedule`` is the package's one schedule of the transmitters on their
+sum budget P_T, for one multiplier or for lanes of them: Theorem 4 takes it
+at lambda1, Theorem 5 at lambda3, and ``simulate``'s transmitter check at
+the lambda of the transmitters' best response to fixed jamming.
 ``solve_theorem4`` handles the coordinated (saddle-point) power-allocation
-setting in closed form; its schedule, ``_schedule``, is also the
-transmitters' best response to fixed jamming in ``simulate``'s check.
+setting in closed form.
 ``solve_theorem5`` solves the no-coordination Stackelberg multiplier system
 by nested bracketed root-finding: the outer residual is evaluated at every
 point of a fixed scan grid in one array pass, every sign change is counted,
@@ -188,27 +191,31 @@ def attacker_best_channel(
     return best, adversaries[best].alpha ** 2 * sum_power_attack
 
 
-def _schedule(s: NetworkScenario, lam1: float, p_t: float):
-    """(denoms, lambda2, coeffs): Theorem 4's transmit schedule at multiplier
-    lambda1, c_m = lambda2*alpha_m*beta_m/(2*(1 + beta_m^2 + lambda1*alpha_m^2)),
-    with lambda2 spending the sum budget P_T.  It maximizes
-    r_t^2/(own_t + P_T/lambda1) on the budget: the transmitters' best
-    response to received jamming power P_T/lambda1 - 1."""
-    denoms = [p.input_second_moment + lam1 * p.alpha ** 2 for p in s.transmitters]
-    t2 = sum(
-        p.input_second_moment * (p.alpha * p.beta) ** 2 / d / d
-        for p, d in zip(s.transmitters, denoms)
-    )
-    if t2 <= 0.0:
-        if not any((p.alpha * p.beta) ** 2 for p in s.transmitters):
-            raise DegenerateInput("no information path: all alpha*beta vanish")
-        raise NumericalFailure(
-            "transmit-side sum underflows to 0: lambda1*alpha^2 overflows the float range")
-    lam2 = math.sqrt(4.0 * p_t / t2)
-    coeffs = tuple(
-        lam2 * p.alpha * p.beta / (2.0 * d) for p, d in zip(s.transmitters, denoms)
-    )
-    return denoms, lam2, coeffs
+def _schedule(s: NetworkScenario, lam, p_t):
+    """(scale, coeffs): the transmitters' schedule on the sum budget P_T at
+    multiplier lambda, c_m = scale*alpha_m*beta_m/(2*(1 + beta_m^2 +
+    lambda*alpha_m^2)), scale > 0 spending P_T.  It maximizes
+    r_t^2/(own_t + P_T/lambda) on the budget: the transmitters' best
+    response to received jamming power P_T/lambda - 1.  Theorem 4 takes it
+    at lambda1 (scale lambda2), Theorem 5 at lambda3 (scale lambda4).
+    ``lam`` may be an array of lanes, and ``p_t`` a budget per lane that
+    broadcasts against it; the outputs then gain the lane axes."""
+    lam = np.asarray(lam)
+    one_b2 = np.array([p.input_second_moment for p in s.transmitters])
+    a2 = np.array([p.alpha ** 2 for p in s.transmitters])
+    ab = np.array([p.alpha * p.beta for p in s.transmitters])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and inf/inf as float arithmetic
+        denoms = one_b2 + lam[..., None] * a2
+        # x/d^2, or x/d/d where d^2 overflows (d above 1.3e154) and d does not.
+        x, d2 = one_b2 * ab * ab, denoms**2
+        t2 = np.add.reduce(np.where(d2 < np.inf, x / d2, x / denoms / denoms), axis=-1)
+        if (t2 <= 0.0).any():
+            if not (ab * ab).any():
+                raise DegenerateInput("no information path: all alpha*beta vanish")
+            raise NumericalFailure(
+                "transmit-side sum underflows to 0: lambda*alpha^2 overflows the float range")
+        scale = 2.0 * np.sqrt(p_t / t2)
+        return scale, scale[..., None] * ab / (2.0 * denoms)
 
 
 def solve_theorem4(s: NetworkScenario) -> EquilibriumReport:
@@ -222,8 +229,7 @@ def solve_theorem4(s: NetworkScenario) -> EquilibriumReport:
     """
     if s.setting is not Setting.ASYM_I:
         raise InvalidScenario(f"solve_theorem4 requires AsymI, got {s.setting.value}")
-    M = s.num_transmitters
-    if M < 1:
+    if s.num_transmitters < 1:
         raise InvalidScenario("solve_theorem4 requires at least one transmitter")
     p_t = s.sum_power_transmit
     p_a = s.sum_power_attack
@@ -236,7 +242,8 @@ def solve_theorem4(s: NetworkScenario) -> EquilibriumReport:
         k_star, pa_recv = None, 0.0
 
     lam1 = p_t / (1.0 + pa_recv)
-    denoms, lam2, coeffs = _schedule(s, lam1, p_t)
+    lam2, coeffs = _schedule(s, lam1, p_t)
+    lam2, coeffs = float(lam2), tuple(float(c) for c in coeffs)
     adv = IndependentNoise(
         variances=tuple(p_a if k == k_star else 0.0 for k in range(s.num_adversaries))
     )
@@ -244,9 +251,9 @@ def solve_theorem4(s: NetworkScenario) -> EquilibriumReport:
     validate_profile(s, profile)
     oracle = direct_mmse_cost(s, profile)
 
-    half_sum = sum(
-        (p.alpha * p.beta) ** 2 / (2.0 * d) for p, d in zip(s.transmitters, denoms)
-    )
+    # From the denominators, not r_t/lambda2: lambda2 may underflow to 0.
+    half_sum = sum((p.alpha * p.beta) ** 2 / (2.0 * (p.input_second_moment + lam1 * p.alpha ** 2))
+                   for p in s.transmitters)
     printed = 1.0 / (1.0 + lam1 * half_sum)
     closed = 1.0 / (1.0 + lam1 * 2.0 * half_sum)
     notes = (
@@ -275,27 +282,6 @@ def solve_theorem4(s: NetworkScenario) -> EquilibriumReport:
 
 
 # -- Theorem 5: no coordination, coupled multiplier system -------------------
-
-def _transmit_side(s: NetworkScenario, lam3, p_t):
-    """lambda4 and the transmit coefficients for a trial lambda3 > 0, with the
-    sum power constraint met with equality (lambda4 > 0 sign convention).
-    ``lam3`` may be an array of lanes, and ``p_t`` a budget per lane that
-    broadcasts against it; the outputs then gain the lane axes."""
-    lam3 = np.asarray(lam3)
-    one_b2 = np.array([p.input_second_moment for p in s.transmitters])
-    a2 = np.array([p.alpha ** 2 for p in s.transmitters])
-    ab = np.array([p.alpha * p.beta for p in s.transmitters])
-    with np.errstate(over="ignore"):  # overflow gives inf, as float arithmetic does
-        denoms = one_b2 + lam3[..., None] * a2
-        t2 = np.sum(one_b2 * ab * ab / denoms**2, axis=-1)
-        if np.any(t2 <= 0.0):
-            if not np.any(ab * ab):
-                raise DegenerateInput("no information path: all alpha*beta vanish")
-            raise NumericalFailure(
-                "transmit-side sum underflows to 0: lambda3*alpha^2 overflows the float range")
-        lam4 = 2.0 * np.sqrt(p_t / t2)
-        return lam4, lam4[..., None] * ab / (2.0 * denoms)
-
 
 def _sphere(s: NetworkScenario, p_a):
     """(root, u, v) on the adversaries' sum budget ``p_a`` (a float, or one
@@ -423,7 +409,7 @@ def _outer(s: NetworkScenario, p_t, p_a):
 
     def outer(lam3):
         with np.errstate(all="ignore"):
-            lam4, c_m = _transmit_side(s, lam3, p_t)
+            lam4, c_m = _schedule(s, lam3, p_t)
             lam1, lam2, c_k, ok = respond(c_m)
             return lam4 * lam1 + lam2 * lam3, ok, (lam4, c_m, lam1, lam2, c_k)
 
@@ -721,20 +707,14 @@ def solve_theorem5(s: NetworkScenario, scan: tuple | None = None) -> Equilibrium
     validate_profile(s, profile)
     oracle = direct_mmse_cost(s, profile)
 
-    s_m = float(
-        sum(
-            (p.alpha * p.beta) ** 2 / (p.input_second_moment + lam3 * p.alpha ** 2)
-            for p in s.transmitters
-        )
-    )
+    r_m, s_own = _transmit_stats(s, transmit_coeffs)
+    s_m = 2.0 * r_m / lam4  # sum (alpha_m*beta_m)^2/d_m, d_m the schedule's denominators
     s_k = 0.0  # its terms are infinite where lambda1 = m_k/alpha_k^2, all power on sensor k
     for p in s.adversaries:
         d = p.input_second_moment - lam1 * p.alpha ** 2
         s_k += (p.alpha * p.beta) ** 2 / d if d else math.inf
     closed = 1.0 / (1.0 + lam3 * s_m - lam1 * s_k)
     printed = 1.0 / (1.0 + lam3 * s_m / 2.0 - lam1 * s_k / 2.0)
-    r_m = float(sum(p.alpha * p.beta * c for p, c in zip(s.transmitters, transmit_coeffs)))
-    s_own = float(sum(p.alpha ** 2 * c * c for p, c in zip(s.transmitters, transmit_coeffs)))
     printed_lam2 = -(2.0 * p_a + 2.0 * lam1 * (1.0 - s_own)) / r_m
     printed_identity = p_t / lam1 + p_a / lam3
     notes = (

@@ -14,8 +14,7 @@ reflection.  The second singular value is then the larger of two half-size
 symmetric eigenproblems: B on the odd vectors (by Mehler's expansion the
 maximal correlation's singular function is odd) and B on the even vectors
 deflated by the constants' singular pair.  Everything runs on the calling
-thread, and the result is bit-for-bit the same for any worker count and any
-BLAS thread count.
+thread, and the result is bit-for-bit the same for any BLAS thread count.
 """
 
 from __future__ import annotations

@@ -17,20 +17,10 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-import os
 from typing import Mapping, Union
 
 POWER_TOL = 1e-9
 INTEGER_TOL = 1e-9
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform has
-    one, else the machine's CPU count.  Sizes the Monte Carlo block pool and
-    the correlation-operator pool."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 class JamnetError(Exception):

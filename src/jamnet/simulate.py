@@ -34,6 +34,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import math
+import os
 
 import numpy as np
 
@@ -46,13 +47,20 @@ from .model import (
     NonConvergence,
     Setting,
     StrategyProfile,
-    _usable_cpus,
     validate_profile,
 )
 
 BLOCK_SIZE = 1 << 14
 SCRATCH_ROWS = 6  # src, tx, adv, y, gamma, w: the n-vectors a block holds
 ROUNDING = 1e-13  # a cost gain below this is rounding (1 - ratio rounds near 1e-16)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has
+    one, else the machine's CPU count.  Sizes the Monte Carlo block pool."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -288,34 +296,28 @@ def _box_response(s: NetworkScenario, p: StrategyProfile, sig: float, B: float):
 
 def _sum_budget_response(s: NetworkScenario, sig: float, B: float):
     """(coeffs, desc) maximizing (r_t + sig)^2/(own_t + B) within the sum
-    budget P_T.  The first-order conditions give c_m = t*alpha_m*beta_m /
-    (alpha_m^2 + kappa*(1 + beta_m^2))*sign(sig), with t spending P_T and
-    gap = |sig|*t - (B - kappa*P_T) = 0.  At sig = 0 that is Theorem 4's
-    schedule at lambda = P_T/B; otherwise kappa is the root on (0, B/P_T) of
-    the rising gap, or, where gap(0) >= 0, the budget is slack and
-    c_m = (B/|sig|)*beta_m/alpha_m."""
+    budget P_T.  The first-order conditions give ``asym._schedule`` at some
+    lambda, times sign(sig).  At sig = 0, lambda = P_T/B.  Otherwise the
+    slack point c_m = (B/|sig|)*beta_m/alpha_m is the answer where it fits
+    the budget; else kappa = 1/lambda is the root on (0, B/P_T) of the
+    rising gap = |sig|*kappa*scale/2 - (B - kappa*P_T), whose value at
+    kappa = 0 is B*(sqrt(P_T/used) - 1), used the slack point's power."""
     p_t = s.sum_power_transmit
     if sig == 0.0:
         lam = p_t / B
-        return asym._schedule(s, lam, p_t)[2], f"schedule at lambda={lam:.6g}"
+        return asym._schedule(s, lam, p_t)[1], f"schedule at lambda={lam:.6g}"
     sigma = abs(sig)
-    ab = np.array([q.alpha * q.beta for q in s.transmitters])
-    a2 = np.array([q.alpha ** 2 for q in s.transmitters])
-    m2 = np.array([q.input_second_moment for q in s.transmitters])
-
-    def t(kappa: float) -> float:
-        return math.sqrt(p_t / float(np.sum(m2 * (ab / (a2 + kappa * m2)) ** 2)))
-
-    def gap(kappa: float) -> float:
-        return sigma * t(kappa) - (B - kappa * p_t)
-
-    gap0 = gap(0.0)
-    if gap0 >= 0.0:
-        coeffs, desc = B / sigma * ab / a2, f"c_m={B / sigma:.6g}*beta_m/alpha_m within the budget"
+    slack = [B / sigma * (q.beta / q.alpha) for q in s.transmitters]
+    used = sum(q.input_second_moment * c * c for q, c in zip(s.transmitters, slack))
+    if used <= p_t:
+        coeffs, desc = slack, f"c_m={B / sigma:.6g}*beta_m/alpha_m within the budget"
     else:
-        kappa = asym._brentq(gap, 0.0, B / p_t, gap0)
-        coeffs, desc = t(kappa) * ab / (a2 + kappa * m2), f"schedule at lambda={1.0 / kappa:.6g}"
-    return math.copysign(1.0, sig) * coeffs, desc
+        def gap(kappa: float) -> float:
+            return sigma * (kappa * asym._schedule(s, 1.0 / kappa, p_t)[0] / 2.0) - (B - kappa * p_t)
+
+        kappa = asym._brentq(gap, 0.0, B / p_t, B * (math.sqrt(p_t / used) - 1.0))
+        coeffs, desc = asym._schedule(s, 1.0 / kappa, p_t)[1], f"schedule at lambda={1.0 / kappa:.6g}"
+    return math.copysign(1.0, sig) * np.asarray(coeffs), desc
 
 
 def _frontier_response(s: NetworkScenario):
@@ -326,8 +328,7 @@ def _frontier_response(s: NetworkScenario):
     exact follower; lanes whose follower does not exist are skipped."""
     p_t = s.sum_power_transmit
     lam3 = asym._scan_grid(p_t)
-    _, c_m = asym._transmit_side(s, lam3, p_t)
-    _, _, c_k, ok = asym._follower(s, s.sum_power_attack)(c_m)
+    _, ok, (_, c_m, _, _, c_k) = asym._outer(s, p_t, s.sum_power_attack)(lam3)
     if not ok.any():
         return math.inf, ""
     rows = LinearMirror(coeffs=tuple(c_k[ok].T)).lower(s.adversaries)

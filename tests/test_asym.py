@@ -143,6 +143,34 @@ def test_theorem4_identities_on_random_instances(rng):
         assert rep.cost == rep.oracle_cost
 
 
+@pytest.mark.parametrize("M", [1, 3, 8, 32])
+def test_schedule_lanes_have_the_bits_of_one_multiplier(M):
+    # Theorem 5 runs the schedule on lanes of lambda3 and Theorem 4 on one
+    # lambda1: each lane, with its own P_T, has the bits of its lone call and
+    # spends its P_T.
+    rng = np.random.default_rng(M)
+    gains = rng.uniform(0.2, 3.0, (4, M))
+    s = _asym_scenario(Setting.ASYM_I, *gains[:2], *gains[2:, :1], 1.0, 1.0)
+    p_t = rng.uniform(0.5, 5.0, 64)
+    grid = np.geomspace(1e-8, 1e3, 64) * p_t
+    scale, coeffs = asym._schedule(s, grid, p_t)
+    m2 = np.array([p.input_second_moment for p in s.transmitters])
+    for i in range(len(grid)):
+        lone_scale, lone_coeffs = asym._schedule(s, float(grid[i]), float(p_t[i]))
+        assert scale[i] == lone_scale
+        assert coeffs[i].tolist() == lone_coeffs.tolist()
+        assert abs(math.fsum(m2 * coeffs[i] ** 2) - p_t[i]) <= 1e-15 * p_t[i]
+
+
+def test_schedule_denominators_whose_square_overflows():
+    # lambda1*alpha^2 = 4e216: each d^2 overflows, so the schedule divides
+    # by d twice there, and Theorem 4 still spends P_T on equal coefficients.
+    s = make_symmetric(4, 1, 1e100, 1.0, 0.0, Setting.ASYM_I,
+                       sum_power_transmit=4e16, sum_power_attack=0.0)
+    coeffs = asym.solve_theorem4(s).profile.transmit_coeffs
+    assert coeffs == (pytest.approx(1e8 / math.sqrt(2.0), rel=1e-14),) * 4
+
+
 def test_theorem4_decentralized_recompute_bit_exact(rng):
     for _ in range(20):
         s = random_asym_scenario(rng, Setting.ASYM_I)
@@ -150,7 +178,7 @@ def test_theorem4_decentralized_recompute_bit_exact(rng):
         lam1, lam2 = rep.multipliers["lambda1"], rep.multipliers["lambda2"]
         for p, c in zip(s.transmitters, rep.profile.transmit_coeffs):
             d = p.input_second_moment + lam1 * p.alpha**2
-            assert lam2 * p.alpha * p.beta / (2.0 * d) == c
+            assert lam2 * (p.alpha * p.beta) / (2.0 * d) == c
 
 
 def test_theorem4_local_best_responses(rng):
@@ -444,7 +472,7 @@ def test_theorem5_from_a_merged_scan_equals_the_lone_solve():
     # denominators, which only that point's own scan reports.
     overflowing = dataclasses.replace(s, sum_power_transmit=1e300)
     assert asym.theorem5_scans([points[0], overflowing]) == [None, None]
-    with pytest.raises(NumericalFailure, match="lambda3\\*alpha\\^2 overflows"):
+    with pytest.raises(NumericalFailure, match="lambda\\*alpha\\^2 overflows"):
         asym.solve_theorem5(overflowing)
 
 

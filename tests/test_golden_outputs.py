@@ -11,8 +11,13 @@ comparison nor changes the count of deduplicated sweep notes.
 To re-record after an intended output change, run from the repo root:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
+
+The recorder rewrites only the files whose text changes, and prints each one
+with the largest change of any number outside the discrepancy notes, on the
+comparison's scale (relative above 1, absolute below).
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -165,16 +170,50 @@ def test_golden_output(name, tmp_path):
              f"{name}.json")
 
 
+def _numbers(value) -> list:
+    """The numbers of a parsed report or CSV, discrepancy notes left out."""
+    if isinstance(value, dict):
+        return [x for key, v in value.items() if key != "discrepancy_notes" for x in _numbers(v)]
+    if isinstance(value, list):
+        return [x for v in value for x in _numbers(v)]
+    return [value] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
+def _parse(path: Path, text: str):
+    if path.suffix == ".json":
+        return json.loads(text)
+    return [[_csv_cell(c) for c in row] for row in csv.reader(io.StringIO(text))]
+
+
+def _rewrite(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` where it changes the file, and say how."""
+    if path.exists() and path.read_text() == text:
+        return
+    if not path.exists():
+        change = "new file"
+    else:
+        old, new = _numbers(_parse(path, path.read_text())), _numbers(_parse(path, text))
+        if len(old) != len(new):
+            change = f"{len(old)} numbers before, {len(new)} now"
+        else:
+            largest = max((abs(a - b) / max(1.0, abs(a), abs(b))
+                           for a, b in zip(old, new) if a != b), default=0.0)
+            change = f"largest change outside the notes {largest:.3g}"
+    path.write_text(text)
+    print(f"rewrote {path.name}: {change}")
+
+
 def _record() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     codes = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CASES):
-            codes[name], csv_text, json_text = _run(name, Path(tmp))
+            with contextlib.redirect_stdout(io.StringIO()):  # the CLI's own summary lines
+                codes[name], csv_text, json_text = _run(name, Path(tmp))
             if csv_text is not None:
-                (GOLDEN_DIR / f"{name}.csv").write_text(csv_text)
-            (GOLDEN_DIR / f"{name}.json").write_text(json_text)
-    EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+                _rewrite(GOLDEN_DIR / f"{name}.csv", csv_text)
+            _rewrite(GOLDEN_DIR / f"{name}.json", json_text)
+    _rewrite(EXIT_CODES, json.dumps(codes, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

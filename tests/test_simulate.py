@@ -621,7 +621,7 @@ def _frontier_failure_cases():
     # adversaries can null the lanes of smaller |r_m| outright.
     lam3 = asym._scan_grid(nulls.sum_power_transmit)
     r_m, _ = asym._transmit_stats(
-        nulls, asym._transmit_side(nulls, lam3, nulls.sum_power_transmit)[1].T)
+        nulls, asym._schedule(nulls, lam3, nulls.sum_power_transmit)[1].T)
     null_power = sum((a.alpha * a.beta) ** 2 / a.input_second_moment for a in nulls.adversaries)
     half = dataclasses.replace(nulls, sum_power_attack=float(r_m[48]) ** 2 / null_power)
     # Gains 1e-5*1e-6 and 10*1e-11: |r_m| falls below the budget's nulling
@@ -673,7 +673,7 @@ def test_asym2_follower_failure_cases_skip_and_raise():
     outcomes = []
     for s, p in _frontier_failure_cases():
         lam3 = asym._scan_grid(s.sum_power_transmit)
-        _, c_m = asym._transmit_side(s, lam3, s.sum_power_transmit)
+        _, c_m = asym._schedule(s, lam3, s.sum_power_transmit)
         seen, costs = set(), []
         for row in c_m:
             try:
@@ -906,7 +906,7 @@ def _named_response_cost(s, p, desc):
     6-digit parameter in its text."""
     x = float(re.search(r"=([-+.\deE]+)", desc).group(1))
     if desc.startswith("Theorem-5"):
-        _, c_m = asym._transmit_side(s, x, s.sum_power_transmit)
+        _, c_m = asym._schedule(s, x, s.sum_power_transmit)
         return _follower_cost(s, c_m, asym._follower(s, s.sum_power_attack)(c_m)[2])
     if s.setting.is_symmetric:
         coeffs = np.full(s.num_transmitters, x)
@@ -916,7 +916,7 @@ def _named_response_cost(s, p, desc):
     else:
         sig, _, _ = asym._adversary_output_stats(s, *p.adversary.lower(s.adversaries))
         if desc.startswith("schedule"):
-            coeffs = np.array(asym._schedule(s, x, s.sum_power_transmit)[2])
+            coeffs = np.array(asym._schedule(s, x, s.sum_power_transmit)[1])
         else:
             coeffs = x * np.array([q.beta / q.alpha for q in s.transmitters])
         coeffs *= 1.0 if p.randomized else math.copysign(1.0, sig)
@@ -958,6 +958,30 @@ def test_transmitter_best_response_is_exact_and_attained():
     # Against deterministic transmitters under the sum budget both the
     # binding (root) and the slack branch occur.
     assert {"schedule at lambda", "c_m"} <= branches
+
+
+def test_sum_budget_response_branches_meet_at_the_slack_boundary():
+    # Deterministic AsymI profiles against fixed adversaries whose slack
+    # point c_m = (B/|sig|)*beta_m/alpha_m spends P_T*(1 - 1e-9) (it fits:
+    # the closed form) or P_T*(1 + 1e-9) (it does not: the schedule's root
+    # near kappa = 0).  Both sides' best costs agree.
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        s = random_asym_scenario(rng, Setting.ASYM_I)
+        adversary = LinearMirror(coeffs=tuple(rng.uniform(-1.0, 1.0, s.num_adversaries)))
+        sig, own, jam = asym._adversary_output_stats(s, *adversary.lower(s.adversaries))
+        B = 1.0 + own + jam
+        used = sum(q.input_second_moment * (B / abs(sig) * (q.beta / q.alpha)) ** 2
+                   for q in s.transmitters)
+        costs = []
+        for spent, branch in ((1.0 - 1e-9, "c_m="), (1.0 + 1e-9, "schedule at lambda=")):
+            side = dataclasses.replace(s, sum_power_transmit=used / spent)
+            p = StrategyProfile(transmit_coeffs=(0.0,) * s.num_transmitters, randomized=False,
+                                adversary=adversary, decoder_gain=0.0)
+            report = simulate.best_response_transmitter_search(side, p)
+            assert report.deviation_params.startswith(branch)
+            costs.append(report.best_deviation_cost)
+        assert costs[0] == pytest.approx(costs[1], rel=1e-12, abs=1e-12)
 
 
 def test_symmetric_equilibria_are_exact_certificates():
