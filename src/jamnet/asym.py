@@ -69,6 +69,7 @@ from .model import (
 # solution, and the outer scan's grid size.
 KKT_TOL = 1e-8
 OUTER_SCAN_POINTS = 96
+_TINY = np.finfo(float).tiny  # the least normal float
 
 
 # -- channel output statistics ----------------------------------------------
@@ -214,7 +215,10 @@ def _schedule(s: NetworkScenario, lam, p_t):
                 raise DegenerateInput("no information path: all alpha*beta vanish")
             raise NumericalFailure(
                 "transmit-side sum underflows to 0: lambda*alpha^2 overflows the float range")
-        scale = 2.0 * np.sqrt(p_t / t2)
+        # sqrt(P_T)/sqrt(t2) where P_T/t2 leaves the normal range and its root need not.
+        ratio = p_t / t2
+        normal = (ratio >= _TINY) & (ratio < np.inf)
+        scale = 2.0 * np.where(normal, np.sqrt(ratio), np.sqrt(p_t) / np.sqrt(t2))
         return scale, scale[..., None] * ab / (2.0 * denoms)
 
 
@@ -602,8 +606,9 @@ def _sign_changes(values: np.ndarray, ok: np.ndarray) -> np.ndarray:
     """Every i where the scanned residual is zero at grid point i or changes
     sign between points i and i+1, both evaluated, ascending."""
     v0, v1 = values[:-1], values[1:]
-    with np.errstate(all="ignore"):  # overflowing products as float products do
-        return np.flatnonzero(ok[:-1] & ok[1:] & ((v0 == 0.0) | (v0 * v1 < 0.0)))
+    # Signs compared, not multiplied: a product of two tiny values underflows to 0.
+    change = (v0 < 0.0) & (v1 > 0.0) | (v0 > 0.0) & (v1 < 0.0)
+    return np.flatnonzero(ok[:-1] & ok[1:] & ((v0 == 0.0) | change))
 
 
 def theorem5_scans(scenarios) -> list:

@@ -7,19 +7,25 @@ bit-for-bit.  The blocks run on one thread pool of min(blocks, CPUs this
 process may use) workers, worker w taking blocks w, w + workers, ...; the
 worker count never changes the result.
 
+The received signal is Y = (tx_src*S + sum_m alpha_m*c_m*W_m) +
+(adv_src*S + sum_k alpha_k*c_k*W_{M+k} + sum_j amp_j*theta_j) + Z, the
+transmitter part multiplied by the randomization coin where the profile is
+randomized.  The sensing noises W, the noises theta_j and Z are independent
+zero-mean Gaussians, independent of S and of the coin, that reach the error
+only through their sum within each part.  A sum of independent zero-mean
+Gaussians is one zero-mean Gaussian whose variance is the sum of theirs, so
+each part's noise is drawn as one normal scaled by the root of that sum:
+tx_sd = hypot(alpha_m*c_m) for the transmitter part, and rx_sd =
+hypot(alpha_k*c_k, 1, amp_j) for the rest, with amp_j the summed amplitude
+on theta_j of the adversary strategy's linear-Gaussian form (see ``model``).
+The joint law of (S, coin, error) is unchanged, so the draw is exact in
+distribution, and a block costs the same for any M, K and J.
+
 Per block of n samples the draws are, in order: the source (n normals), the
-M+K sensing-noise rows (transmitters first, then adversaries; one n-normal
-draw per sensor, each added to the transmitter or adversary part of the
-received signal as it is drawn), the channel noise (n), the randomization
-coin (n uniforms), then the adversary strategy's J noises
-theta_0..theta_{J-1} (n each) from its linear-Gaussian form (see ``model``):
-J = 1+K-n_coord for CoordinatedNoise, K for IndependentNoise, 1 + max j_k for
-GeneralLinearGaussian, 0 for LinearMirror.  A draw that cannot reach the
-error is skipped and takes nothing from the stream: a sensing-noise row whose
-received gain is 0, a theta_j whose summed amplitude is 0, and the coin of a
-deterministic profile.  A block holds SCRATCH_ROWS n-vectors, never a row per
-sensor, and draws and computes into them in place; the calling thread
-allocates them, one set per worker.
+transmitter noise (n), skipped when tx_sd is 0, the randomization coin (n
+uniforms), drawn only for a randomized profile, and the received noise (n).
+A block holds SCRATCH_ROWS n-vectors and draws and computes into them in
+place; the calling thread allocates them, one set per worker.
 
 The verification half checks the two saddle inequalities with each side's
 exact best response within the linear-Gaussian class, costed from its
@@ -51,7 +57,7 @@ from .model import (
 )
 
 BLOCK_SIZE = 1 << 14
-SCRATCH_ROWS = 6  # src, tx, adv, y, gamma, w: the n-vectors a block holds
+SCRATCH_ROWS = 5  # src, tx, y, gamma, w: the n-vectors a block holds
 ROUNDING = 1e-13  # a cost gain below this is rounding (1 - ratio rounds near 1e-16)
 
 
@@ -80,12 +86,14 @@ class BestResponseReport:
 
 
 def _block_gains(s: NetworkScenario, p: StrategyProfile):
-    """(tx_src, tx_w, adv_src, adv_w, amps): the received-signal gains every
-    block uses.  The transmitter part of Y is tx_src*S + sum_m tx_w[m]*W_m,
-    the adversary part adv_src*S + sum_k adv_w[k]*W_{M+k} +
-    sum_j amps[j]*theta_j.  Computed once on the calling thread, so the
-    worker threads call only numpy and a tracer wrapping the package's
-    public functions (perfbench) never sees a call from them.
+    """(tx_src, tx_sd, adv_src, rx_sd): the received-signal gains every
+    block uses.  The transmitter part of Y is tx_src*S + tx_sd*N_t, the
+    rest adv_src*S + rx_sd*N_r, with N_t and N_r standard normals standing
+    for the summed sensing, adversary and channel noises (see the module
+    docstring).  ``math.hypot`` forms each root without squaring, so it is
+    finite wherever the root is.  Computed once on the calling
+    thread, so the worker threads call only numpy and a tracer wrapping the
+    package's public functions (perfbench) never sees a call from them.
     """
     rows, n_noises = p.adversary.lower(s.adversaries)
     amps = [0.0] * n_noises
@@ -94,9 +102,9 @@ def _block_gains(s: NetworkScenario, p: StrategyProfile):
             amps[j] += q.alpha * ss
     tx = list(zip(s.transmitters, p.transmit_coeffs))
     adv = [(q, c) for q, (c, _, _) in zip(s.adversaries, rows)]
-    return (sum(q.alpha * c * q.beta for q, c in tx), [q.alpha * c for q, c in tx],
-            sum(q.alpha * (c * q.beta) for q, c in adv), [q.alpha * c for q, c in adv],
-            amps)
+    return (sum(q.alpha * c * q.beta for q, c in tx), math.hypot(*(q.alpha * c for q, c in tx)),
+            sum(q.alpha * (c * q.beta) for q, c in adv),
+            math.hypot(*(q.alpha * c for q, c in adv), 1.0, *amps))
 
 
 def _block_stream(seed: int, block: int) -> np.random.Generator:
@@ -118,33 +126,26 @@ def _simulate_block(
     the block allocates nothing n-sized itself.
     """
     g = _block_stream(seed, block)
-    tx_src, tx_w, adv_src, adv_w, amps = gains
-    src, tx, adv, y, gamma, w = scratch[:, :n]
+    tx_src, tx_sd, adv_src, rx_sd = gains
+    src, tx, y, gamma, w = scratch[:, :n]
 
     g.standard_normal(out=src)
     np.multiply(src, tx_src, out=tx)
-    np.multiply(src, adv_src, out=adv)
-    for part, row_gains in ((tx, tx_w), (adv, adv_w)):
-        for gain in row_gains:
-            if gain:  # a zero-gain row is never drawn
-                g.standard_normal(out=w)
-                w *= gain
-                part += w
-    g.standard_normal(out=y)
-
+    if tx_sd:  # silent transmitters draw no noise
+        g.standard_normal(out=w)
+        w *= tx_sd
+        tx += w
     if p.randomized:
         g.random(out=gamma)  # the coin, drawn only when it is used
         np.less(gamma, 0.5, out=gamma)  # 1 where coin < 1/2, else 0
         gamma *= 2.0
         gamma -= 1.0
         tx *= gamma
+    g.standard_normal(out=y)
+    y *= rx_sd
+    np.multiply(src, adv_src, out=w)
+    y += w
     y += tx
-    y += adv
-    for amp in amps:
-        if amp:  # theta_j with no amplitude is never drawn
-            g.standard_normal(out=w)
-            w *= amp
-            y += w
 
     if p.randomized:
         y *= gamma

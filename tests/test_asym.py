@@ -171,6 +171,21 @@ def test_schedule_denominators_whose_square_overflows():
     assert coeffs == (pytest.approx(1e8 / math.sqrt(2.0), rel=1e-14),) * 4
 
 
+def test_theorem5_lanes_whose_power_ratio_underflows_stay_in_the_scan():
+    # At P_T = 1e-300 and alpha = 1e150, P_T/t2 underflows on every lambda3
+    # of the grid: each lane still spends P_T at c = sqrt(P_T/2), has its
+    # scalar residual's bits, and the residual changes sign once, between
+    # values near 1e-301 whose product underflows.
+    s = _asym_scenario(Setting.ASYM_II, [1e150], [1.0], [1.0], [1.0], 1e-300, 0.1)
+    grid = asym._scan_grid(s.sum_power_transmit)
+    _, c_m = asym._schedule(s, grid, s.sum_power_transmit)
+    assert c_m[:, 0].tolist() == pytest.approx([math.sqrt(0.5e-300)] * len(grid), rel=1e-15)
+    values, ok = asym._outer_residual(s, grid, s.sum_power_transmit, s.sum_power_attack)
+    assert ok.all()
+    assert values.tolist() == _scalar_scan(s, grid)
+    assert len(asym._sign_changes(values, ok)) == 1
+
+
 def test_theorem4_decentralized_recompute_bit_exact(rng):
     for _ in range(20):
         s = random_asym_scenario(rng, Setting.ASYM_I)

@@ -420,6 +420,20 @@ def test_asym2_source_copying_adversary_exit_0(tmp_path, capsys, command):
             assert payload[check]["deviation_params"].startswith("no ")
 
 
+def test_asym1_schedule_whose_power_ratio_underflows_exit_0(tmp_path, capsys):
+    # P_T/t2 = 1e-300/(2e300/(2 + lambda1*1e300)^2) falls below the float
+    # range, but its root does not: the one transmitter spends P_T at
+    # c = sqrt(P_T/2) and faces the whole attack, cost 1 - 0.5/2.1 = 16/21.
+    cfg = _write_config(tmp_path, setting="AsymI", sum_power_transmit=1e-300,
+                        sum_power_attack=0.1, transmitters=_sensors(1e150, 1.0, 0.0),
+                        adversaries=_sensors(1.0, 1.0, 0.0))
+    assert main(["solve-asym", "--config", str(cfg)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    report = json.loads((tmp_path / "run.json").read_text())["report"]
+    assert report["profile"]["transmit_coeffs"] == [pytest.approx(math.sqrt(0.5e-300), rel=1e-15)]
+    assert report["oracle_cost"] == pytest.approx(16.0 / 21.0, rel=1e-15)
+
+
 def test_large_budgets_validate_and_exit_0(tmp_path, capsys):
     # Above about 1e7 a full-power profile's rounding exceeds an absolute
     # 1e-9 of its budget; the tolerance grows with the budget.

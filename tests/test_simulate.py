@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
+from scipy.stats import chi2
 
 from jamnet import (
     CoordinatedNoise,
@@ -72,26 +73,47 @@ def test_monte_carlo_pool_equals_block_ordered_serial_reduction(monkeypatch):
 
 def _ref_simulate_block(p, gains, n, seed, block):
     """The block with every intermediate a fresh array: the reference the
-    in-place block must match bit for bit.  Rows with gain 0, theta_j with
-    amplitude 0 and the coin of a deterministic profile draw nothing."""
+    in-place block must match bit for bit.  Silent transmitters draw no
+    noise and a deterministic profile draws no coin."""
     g = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, block])))
-    tx_src, tx_w, adv_src, adv_w, amps = gains
+    tx_src, tx_sd, adv_src, rx_sd = gains
     src = g.standard_normal(n)
     tx = tx_src * src
-    adv = adv_src * src
-    for part, row_gains in ((tx, tx_w), (adv, adv_w)):
-        for gain in row_gains:
-            if gain:
-                part += gain * g.standard_normal(n)
+    if tx_sd:
+        tx += tx_sd * g.standard_normal(n)
+    if p.randomized:
+        gamma = np.where(g.random(n) < 0.5, 1.0, -1.0)
+        tx *= gamma
+    y = rx_sd * g.standard_normal(n)
+    y += adv_src * src
+    y += tx
+    decoded = p.decoder_gain * (gamma * y if p.randomized else y)
+    err2 = (src - decoded) ** 2
+    return float(np.sum(err2)), float(np.sum(err2**2))
+
+
+def _ref_per_sensor_block(s, p, n, seed, block):
+    """One draw per sensing noise, channel noise and theta_j, each added to
+    its part of Y with its own gain: the channel as written, against which
+    the block's one draw per part is checked in distribution."""
+    g = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, block])))
+    rows, n_noises = p.adversary.lower(s.adversaries)
+    src = g.standard_normal(n)
+    tx = sum(q.alpha * c * q.beta for q, c in zip(s.transmitters, p.transmit_coeffs)) * src
+    adv = sum(q.alpha * c * q.beta for q, (c, _, _) in zip(s.adversaries, rows)) * src
+    for q, c in zip(s.transmitters, p.transmit_coeffs):
+        tx += q.alpha * c * g.standard_normal(n)
+    for q, (c, _, _) in zip(s.adversaries, rows):
+        adv += q.alpha * c * g.standard_normal(n)
     y = g.standard_normal(n)
     if p.randomized:
         gamma = np.where(g.random(n) < 0.5, 1.0, -1.0)
         tx *= gamma
-    y += tx
-    y += adv
-    for amp in amps:
-        if amp:
-            y += amp * g.standard_normal(n)
+    y += tx + adv
+    thetas = g.standard_normal((n_noises, n))
+    for q, (_, ss, j) in zip(s.adversaries, rows):
+        if ss:
+            y += q.alpha * ss * thetas[j]
     decoded = p.decoder_gain * (gamma * y if p.randomized else y)
     err2 = (src - decoded) ** 2
     return float(np.sum(err2)), float(np.sum(err2**2))
@@ -144,6 +166,45 @@ def test_in_place_block_equals_the_allocating_reference():
             fresh = np.empty((simulate.SCRATCH_ROWS, n))
             assert simulate._simulate_block(p, gains, n, 9, block, fresh) == ref
             assert simulate._simulate_block(p, gains, n, 9, block, dirty) == ref
+
+
+def _bayes_block_cases():
+    return [(s, dataclasses.replace(p, decoder_gain=asym.bayes_decoder_gain(s, p)))
+            for s, p in _block_cases()]
+
+
+def test_one_draw_per_part_matches_the_per_sensor_channel():
+    # The block draws each part's noise as one normal; drawing every sensing
+    # noise, theta_j and Z on its own must give the same MSE in distribution.
+    n, blocks, seed = simulate.BLOCK_SIZE, 62, 41
+    samples = n * blocks
+    assert samples >= 10**6
+    for s, p in _bayes_block_cases():
+        reduced = simulate.run_monte_carlo(s, p, samples, seed=seed)
+        sum_e2 = sum_e4 = 0.0
+        for j in range(blocks):
+            e2, e4 = _ref_per_sensor_block(s, p, n, seed + 1, j)
+            sum_e2 += e2
+            sum_e4 += e4
+        mean = sum_e2 / samples
+        se = math.sqrt((sum_e4 - samples * mean * mean) / (samples - 1) / samples)
+        combined = math.hypot(reduced.standard_error, se)
+        assert abs(reduced.empirical_mse - mean) <= 4.0 * combined, (reduced, mean, se)
+
+
+def test_standard_error_is_calibrated():
+    # Over 400 seeds of one block each, (empirical - analytic)/SE must look
+    # standard normal: mean within 4/sqrt(400), and sample variance inside
+    # the 99.9% chi-square band of 399 degrees of freedom.
+    seeds = range(400)
+    lo, hi = (chi2.ppf(q, len(seeds) - 1) / (len(seeds) - 1) for q in (0.0005, 0.9995))
+    for s, p in _bayes_block_cases():
+        analytic = asym.direct_mmse_cost(s, p)
+        z = np.array([(r.empirical_mse - analytic) / r.standard_error for r in
+                      (simulate.run_monte_carlo(s, p, simulate.BLOCK_SIZE, seed=seed)
+                       for seed in seeds)])
+        assert abs(z.mean()) <= 4.0 / math.sqrt(len(seeds)), (s.setting, z.mean())
+        assert lo <= z.var(ddof=1) <= hi, (s.setting, z.var(ddof=1))
 
 
 def test_zero_gain_sensors_consume_no_draws():
