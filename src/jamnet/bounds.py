@@ -10,11 +10,14 @@ normal keeps the two symmetries of the continuous one, (X, Y) -> (Y, X) and
 (X, Y) -> (-X, -Y): the conditional-CDF quadrature runs only on a
 fundamental domain of about n^2/4 of the n^2 cells, and the rest of the mass
 is copied from it, so B is exactly symmetric and commutes with the
-reflection.  The second singular value is then the larger of two half-size
-symmetric eigenproblems: B on the odd vectors (by Mehler's expansion the
-maximal correlation's singular function is odd) and B on the even vectors
-deflated by the constants' singular pair.  Everything runs on the calling
-thread, and the result is bit-for-bit the same for any BLAS thread count.
+reflection.  The quadrature in x follows the conditional CDF's scale in x:
+6 Gauss-Legendre nodes on a cell across which that CDF is smooth, 12 on a
+wider one, and composite panels on the two infinite cells.  The second
+singular value is then the larger of two half-size symmetric eigenproblems:
+B on the odd vectors (by Mehler's expansion the maximal correlation's
+singular function is odd) and B on the even vectors deflated by the
+constants' singular pair.  Everything runs on the calling thread, and the
+result is bit-for-bit the same for any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -61,6 +64,20 @@ def ceo_estimation_floor(betas, sigma_s2: float = 1.0) -> float:
     return sigma_s2 / (1.0 + sb2)
 
 
+def _rd_fraction(betas: tuple) -> float:
+    """sum(b^2) / (1 + sum(b^2)): the share of the source variance that the
+    observations can carry."""
+    if not betas:
+        raise ValueError("betas must be nonempty")
+    sb2 = _sum_beta2(betas)
+    return sb2 / (1.0 + sb2)
+
+
+def _distortion(rate: float, frac: float, sigma_s2: float) -> float:
+    # Grouped so D(0) is exactly sigma_S^2.
+    return sigma_s2 * (1.0 + frac * (2.0 ** (-2.0 * rate) - 1.0))
+
+
 def ceo_distortion(rate: float, betas, sigma_s2: float = 1.0) -> float:
     """D(R) = sigma_S^2 * (1/(1+sum b^2) + (sum b^2/(1+sum b^2)) * 2^(-2R)).
 
@@ -69,18 +86,25 @@ def ceo_distortion(rate: float, betas, sigma_s2: float = 1.0) -> float:
     """
     if rate < 0:
         raise ValueError("rate must be nonnegative")
-    betas = tuple(betas)  # read once: betas may be a one-shot iterator
-    if not betas:
-        raise ValueError("betas must be nonempty")
-    sb2 = _sum_beta2(betas)
-    frac = sb2 / (1.0 + sb2)
-    # Grouped so D(0) is exactly sigma_S^2.
-    return sigma_s2 * (1.0 + frac * (2.0 ** (-2.0 * rate) - 1.0))
+    # betas is read once: it may be a one-shot iterator.
+    return _distortion(rate, _rd_fraction(tuple(betas)), sigma_s2)
 
 
 def ceo_curve(rates, betas, sigma_s2: float = 1.0) -> list[RDPoint]:
-    betas = tuple(betas)  # read by every rate
-    return [RDPoint(rate=float(r), distortion=ceo_distortion(float(r), betas, sigma_s2)) for r in rates]
+    """[RDPoint(r, ceo_distortion(r, betas, sigma_s2)) for r in rates], with
+    the sums over betas formed once per curve (and only once a rate is
+    read, as the per-rate calls would)."""
+    betas = tuple(betas)
+    points = []
+    frac = None
+    for r in rates:
+        rate = float(r)
+        if rate < 0:
+            raise ValueError("rate must be nonnegative")
+        if frac is None:
+            frac = _rd_fraction(betas)
+        points.append(RDPoint(rate=rate, distortion=_distortion(rate, frac, sigma_s2)))
+    return points
 
 
 def observation_covariance(betas) -> np.ndarray:
@@ -110,13 +134,23 @@ def ru_spectrum(betas) -> np.ndarray:
 
 
 @functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """The 12-point Gauss-Legendre rule on [-1, 1] (nodes antisymmetric,
-    weights symmetric, bit for bit), formed once per process and read-only,
-    since every call shares it."""
-    nodes, weights = np.polynomial.legendre.leggauss(12)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order-point Gauss-Legendre rule on [-1, 1] (nodes antisymmetric,
+    weights symmetric, bit for bit), formed once per process and order and
+    read-only, since every call shares it."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
+
+
+def _quadrature(lo: np.ndarray, hi: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights, (cells, order), of phi(x) dx on each [lo, hi]."""
+    nodes, weights = _gauss_legendre(order)
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    t = mid[:, None] + half[:, None] * nodes[None, :]
+    w = half[:, None] * weights[None, :] * np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    return t, w
 
 
 def discretized_correlation_operator(
@@ -129,7 +163,7 @@ def discretized_correlation_operator(
     about 0; the two edge cells extend to infinity so the quantization is a
     genuine deterministic function of each variable (hence the discrete
     maximal correlation approaches |rho| from below as the grid refines).
-    Cell masses come from per-cell Gauss-Legendre quadrature of
+    Cell masses come from Gauss-Legendre quadrature in x of
     phi(x) * [Phi ranges of Y | x].  Returns (grid, px, py, B) with
     B = P / sqrt(px py^T); the singular values of B are 1 (constants)
     followed by the maximal correlation of the quantized pair.
@@ -143,6 +177,14 @@ def discretized_correlation_operator(
     the reflection.  On D a cell that differences two conditional-CDF values
     has its y-edges at most about a cell above the conditional mean, so no
     cell differences two values near 1.
+
+    The conditional CDF Phi((y - rho x) / sqrt(1 - rho^2)) varies in x on
+    the scale 1/kappa, kappa = max(1, |rho| / sqrt(1 - rho^2)) (phi(x) itself
+    on the scale 1).  An interior x-cell of width h takes 6 nodes where
+    h * kappa <= 0.5 (every |rho| <= 0.9969 on the CLI grid) and 12 nodes
+    elsewhere.  The two infinite x-cells, truncated at 9 sigma, hold only the
+    D cells (0, 0) and (n-1, 0); each takes a composite 6-node rule on panels
+    of width <= 0.5 / kappa, at most 64 of them.
     """
     if abs(rho) >= 1.0:
         raise ValueError("|rho| must be < 1")
@@ -158,16 +200,9 @@ def discretized_correlation_operator(
     # the middle when n is even, and the lower half negated.
     low = np.linspace(-range_sigmas, range_sigmas, n - 1)[: (n - 1) // 2]
     edges = np.concatenate((low, [0.0] if n % 2 == 0 else [], -low[::-1]))
-    # Quadrature cells: tails truncated at 9 sigma (mass beyond ~1e-19).
-    far = max(range_sigmas + 1.0, 9.0)
-    bounds_x = np.concatenate(([-far], edges, [far]))
-    nodes, weights = _gauss_legendre()
-    lo = bounds_x[:-1]
-    hi = bounds_x[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    t = mid[:, None] + half[:, None] * nodes[None, :]  # (cells, nodes)
-    w = half[:, None] * weights[None, :] * np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    h = edges[1] - edges[0]
+    s = math.sqrt(1.0 - rho * rho)
+    kappa = max(1.0, abs(rho) / s)
 
     # D row by row, flattened: row i holds columns 0 .. min(i, n-1-i).  Cell
     # j of Y spans (edge j-1, edge j]; column 0 is the CDF at edge 0 itself,
@@ -177,14 +212,29 @@ def discretized_correlation_operator(
     row = np.repeat(i, span)
     first = np.cumsum(span) - span
     col = np.arange(row.size) - first[row]
-    cdf = np.take(rho * t, row, axis=0)
-    np.subtract(edges[col][:, None], cdf, out=cdf)
-    cdf /= math.sqrt(1.0 - rho * rho)
+    on_d = np.empty(row.size)
+
+    # Rows 1 .. n-2, the interior x-cells, fill on_d[1:-1].  Each row's CDF
+    # values are summed over the nodes before its columns are differenced;
+    # that rounds like per-node differences, to eps times the sums.
+    t, w = _quadrature(edges[:-1], edges[1:], 6 if h * kappa <= 0.5 else 12)
+    cell = row[1:-1] - 1  # the x-cell's row of (t, w)
+    cdf = np.take(rho / s * t, cell, axis=0)
+    np.subtract((edges / s)[col[1:-1]][:, None], cdf, out=cdf)
     ndtr(cdf, out=cdf)
-    dcdf = np.empty_like(cdf)
-    np.subtract(cdf[1:], cdf[:-1], out=dcdf[1:])
-    dcdf[first] = cdf[first]
-    on_d = np.einsum("kq,kq->k", w[row], dcdf)
+    cum = np.einsum("kq,kq->k", w[cell], cdf)
+    np.subtract(cum[1:], cum[:-1], out=on_d[2:-1])
+    on_d[first[1:-1]] = cum[first[1:-1] - 1]
+
+    # Rows 0 and n-1, the infinite x-cells truncated at 9 sigma (mass beyond
+    # ~1e-19), hold column 0 only: x in [-far, edge 0] and in its mirror
+    # image, both at y <= edge 0.
+    far = max(range_sigmas + 1.0, 9.0)
+    panels = min(64, math.ceil((far + edges[0]) * kappa / 0.5))
+    cuts = np.linspace(-far, edges[0], panels + 1)
+    t, w = _quadrature(cuts[:-1], cuts[1:], 6)
+    cdf = ndtr((edges[0] - np.outer((rho, -rho), t)) / s)
+    on_d[[0, -1]] = np.einsum("kq,q->k", cdf, w.ravel())
 
     # D and its images under the transpose, the reflection and both cover
     # the grid; a cell in two images gets the same D cell from each.
@@ -201,7 +251,6 @@ def discretized_correlation_operator(
     if np.any(px <= 0.0):
         raise NumericalFailure("marginal mass vanished on the grid")
 
-    h = edges[1] - edges[0]
     centers = np.concatenate(([edges[0] - 0.5 * h], edges[:-1] + 0.5 * h, [edges[-1] + 0.5 * h]))
     b = mass / np.sqrt(np.outer(px, px))
     return centers, px, px.copy(), b  # py == px: the mass is symmetric

@@ -28,6 +28,29 @@ def test_ceo_distortion_reads_a_one_shot_iterable_once():
     assert [pt.distortion for pt in curve] == [1.0, 0.625]
 
 
+def _outcome(f):
+    try:
+        return [(pt.rate.hex(), pt.distortion.hex()) for pt in f()]
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def test_ceo_curve_is_the_per_rate_distortion_bit_for_bit():
+    rng = np.random.default_rng(5)
+    cases = [(np.linspace(0.0, rng.uniform(2.0, 12.0), 1001), rng.uniform(0.0, 3.0, size=m), s2)
+             for m, s2 in ((1, 1.0), (7, 1.0), (32, 1.0), (3, 2.5))]
+    cases += [([], [], 1.0), ([], [1e200], 1.0), ([0, 1, 2.5, np.float32(0.3)], [0.7, 1.4], 1.0),
+              ([1.0], [], 1.0), ([-1.0], [], 1.0), ([0.5, -1.0], [1.0], 1.0),
+              ([0.5, -1.0], [1e200], 1.0), ([-0.5], [1e200], 1.0), ([0.0, "x"], [1.0], 1.0),
+              ([0.0, math.inf], [1.0, 2.0], 1.0), ([0.0, 1.0], [0.0], 1.0)]
+    for rates, betas, s2 in cases:
+        betas = [float(b) for b in betas]
+        got = _outcome(lambda: bounds.ceo_curve(rates, betas, s2))
+        want = _outcome(lambda: [bounds.RDPoint(float(r), bounds.ceo_distortion(float(r), betas, s2))
+                                 for r in rates])
+        assert got == want, (rates, betas)
+
+
 def test_ceo_distortion_monotone_convex():
     betas = [0.7, 1.4, 0.3]
     rates = np.linspace(0.0, 8.0, 100)
@@ -167,7 +190,13 @@ def test_correlation_operator_keeps_both_symmetries():
             assert np.abs(mass.sum(axis=1) - px).max() <= 1e-15
 
 
-def test_correlation_operator_evaluates_the_cdf_on_a_quarter_of_the_cells(monkeypatch):
+def _domain_cells(n):
+    """Cells of the fundamental domain {(i, j): j <= min(i, n-1-i)}."""
+    return sum(min(i, n - 1 - i) + 1 for i in range(n))
+
+
+def _cdf_values(monkeypatch, build):
+    """``build()``'s result and how many conditional-CDF values it evaluates."""
     import scipy.special
 
     ndtr = scipy.special.ndtr
@@ -178,13 +207,110 @@ def test_correlation_operator_evaluates_the_cdf_on_a_quarter_of_the_cells(monkey
         return ndtr(z, *args, **kwargs)
 
     monkeypatch.setattr(scipy.special, "ndtr", counting)
+    try:
+        result = build()
+    finally:
+        monkeypatch.setattr(scipy.special, "ndtr", ndtr)
+    return result, sum(evaluated)
+
+
+def test_correlation_operator_evaluates_the_cdf_on_a_quarter_of_the_cells(monkeypatch):
     n = bounds.MAXCORR_GRID_N
-    star = bounds.maximal_correlation_discrete(0.5)
-    monkeypatch.setattr(scipy.special, "ndtr", ndtr)
+    star, count = _cdf_values(monkeypatch, lambda: bounds.maximal_correlation_discrete(0.5))
     assert star == bounds.maximal_correlation_discrete(0.5)
-    # 12 quadrature nodes per x-cell, one CDF per y-edge the fundamental
-    # domain uses: the two-sided build took 12*n*(n-1).
-    assert 0 < sum(evaluated) <= 12 * n * n / 4 + 12 * n
+    # One CDF per y-edge the fundamental domain uses and quadrature node:
+    # 6 nodes per interior x-cell at rho = 0.5 (the cell width times
+    # kappa = max(1, |rho|/sqrt(1-rho^2)) = 1 is under 1/2), and on each of
+    # the two infinite x-cells, [-9, -5] and its mirror, 6 nodes per panel of
+    # width 1/2.
+    assert 0 < count <= 6 * (_domain_cells(n) - 2) + 2 * 6 * 8
+
+
+def test_correlation_operator_cdf_count_is_capped_at_every_rho(monkeypatch):
+    # At most 12 nodes per cell of the fundamental domain and 2 x 64 panels of
+    # 6 nodes on the infinite x-cells, however sharp the conditional CDF.
+    top = 1.0 - 2.0 ** -53
+    grids = ((3, 5.0), (4, 5.0), (65, 5.0), (130, 5.0), (bounds.MAXCORR_GRID_N, 5.0),
+             (514, 5.0), (65, 3.0))
+    for grid_n, sigmas in grids:
+        for rho in (0.0, 0.5, -0.7, 0.95, -0.999, top, -top):
+            _, count = _cdf_values(monkeypatch, lambda: bounds.discretized_correlation_operator(
+                rho, grid_n, sigmas))
+            assert 0 < count <= 12 * _domain_cells(grid_n) + 768, (grid_n, sigmas, rho)
+
+
+def _converged_sigma2(rho, grid_n, range_sigmas):
+    """The second singular value of a converged build: the reference for the
+    operator's quadrature.  Every x-cell is split into panels of width at
+    most 1/kappa (kappa = max(1, |rho|/sqrt(1-rho^2)), the conditional CDF's
+    scale in x), each infinite one into at least 64, with 24 Gauss-Legendre
+    nodes per panel and per-node CDF differences.  The law's two symmetries
+    are exact, so only the fundamental domain is integrated; sigma2 comes from
+    an SVD of the whole operator."""
+    from scipy.special import ndtr
+
+    n = grid_n
+    low = np.linspace(-range_sigmas, range_sigmas, n - 1)[: (n - 1) // 2]
+    edges = np.concatenate((low, [0.0] if n % 2 == 0 else [], -low[::-1]))
+    s = math.sqrt(1.0 - rho * rho)
+    kappa = max(1.0, abs(rho) / s)
+    far = max(range_sigmas + 1.0, 9.0)
+    cells = np.concatenate(([-far], edges, [far]))
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    mass = np.zeros((n, n))
+    for i in range(n):
+        lo, hi = cells[i], cells[i + 1]
+        panels = max(math.ceil((hi - lo) * kappa), 64 if i in (0, n - 1) else 1)
+        cuts = np.linspace(lo, hi, panels + 1)
+        half, mid = 0.5 * np.diff(cuts), 0.5 * (cuts[1:] + cuts[:-1])
+        t = (mid[:, None] + half[:, None] * nodes).ravel()
+        w = (half[:, None] * weights).ravel() * np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+        m = min(i, n - 1 - i) + 1
+        cdf = ndtr((edges[:m] - rho * t[:, None]) / s)
+        mass[i, :m] = w @ np.diff(cdf, axis=1, prepend=0.0)
+    i, j = np.nonzero(np.arange(n) <= np.minimum(np.arange(n), np.arange(n)[::-1])[:, None])
+    on_d = mass[i, j]
+    for r, c in ((j, i), (n - 1 - i, n - 1 - j), (n - 1 - j, n - 1 - i)):
+        mass[r, c] = on_d
+    mass /= mass.sum()
+    p = mass.sum(axis=1)
+    return np.linalg.svd(mass / np.sqrt(np.outer(p, p)), compute_uv=False)[1]
+
+
+_ACCURACY_RHOS = (0.0, 0.3, -0.3, 0.5, -0.7, 0.9, 0.95, -0.95, 0.99, 0.999)
+
+# sigma2's error against _converged_sigma2 with one 12-node rule per x-cell,
+# the infinite ones included (measured with numpy 2.4 and scipy 1.17): at
+# (65, 3 sigma) the infinite cells are 6 sigma wide, and at 3 and 4 cells
+# over 5 sigma the interior 12-node rule dominates (and stays).
+_ONE_PANEL_ERRORS = {
+    (65, 3.0): {0.95: 9.359e-8, -0.95: 9.359e-8},
+    (3, 5.0): dict(zip(_ACCURACY_RHOS, (3.169e-11, 1.227e-8, 1.227e-8, 2.989e-8, 8.113e-6,
+                                        6.881e-4, 2.638e-3, 2.638e-3, 1.492e-2, 6.140e-2))),
+    (4, 5.0): dict(zip(_ACCURACY_RHOS, (3.3e-16, 3.813e-11, 3.813e-11, 2.504e-11, 2.683e-9,
+                                        1.313e-6, 1.803e-5, 1.803e-5, 7.615e-4, 9.640e-6))),
+}
+
+
+def test_second_singular_value_matches_a_converged_quadrature():
+    # Composite panels on the infinite x-cells: at the CLI grid and at 130
+    # cells, sigma2 is the converged value to rounding.
+    for grid_n in (bounds.MAXCORR_GRID_N, 130):
+        for rho in _ACCURACY_RHOS:
+            err = bounds.maximal_correlation_discrete(rho, grid_n, 5.0) - _converged_sigma2(
+                rho, grid_n, 5.0)
+            assert abs(err) <= 1e-14, (grid_n, rho, err)
+    # Where one 12-node panel spanned a 6-sigma tail, 1000x closer.
+    for rho, before in _ONE_PANEL_ERRORS[65, 3.0].items():
+        err = bounds.maximal_correlation_discrete(rho, 65, 3.0) - _converged_sigma2(rho, 65, 3.0)
+        assert abs(err) <= before / 1000, (rho, err)
+    # Cells wider than 1/(2 kappa) keep the 12-node rule: no more than 10%
+    # further than before.
+    for grid_n, sigmas in ((3, 5.0), (4, 5.0)):
+        for rho, before in _ONE_PANEL_ERRORS[grid_n, sigmas].items():
+            err = bounds.maximal_correlation_discrete(rho, grid_n, sigmas) - _converged_sigma2(
+                rho, grid_n, sigmas)
+            assert abs(err) <= 1.1 * before + 1e-15, (grid_n, rho, err)
 
 
 def test_correlation_operator_is_independent_of_the_worker_count(monkeypatch):
