@@ -14,25 +14,25 @@ the lambda of the transmitters' best response to fixed jamming.
 ``solve_theorem4`` handles the coordinated (saddle-point) power-allocation
 setting in closed form.
 ``solve_theorem5`` solves the no-coordination Stackelberg multiplier system
-by nested bracketed root-finding: the outer residual is evaluated at every
-point of a fixed scan grid in one array pass, every sign change is counted,
-and scalar Brent then solves the first bracket, starting from the two
-scanned values at its ends; the report takes the root's inner solve from
-the Brent's own evaluations.  The inner solve, ``_follower``, is the
-package's one Theorem-5 follower (``simulate`` checks with it too), solved
-on the unit sphere of the attack budget.  It is one piece of arithmetic for
-one row of transmit coefficients (scalar Brent steps, inside the outer
-Brent) and for lanes of rows (Brent steps on all lanes at once, in the scan
-and on the frontier ``simulate`` checks), so a scanned residual has the
-bits of the scalar residual at its point, and so has the exit-2 report
-without a sign change, which carries the first scanned residuals.  The
-budgets P_T and P_A may differ from lane to lane, so ``theorem5_scans``
-scans all the points of a budget sweep in one pass and hands each point's
-slice to ``solve_theorem5``.
+by nested bracketed root-finding on mu = lambda3/P_T in (0, 1), so one scan
+grid serves every scenario and Brent's xtol acts on mu, not on lambda3's
+scale: the outer residual is evaluated on the grid in one array pass, every
+sign change is counted, and scalar Brent solves the first bracket from its
+scanned end values and gives the report its inner solve.  That inner solve,
+``_follower``, is the package's one Theorem-5 follower (``simulate`` checks
+with it too), solved on the unit sphere of the attack budget.  It is one
+piece of arithmetic for one row of transmit coefficients (scalar Brent
+steps, inside the outer Brent) and for lanes of rows (Brent steps on all
+lanes at once, in the scan and on the frontier ``simulate`` checks), so a
+scanned residual has the bits of the scalar residual at its point, and so
+has the exit-2 report without a sign change, which carries the first scanned
+residuals.  The budgets P_T and P_A may differ from lane to lane, so
+``theorem5_scans`` scans all the points of a budget sweep in one pass and
+hands each point's slice to ``solve_theorem5``.
 
-Every equilibrium profile of the package, the symmetric solvers' included,
-is built by one helper, ``_bayes_profile``, which attaches the Bayes
-decoder gain.
+Both theorems' first-order rows come from ``_stationarity`` and
+``_power_residual``, and every equilibrium profile of the package is built
+by ``_bayes_profile``, which attaches the Bayes decoder gain.
 
 Both root-finders are in-repo ports of scipy's ``brentq.c`` (Brent 1973):
 ``_brentq`` on floats and ``_brentq_lanes`` on arrays of lanes.  They take
@@ -70,6 +70,11 @@ from .model import (
 KKT_TOL = 1e-8
 OUTER_SCAN_POINTS = 96
 _TINY = np.finfo(float).tiny  # the least normal float
+# The outer scan's grid of mu = lambda3/P_T on (0, 1), one for every
+# scenario; geometric points resolve roots near 0.
+_SCAN_GRID = np.unique(np.concatenate([np.geomspace(1e-8, 0.5, OUTER_SCAN_POINTS // 2),
+                                       np.linspace(1e-3, 1.0 - 1e-10, OUTER_SCAN_POINTS // 2)]))
+_SCAN_GRID.flags.writeable = False
 
 
 # -- channel output statistics ----------------------------------------------
@@ -145,12 +150,6 @@ def _profile_stats(s: NetworkScenario, p: StrategyProfile):
             *_adversary_output_stats(s, *p.adversary.lower(s.adversaries)), p.randomized)
 
 
-def channel_moments(s: NetworkScenario, p: StrategyProfile) -> tuple[float, float]:
-    """(E{S * Y_dec}, E{Y^2}) for the decoder-visible received signal of
-    profile ``p``; see ``_moments``."""
-    return _moments(*_profile_stats(s, p))
-
-
 def direct_mmse_cost(s: NetworkScenario, p: StrategyProfile) -> float:
     """Exact MSE of the best scalar decoder for profile ``p``: 1 - E{SY}^2/E{Y^2}.
 
@@ -160,8 +159,9 @@ def direct_mmse_cost(s: NetworkScenario, p: StrategyProfile) -> float:
 
 
 def bayes_decoder_gain(s: NetworkScenario, p: StrategyProfile) -> float:
-    """The scalar gain attaining direct_mmse_cost: E{SY}/E{Y^2}."""
-    r, total = channel_moments(s, p)
+    """The scalar gain attaining direct_mmse_cost: E{SY}/E{Y^2} of the
+    decoder-visible received signal; see ``_moments``."""
+    r, total = _moments(*_profile_stats(s, p))
     return r / total
 
 
@@ -222,6 +222,19 @@ def _schedule(s: NetworkScenario, lam, p_t):
         return scale, scale[..., None] * ab / (2.0 * denoms)
 
 
+def _stationarity(sensors, coeffs, lam, scale) -> list:
+    """2*c*m + 2*lam*c*alpha**2 - scale*alpha*beta per sensor, m = 1 + beta^2:
+    the stationarity rows of a sum-budget schedule at (lam, scale); alpha**2
+    as ``_schedule`` forms it (alpha*alpha may differ in the last bit)."""
+    return [2.0 * c * p.input_second_moment + 2.0 * lam * c * p.alpha ** 2
+            - scale * p.alpha * p.beta for p, c in zip(sensors, coeffs)]
+
+
+def _power_residual(sensors, coeffs, budget) -> float:
+    """sum m*c^2 - budget, m = 1 + beta^2: the sum-power residual."""
+    return sum(p.input_second_moment * c * c for p, c in zip(sensors, coeffs)) - budget
+
+
 def solve_theorem4(s: NetworkScenario) -> EquilibriumReport:
     """Saddle point of the coordinated asymmetric setting.
 
@@ -267,14 +280,8 @@ def solve_theorem4(s: NetworkScenario) -> EquilibriumReport:
         f"delta = {printed - oracle!r} [asym1-cost-closed-form]",
     )
 
-    power_residual = sum(
-        p.input_second_moment * c * c for p, c in zip(s.transmitters, coeffs)
-    ) - p_t
-    stationarity = tuple(
-        2.0 * c * p.input_second_moment + 2.0 * lam1 * c * p.alpha ** 2 - lam2 * p.alpha * p.beta
-        for p, c in zip(s.transmitters, coeffs)
-    )
-    residuals = (lam1 * (1.0 + pa_recv) - p_t, power_residual) + stationarity
+    residuals = (lam1 * (1.0 + pa_recv) - p_t, _power_residual(s.transmitters, coeffs, p_t),
+                 *_stationarity(s.transmitters, coeffs, lam1, lam2))
 
     multipliers = {"lambda1": lam1, "lambda2": lam2}
     if k_star is not None:
@@ -406,23 +413,24 @@ def _follower(s: NetworkScenario, p_a):
 
 def _outer(s: NetworkScenario, p_t, p_a):
     """The outer residual at budgets P_T and P_A (floats, or per lane) as a
-    function of a trial lambda3, or of an array of them as lanes: (F, ok,
-    solve), F = lambda4*lambda1 + lambda2*lambda3, with the follower's ok
-    and the solve (lambda4, c_m, lambda1, lambda2, c_k) it came from."""
+    function of a trial mu = lambda3/P_T, or of an array of them as lanes:
+    (F, ok, solve), F = lambda4*lambda1 + lambda2*lambda3, with the follower's
+    ok and the solve (lambda3 = mu*P_T, lambda4, c_m, lambda1, lambda2, c_k)."""
     respond = _follower(s, p_a)
 
-    def outer(lam3):
+    def outer(mu):
         with np.errstate(all="ignore"):
+            lam3 = mu * p_t
             lam4, c_m = _schedule(s, lam3, p_t)
             lam1, lam2, c_k, ok = respond(c_m)
-            return lam4 * lam1 + lam2 * lam3, ok, (lam4, c_m, lam1, lam2, c_k)
+            return lam4 * lam1 + lam2 * lam3, ok, (lam3, lam4, c_m, lam1, lam2, c_k)
 
     return outer
 
 
-def _outer_residual(s: NetworkScenario, lam3, p_t, p_a):
-    """(F, ok) of ``_outer`` at lambda3."""
-    return _outer(s, p_t, p_a)(lam3)[:2]
+def _outer_residual(s: NetworkScenario, mu, p_t, p_a):
+    """(F, ok) of ``_outer`` at mu = lambda3/P_T."""
+    return _outer(s, p_t, p_a)(mu)[:2]
 
 
 def _brentq(f, xa: float, xb: float, fa: float | None = None,
@@ -556,50 +564,23 @@ def kkt_residuals(s: NetworkScenario, lambdas, transmit_coeffs, adversary_coeffs
     """
     p_t = s.sum_power_transmit
     p_a = s.sum_power_attack
-    c_m = np.asarray(transmit_coeffs)
-    c_k = np.asarray(adversary_coeffs)
     lam1, lam2, lam3, lam4 = lambdas
-
-    a_t = np.array([p.alpha for p in s.transmitters])
-    b_t = np.array([p.beta for p in s.transmitters])
-    m2_t = np.array([p.input_second_moment for p in s.transmitters])
-    a_a = np.array([p.alpha for p in s.adversaries])
-    b_a = np.array([p.beta for p in s.adversaries])
-    m2_a = np.array([p.input_second_moment for p in s.adversaries])
-
-    r_m = float(np.sum(a_t * b_t * c_m))
-    r_k = float(np.sum(a_a * b_a * c_k))
-    own = float(np.sum(a_t**2 * c_m**2) + np.sum(a_a**2 * c_k**2))
-    total = 1.0 + own + (r_m + r_k) ** 2
-    j = 1.0 - (r_m + r_k) ** 2 / total
-    jfac = j / (1.0 - j) if j < 1.0 else float("inf")
-    g_val = jfac * (r_m + r_k)
-
-    res: list[float] = []
-    res.extend(2.0 * c_k * m2_a - 2.0 * lam1 * c_k * a_a**2 - lam2 * a_a * b_a)
-    res.append(2.0 * lam1 * g_val + lam2)
-    res.append(1.0 + own - jfac * (r_m + r_k) ** 2)
-    res.extend(2.0 * c_m * m2_t + 2.0 * lam3 * c_m * a_t**2 - lam4 * a_t * b_t)
-    res.append(-2.0 * lam3 * g_val + lam4)
-    res.append(float(np.sum(m2_t * c_m**2)) - p_t)
-    res.append(float(np.sum(m2_a * c_k**2)) - p_a)
-    res.append(lam4 * lam1 + lam2 * lam3)
-    res.append(p_t / lam3 - p_a / lam1 - 1.0)
-    return [float(r) for r in res]
-
-
-def _scan_grid(p_t: float) -> np.ndarray:
-    """The outer scan's lambda3 grid on (0, P_T); geometric points resolve
-    roots near 0."""
-    n = OUTER_SCAN_POINTS
-    return np.unique(
-        np.concatenate(
-            [
-                np.geomspace(1e-8, 0.5, n // 2),
-                np.linspace(1e-3, 1.0 - 1e-10, n // 2),
-            ]
-        )
-    ) * p_t
+    r_m, own_t = _transmit_stats(s, transmit_coeffs)
+    r_k, own_k, _ = _adversary_output_stats(s, [(c, 0.0, 0) for c in adversary_coeffs], 0)
+    r, own = r_m + r_k, own_t + own_k
+    j = 1.0 - r * r / (1.0 + own + r * r)
+    jfac = j / (1.0 - j) if j < 1.0 else math.inf
+    return [
+        *_stationarity(s.adversaries, adversary_coeffs, -lam1, lam2),
+        2.0 * lam1 * (jfac * r) + lam2,
+        1.0 + own - jfac * (r * r),
+        *_stationarity(s.transmitters, transmit_coeffs, lam3, lam4),
+        -2.0 * lam3 * (jfac * r) + lam4,
+        _power_residual(s.transmitters, transmit_coeffs, p_t),
+        _power_residual(s.adversaries, adversary_coeffs, p_a),
+        lam4 * lam1 + lam2 * lam3,
+        p_t / lam3 - p_a / lam1 - 1.0,
+    ]
 
 
 def _sign_changes(values: np.ndarray, ok: np.ndarray) -> np.ndarray:
@@ -612,8 +593,8 @@ def _sign_changes(values: np.ndarray, ok: np.ndarray) -> np.ndarray:
 
 
 def theorem5_scans(scenarios) -> list:
-    """Each scenario's outer scan (grid, values, ok), as ``solve_theorem5``
-    makes it, from one lane pass of ``_outer_residual`` over all their grids.
+    """Each scenario's outer scan (values, ok) on ``_SCAN_GRID``, as
+    ``solve_theorem5`` makes it, from one lane pass of ``_outer_residual``.
 
     The scenarios share their sensors and differ at most in P_T and P_A,
     which the pass takes per lane; a lane has the bits of its point's own
@@ -624,29 +605,28 @@ def theorem5_scans(scenarios) -> list:
         return []
     p_t = np.array([s.sum_power_transmit for s in scenarios], dtype=float)[:, None]
     p_a = np.array([s.sum_power_attack for s in scenarios], dtype=float)[:, None]
-    grids = np.array([_scan_grid(s.sum_power_transmit) for s in scenarios])
     try:
-        values, ok = _outer_residual(scenarios[0], grids, p_t, p_a)
+        values, ok = _outer_residual(scenarios[0], _SCAN_GRID, p_t, p_a)
     except (JamnetError, ArithmeticError, RuntimeError):  # each point's own scan raises its error
         return [None] * len(scenarios)
-    return list(zip(grids, values, ok))
+    return list(zip(values, ok))
 
 
 def solve_theorem5(s: NetworkScenario, scan: tuple | None = None) -> EquilibriumReport:
     """Stackelberg equilibrium of the no-coordination asymmetric setting.
 
-    Outer bracketed Brent root-find on lambda3 in (0, P_T) with residual
-    F(lambda3) = lambda4*lambda1 + lambda2*lambda3; each evaluation solves
-    the adversary subsystem exactly for (lambda1, lambda2, c_k) given the
-    trial transmit coefficients.  F is first evaluated on the whole scan grid
-    in one array pass, or taken from ``scan``, this scenario's (grid, values,
-    ok) from ``theorem5_scans``; scalar Brent then solves the first bracket
-    where it changes sign, from the scanned values at its ends, and a note
-    tagged [asym2-multiple-roots] records any further sign changes.  The
-    report's inner solve is the Brent's own at the root.  Convergence
-    requires every first-order residual below ``KKT_TOL``; otherwise
-    NonConvergence carries the residual vector, and its ``iterations`` count
-    every residual value used, the scanned ones included.
+    Outer bracketed Brent root-find on mu = lambda3/P_T in (0, 1) with
+    residual F = lambda4*lambda1 + lambda2*lambda3 at lambda3 = mu*P_T; each
+    evaluation solves the adversary subsystem exactly for (lambda1, lambda2,
+    c_k) given the trial transmit coefficients.  F is first evaluated on the
+    whole of ``_SCAN_GRID`` in one array pass, or taken from ``scan``, this
+    scenario's (values, ok) from ``theorem5_scans``; scalar Brent then solves
+    the first bracket where it changes sign, from the scanned values at its
+    ends, and a note tagged [asym2-multiple-roots] records any further sign
+    changes (the bracket in lambda3).  The report's inner solve and lambda3
+    are the Brent's own at the root.  Convergence requires every first-order
+    residual below ``KKT_TOL``; otherwise NonConvergence carries the residual
+    vector, and its ``iterations`` count every residual value used.
     """
     if s.setting is not Setting.ASYM_II:
         raise InvalidScenario(f"solve_theorem5 requires AsymII, got {s.setting.value}")
@@ -661,21 +641,17 @@ def solve_theorem5(s: NetworkScenario, scan: tuple | None = None) -> Equilibrium
     if p_a <= 0.0:
         raise InvalidScenario("solve_theorem5 requires P_A > 0")
 
-    solves = {}  # lambda3 -> the inner solve of each scalar residual evaluation
+    solves = {}  # mu -> the inner solve of each scalar residual evaluation
     outer = _outer(s, p_t, p_a)
 
-    def outer_residual(lam3: float) -> float:
+    def outer_residual(mu: float) -> float:
         nonlocal evals
         evals += 1
-        value, _, solves[lam3] = outer(lam3)
+        value, _, solves[mu] = outer(mu)
         return value
 
-    if scan is None:
-        grid = _scan_grid(p_t)
-        values, ok = _outer_residual(s, grid, p_t, p_a)
-    else:
-        grid, values, ok = scan
-    evals = len(grid)
+    values, ok = _outer_residual(s, _SCAN_GRID, p_t, p_a) if scan is None else scan
+    evals = len(_SCAN_GRID)
     roots = _sign_changes(values, ok)
     if len(roots) == 0:
         # Each scanned value has the bits of the scalar residual at its point.
@@ -685,16 +661,16 @@ def solve_theorem5(s: NetworkScenario, scan: tuple | None = None) -> Equilibrium
             residuals=tuple(float(v) for v in values[ok][:8]),
         )
 
-    lo, hi = float(grid[roots[0]]), float(grid[roots[0] + 1])
+    lo, hi = float(_SCAN_GRID[roots[0]]), float(_SCAN_GRID[roots[0] + 1])
     if values[roots[0]] == 0.0:
-        lam3 = lo
+        mu = lo
     else:
         evals += 2  # the values at the bracket ends, taken from the scan
-        lam3 = _brentq(outer_residual, lo, hi, values[roots[0]], values[roots[0] + 1])
+        mu = _brentq(outer_residual, lo, hi, values[roots[0]], values[roots[0] + 1])
 
     # Brent returns an abscissa it evaluated, or a bracket end, which only
     # the scan evaluated.
-    lam4, c_m, lam1, lam2, c_k = solves.get(lam3) or outer(lam3)[2]
+    lam3, lam4, c_m, lam1, lam2, c_k = solves.get(mu) or outer(mu)[2]
     lam4 = float(lam4)
 
     transmit_coeffs = tuple(float(c) for c in c_m)
@@ -734,8 +710,8 @@ def solve_theorem5(s: NetworkScenario, scan: tuple | None = None) -> Equilibrium
     )
     if len(roots) > 1:
         notes += (
-            f"outer residual changes sign {len(roots)} times on the {len(grid)}-point scan; "
-            f"solved the first bracket [{lo!r}, {hi!r}] [asym2-multiple-roots]",
+            f"outer residual changes sign {len(roots)} times on the {len(_SCAN_GRID)}-point "
+            f"scan; solved the first bracket [{lo * p_t!r}, {hi * p_t!r}] [asym2-multiple-roots]",
         )
     multipliers = {"lambda1": lam1, "lambda2": lam2, "lambda3": lam3, "lambda4": lam4}
     return EquilibriumReport(cost=oracle, profile=profile, multipliers=multipliers,

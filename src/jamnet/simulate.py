@@ -328,8 +328,7 @@ def _frontier_response(s: NetworkScenario):
     frontier c(lambda3).  Its scan grid is costed as lanes, each against its
     exact follower; lanes whose follower does not exist are skipped."""
     p_t = s.sum_power_transmit
-    lam3 = asym._scan_grid(p_t)
-    _, ok, (_, c_m, _, _, c_k) = asym._outer(s, p_t, s.sum_power_attack)(lam3)
+    _, ok, (lam3, _, c_m, _, _, c_k) = asym._outer(s, p_t, s.sum_power_attack)(asym._SCAN_GRID)
     if not ok.any():
         return math.inf, ""
     rows = LinearMirror(coeffs=tuple(c_k[ok].T)).lower(s.adversaries)

@@ -177,8 +177,8 @@ def test_theorem5_lanes_whose_power_ratio_underflows_stay_in_the_scan():
     # scalar residual's bits, and the residual changes sign once, between
     # values near 1e-301 whose product underflows.
     s = _asym_scenario(Setting.ASYM_II, [1e150], [1.0], [1.0], [1.0], 1e-300, 0.1)
-    grid = asym._scan_grid(s.sum_power_transmit)
-    _, c_m = asym._schedule(s, grid, s.sum_power_transmit)
+    grid = asym._SCAN_GRID
+    _, c_m = asym._schedule(s, grid * s.sum_power_transmit, s.sum_power_transmit)
     assert c_m[:, 0].tolist() == pytest.approx([math.sqrt(0.5e-300)] * len(grid), rel=1e-15)
     values, ok = asym._outer_residual(s, grid, s.sum_power_transmit, s.sum_power_attack)
     assert ok.all()
@@ -467,9 +467,8 @@ def test_theorem5_lane_scan_with_per_lane_budgets_matches_scalar_residual():
         points = [dataclasses.replace(s, sum_power_transmit=float(rng.uniform(0.5, 5.0)),
                                       sum_power_attack=float(rng.choice([0.1, 1.0, 10.0])))
                   for _ in range(4)]
-        for point, (grid, values, ok) in zip(points, asym.theorem5_scans(points)):
-            assert grid.tolist() == asym._scan_grid(point.sum_power_transmit).tolist()
-            scalar = _scalar_scan(point, grid)
+        for point, (values, ok) in zip(points, asym.theorem5_scans(points)):
+            scalar = _scalar_scan(point, asym._SCAN_GRID)
             assert ok.tolist() == [v is not None for v in scalar]
             assert values[ok].tolist() == [v for v in scalar if v is not None]
             outcomes["ok"] += int(ok.sum())
@@ -496,7 +495,7 @@ def test_theorem5_array_scan_matches_scalar_residual():
     brackets = 0
     for _ in range(100):
         s = random_asym_scenario(rng, Setting.ASYM_II)
-        grid = asym._scan_grid(s.sum_power_transmit)
+        grid = asym._SCAN_GRID
         values, ok = asym._outer_residual(s, grid, s.sum_power_transmit,
                                           s.sum_power_attack)
         scalar = _scalar_scan(s, grid)
@@ -542,7 +541,7 @@ def test_theorem5_outer_residual_has_one_sign_change_on_random_instances():
     counts = collections.Counter()
     for _ in range(200):
         s = random_asym_scenario(rng, Setting.ASYM_II)
-        grid = asym._scan_grid(s.sum_power_transmit)
+        grid = asym._SCAN_GRID
         counts[len(asym._sign_changes(*asym._outer_residual(
             s, grid, s.sum_power_transmit, s.sum_power_attack)))] += 1
     print(f"sign changes of the outer residual over 200 AsymII instances: {dict(counts)}")
@@ -556,9 +555,9 @@ def test_theorem5_multiple_sign_changes_add_a_tagged_note(monkeypatch):
     assert not any("asym2-multiple-roots" in n for n in plain.discrepancy_notes)
     scan = asym._outer_residual
 
-    def with_a_late_sign_change(s, lam3, p_t, p_a):
-        values, ok = scan(s, lam3, p_t, p_a)
-        if np.ndim(lam3) == 0:  # the outer Brent's calls
+    def with_a_late_sign_change(s, mu, p_t, p_a):
+        values, ok = scan(s, mu, p_t, p_a)
+        if np.ndim(mu) == 0:  # the outer Brent's calls
             return values, ok
         assert ok[-2:].all() and len(asym._sign_changes(values, ok)) == 1
         values = values.copy()
@@ -567,8 +566,9 @@ def test_theorem5_multiple_sign_changes_add_a_tagged_note(monkeypatch):
 
     monkeypatch.setattr(asym, "_outer_residual", with_a_late_sign_change)
     rep = asym.solve_theorem5(s)
-    grid = asym._scan_grid(s.sum_power_transmit)
-    first = int(asym._sign_changes(*scan(s, grid, s.sum_power_transmit, s.sum_power_attack))[0])
+    grid = asym._SCAN_GRID * s.sum_power_transmit
+    first = int(asym._sign_changes(*scan(s, asym._SCAN_GRID, s.sum_power_transmit,
+                                         s.sum_power_attack))[0])
     assert rep.multipliers == plain.multipliers
     assert rep.discrepancy_notes[:-1] == plain.discrepancy_notes
     assert rep.discrepancy_notes[-1] == (
@@ -582,7 +582,7 @@ def test_theorem5_iterations_count_the_scanned_bracket_ends(monkeypatch):
     # iterations still count every value scipy's brentq would ask for.
     s = make_symmetric(2, 1, 1.0, 1.0, 1.0, Setting.ASYM_II)
     p_t, p_a = s.sum_power_transmit, s.sum_power_attack
-    grid = asym._scan_grid(p_t)
+    grid = asym._SCAN_GRID
     first = asym._sign_changes(*asym._outer_residual(s, grid, p_t, p_a))[0]
     calls = []
     _scipy_brentq(lambda x: calls.append(x) or asym._outer_residual(s, x, p_t, p_a)[0],

@@ -265,9 +265,9 @@ def test_asym2_sweep_scans_at_most_a_chunk_of_lanes(tmp_path, monkeypatch):
     lanes = []
     scan = jamnet.asym._outer_residual
 
-    def counted(s, lam3, p_t, p_a):
-        lanes.append(np.size(lam3))
-        return scan(s, lam3, p_t, p_a)
+    def counted(s, mu, p_t, p_a):
+        lanes.append(np.broadcast(mu, p_t).size)
+        return scan(s, mu, p_t, p_a)
 
     monkeypatch.setattr(jamnet.asym, "_outer_residual", counted)
     cfg = _write_config(
@@ -432,6 +432,23 @@ def test_asym1_schedule_whose_power_ratio_underflows_exit_0(tmp_path, capsys):
     report = json.loads((tmp_path / "run.json").read_text())["report"]
     assert report["profile"]["transmit_coeffs"] == [pytest.approx(math.sqrt(0.5e-300), rel=1e-15)]
     assert report["oracle_cost"] == pytest.approx(16.0 / 21.0, rel=1e-15)
+
+
+def test_asym2_at_a_budget_far_below_brent_xtol_exit_0(tmp_path, capsys):
+    # lambda3 lies in (0, P_T) = (0, 1e-300), far below Brent's absolute
+    # xtol of 1e-15; the outer Brent runs on mu = lambda3/P_T in (0, 1), so
+    # it still steps to the root, and every residual, the combined
+    # power/multiplier identity P_T/lambda3 - P_A/lambda1 - 1 last, is at
+    # rounding level.
+    cfg = _write_config(tmp_path, setting="AsymII", sum_power_transmit=1e-300,
+                        sum_power_attack=0.1, transmitters=_sensors(1e150, 1.0, 0.0),
+                        adversaries=_sensors(1.0, 1.0, 0.0))
+    for command in ("verify", "solve-asym"):
+        assert main([command, "--config", str(cfg)]) == 0, command
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    residuals = json.loads((tmp_path / "run.json").read_text())["report"]["kkt_residuals"]
+    assert max(abs(r) for r in residuals) < jamnet.asym.KKT_TOL
+    assert abs(residuals[-1]) < 1e-12
 
 
 def test_large_budgets_validate_and_exit_0(tmp_path, capsys):

@@ -680,7 +680,7 @@ def _frontier_failure_cases():
     (nulls, p), _, (weak, q) = _asym2_follower_failure_cases()
     # The attack budget just nulls the middle frontier point, so the
     # adversaries can null the lanes of smaller |r_m| outright.
-    lam3 = asym._scan_grid(nulls.sum_power_transmit)
+    lam3 = asym._SCAN_GRID * nulls.sum_power_transmit
     r_m, _ = asym._transmit_stats(
         nulls, asym._schedule(nulls, lam3, nulls.sum_power_transmit)[1].T)
     null_power = sum((a.alpha * a.beta) ** 2 / a.input_second_moment for a in nulls.adversaries)
@@ -733,7 +733,7 @@ def test_asym2_follower_failure_cases_skip_and_raise():
     # and the transmitter search answers on all three cases.
     outcomes = []
     for s, p in _frontier_failure_cases():
-        lam3 = asym._scan_grid(s.sum_power_transmit)
+        lam3 = asym._SCAN_GRID * s.sum_power_transmit
         _, c_m = asym._schedule(s, lam3, s.sum_power_transmit)
         seen, costs = set(), []
         for row in c_m:
