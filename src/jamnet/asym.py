@@ -235,6 +235,18 @@ def _power_residual(sensors, coeffs, budget) -> float:
     return sum(p.input_second_moment * c * c for p, c in zip(sensors, coeffs)) - budget
 
 
+def _cost_notes(closed: float, printed: float, oracle: float, tag: str) -> tuple[str, str]:
+    """The two notes setting a closed-form cost against the oracle: the
+    form without the doubled denominators, and the published one under
+    ``tag``."""
+    return (
+        f"closed-form cost without the doubled denominators = {closed!r} "
+        f"(matches oracle to {abs(closed - oracle):.3e})",
+        f"published closed-form cost = {printed!r}, oracle = {oracle!r}, "
+        f"delta = {printed - oracle!r} [{tag}]",
+    )
+
+
 def solve_theorem4(s: NetworkScenario) -> EquilibriumReport:
     """Saddle point of the coordinated asymmetric setting.
 
@@ -273,12 +285,7 @@ def solve_theorem4(s: NetworkScenario) -> EquilibriumReport:
                    for p in s.transmitters)
     printed = 1.0 / (1.0 + lam1 * half_sum)
     closed = 1.0 / (1.0 + lam1 * 2.0 * half_sum)
-    notes = (
-        f"closed-form cost without the doubled denominators = {closed!r} "
-        f"(matches oracle to {abs(closed - oracle):.3e})",
-        f"published closed-form cost = {printed!r}, oracle = {oracle!r}, "
-        f"delta = {printed - oracle!r} [asym1-cost-closed-form]",
-    )
+    notes = _cost_notes(closed, printed, oracle, "asym1-cost-closed-form")
 
     residuals = (lam1 * (1.0 + pa_recv) - p_t, _power_residual(s.transmitters, coeffs, p_t),
                  *_stationarity(s.transmitters, coeffs, lam1, lam2))
@@ -350,7 +357,7 @@ def _follower(s: NetworkScenario, p_a):
     def respond(c_m):
         one = np.ndim(c_m) == 1
         with np.errstate(all="ignore"):
-            # Running sums add the sensors one at a time, in order, as sum() does.
+            # Running sums add the sensors one at a time, in order.
             r_m = np.add.accumulate(ab_t * c_m, axis=-1)[..., -1]
             s_own = np.add.accumulate(a2_t * c_m * c_m, axis=-1)[..., -1]
             # One row's multipliers are Python floats.
@@ -698,11 +705,7 @@ def solve_theorem5(s: NetworkScenario, scan: tuple | None = None) -> Equilibrium
     printed = 1.0 / (1.0 + lam3 * s_m / 2.0 - lam1 * s_k / 2.0)
     printed_lam2 = -(2.0 * p_a + 2.0 * lam1 * (1.0 - s_own)) / r_m
     printed_identity = p_t / lam1 + p_a / lam3
-    notes = (
-        f"closed-form cost without the doubled denominators = {closed!r} "
-        f"(matches oracle to {abs(closed - oracle):.3e})",
-        f"published closed-form cost = {printed!r}, oracle = {oracle!r}, "
-        f"delta = {printed - oracle!r} [asym2-cost-closed-form]",
+    notes = _cost_notes(closed, printed, oracle, "asym2-cost-closed-form") + (
         f"published multiplier equation gives lambda2 = {printed_lam2!r} vs solved "
         f"{lam2!r} [asym2-multiplier-equation-sign]",
         f"published identity P_T/l1 + P_A/l3 = {printed_identity!r} (consistent form "

@@ -64,36 +64,20 @@ def ceo_estimation_floor(betas, sigma_s2: float = 1.0) -> float:
     return sigma_s2 / (1.0 + sb2)
 
 
-def _rd_fraction(betas: tuple) -> float:
-    """sum(b^2) / (1 + sum(b^2)): the share of the source variance that the
-    observations can carry."""
-    if not betas:
-        raise ValueError("betas must be nonempty")
-    sb2 = _sum_beta2(betas)
-    return sb2 / (1.0 + sb2)
-
-
-def _distortion(rate: float, frac: float, sigma_s2: float) -> float:
-    # Grouped so D(0) is exactly sigma_S^2.
-    return sigma_s2 * (1.0 + frac * (2.0 ** (-2.0 * rate) - 1.0))
-
-
 def ceo_distortion(rate: float, betas, sigma_s2: float = 1.0) -> float:
-    """D(R) = sigma_S^2 * (1/(1+sum b^2) + (sum b^2/(1+sum b^2)) * 2^(-2R)).
-
-    Strictly decreasing and convex in the rate; D(0) = sigma_S^2 and
-    D(inf) = the estimation floor.
-    """
-    if rate < 0:
-        raise ValueError("rate must be nonnegative")
-    # betas is read once: it may be a one-shot iterator.
-    return _distortion(rate, _rd_fraction(tuple(betas)), sigma_s2)
+    """D(R) at one rate: ``ceo_curve([rate], betas, sigma_s2)``'s point."""
+    return ceo_curve((rate,), betas, sigma_s2)[0].distortion
 
 
 def ceo_curve(rates, betas, sigma_s2: float = 1.0) -> list[RDPoint]:
-    """[RDPoint(r, ceo_distortion(r, betas, sigma_s2)) for r in rates], with
-    the sums over betas formed once per curve (and only once a rate is
-    read, as the per-rate calls would)."""
+    """D(R) = sigma_S^2 * (1/(1+sum b^2) + (sum b^2/(1+sum b^2)) * 2^(-2R))
+    at each rate, in order.
+
+    Strictly decreasing and convex in the rate; D(0) = sigma_S^2 and
+    D(inf) = the estimation floor.  betas is read once, as it may be a
+    one-shot iterator; it is checked nonempty, and its sums formed, at the
+    first rate, after that rate's own check.
+    """
     betas = tuple(betas)
     points = []
     frac = None
@@ -102,8 +86,11 @@ def ceo_curve(rates, betas, sigma_s2: float = 1.0) -> list[RDPoint]:
         if rate < 0:
             raise ValueError("rate must be nonnegative")
         if frac is None:
-            frac = _rd_fraction(betas)
-        points.append(RDPoint(rate=rate, distortion=_distortion(rate, frac, sigma_s2)))
+            if not betas:
+                raise ValueError("betas must be nonempty")
+            frac = ceo_sigma_t(betas)  # the observations' share of a unit source
+        # Grouped so D(0) is exactly sigma_S^2.
+        points.append(RDPoint(rate, sigma_s2 * (1.0 + frac * (2.0 ** (-2.0 * rate) - 1.0))))
     return points
 
 

@@ -1,12 +1,13 @@
 """Command-line harness: config ingestion, dispatch, sweeps, CSV/JSON output.
 
-Config documents are strict JSON read as UTF-8.  Two readers hold the
+Config documents are strict JSON read as UTF-8.  Three readers hold the
 schema: `_object` (an object, no unknown key, no missing key) serves every
-object of it, and `_integer` every bounded integer; `_number` takes finite
-numbers only, and a repeated key anywhere is an error.  Every run writes
-`<out>.csv` (tabular results) and `<out>.json` (the full report with
-strategies, multipliers and discrepancy notes).  Identical config and seed
-produce byte-identical outputs.
+object of it, `_integer` every bounded integer and `_number` every other
+number, finite only; a repeated key anywhere is an error.  The scenario's
+own rules (SymIII's epsilon/eta, the sum budgets) are `validate_scenario`'s.
+Every run writes `<out>.csv` (tabular results) and `<out>.json` (the full
+report with strategies, multipliers and discrepancy notes).  Identical
+config and seed produce byte-identical outputs.
 
 Exit codes: 0 success, 1 a config that cannot be read, invalid
 config/scenario/profile (`_INVALID_INPUT`) or outputs that cannot be
@@ -187,12 +188,6 @@ def parse_config(document: str, command: str) -> RunConfig:
     transmitters = _parse_sensors(raw.get("transmitters", []), "transmitters")
     adversaries = _parse_sensors(raw.get("adversaries", []), "adversaries")
 
-    if setting is Setting.SYM_III:
-        if "epsilon" not in raw:
-            raise ParseError("epsilon required for SymIII")
-        if "eta" not in raw:
-            raise ParseError("eta required for SymIII")
-
     optional = {key: None if raw.get(key) is None else _number(raw[key], key)
                 for key in ("sum_power_transmit", "sum_power_attack", "epsilon", "eta")}
     scenario = validate_scenario(
@@ -257,7 +252,7 @@ def _report_to_json(report) -> dict:
     return {
         "cost": report.cost,
         "oracle_cost": report.oracle_cost,
-        "multipliers": dict(sorted(report.multipliers.items())),
+        "multipliers": dict(report.multipliers),
         "kkt_residuals": list(report.kkt_residuals),
         "profile": profile_to_dict(report.profile),
         "discrepancy_notes": list(report.discrepancy_notes),
@@ -265,11 +260,9 @@ def _report_to_json(report) -> dict:
 
 
 def _tags_in(notes) -> dict[str, str]:
-    tags = set()
-    for note in notes:
-        if "[" in note and "]" in note:
-            tags.add(note[note.rindex("[") + 1 : note.rindex("]")])
-    return {tag: KNOWN_DISCREPANCY_TAGS.get(tag, "") for tag in sorted(tags)}
+    tags = {note[note.rindex("[") + 1 : note.rindex("]")]
+            for note in notes if "[" in note and "]" in note}
+    return {tag: KNOWN_DISCREPANCY_TAGS.get(tag, "") for tag in tags}
 
 
 def _run_closed_form(cfg: RunConfig):

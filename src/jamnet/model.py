@@ -485,14 +485,10 @@ def scenario_from_dict(d: Mapping) -> NetworkScenario:
     )
 
 
-def adversary_strategy_to_dict(a: AdversaryStrategy) -> dict:
-    return {"kind": type(a).__name__, **dataclasses.asdict(a)}
-
-
 def profile_to_dict(p: StrategyProfile) -> dict:
     return {
         "transmit_coeffs": list(p.transmit_coeffs),
         "randomized": p.randomized,
-        "adversary": adversary_strategy_to_dict(p.adversary),
+        "adversary": {"kind": type(p.adversary).__name__, **dataclasses.asdict(p.adversary)},
         "decoder_gain": p.decoder_gain,
     }

@@ -63,8 +63,19 @@ def test_parse_rejects_missing_eta_for_symIII():
         "adversaries": {"count": 1, "alpha": 1.0, "beta": 1.0, "power": 1.0},
         "epsilon": 0.75,
     })
-    with pytest.raises(ParseError, match="eta required"):
+    with pytest.raises(InvalidScenario, match="eta required"):
         parse_config(doc, "closed-form")
+
+
+@pytest.mark.parametrize("missing", ["epsilon", "eta"])
+def test_main_rejects_symIII_without_its_fractions(tmp_path, capsys, missing):
+    doc = _sym3(4, 1, 0.75, 1.0)
+    del doc[missing]
+    cfg = _write_config(tmp_path, **doc)
+    assert main(["closed-form", "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"jamnet: invalid config: {missing} required for SymIII\n")
+    assert not (tmp_path / "run.json").exists()
 
 
 def test_parse_simulate_requires_monte_carlo():

@@ -3,10 +3,10 @@
 Each case runs ``jamnet.cli.main`` and compares the exit code, the CSV and
 the JSON report with the files recorded under ``tests/golden/``.  Exit codes,
 CSV headers, integers and strings must match exactly; every other number must
-match within 1e-12, absolute or relative.  Numeric literals inside
-discrepancy notes are masked, and notes that become identical after masking
-are collapsed, so last-digit float drift in a note neither fails the
-comparison nor changes the count of deduplicated sweep notes.
+match within 1e-12, absolute or relative.  Discrepancy notes must match as
+text once their numeric literals are masked, and, sorted, they must pair up
+one to one with the recorded notes, the numbers of each pair agreeing within
+the same tolerance.
 
 To re-record after an intended output change, run from the repo root:
 
@@ -123,12 +123,22 @@ def _mask_notes(notes: list) -> list:
     return sorted({_NUMBER.sub("#", note) for note in notes})
 
 
+def _compare_notes(got: list, want: list, where: str) -> None:
+    assert _mask_notes(got) == _mask_notes(want), where
+    assert len(got) == len(want), f"{where}: {len(got)} notes, recorded {len(want)}"
+    for g, w in zip(sorted(got), sorted(want)):
+        g_nums = [float(x) for x in _NUMBER.findall(g)]
+        w_nums = [float(x) for x in _NUMBER.findall(w)]
+        assert len(g_nums) == len(w_nums) and all(map(_close, g_nums, w_nums)), \
+            f"{where}: {g!r} != {w!r}"
+
+
 def _compare(got, want, where: str) -> None:
     if isinstance(want, dict):
         assert isinstance(got, dict) and sorted(got) == sorted(want), where
         for key in want:
             if key == "discrepancy_notes":
-                assert _mask_notes(got[key]) == _mask_notes(want[key]), f"{where}.{key}"
+                _compare_notes(got[key], want[key], f"{where}.{key}")
             else:
                 _compare(got[key], want[key], f"{where}.{key}")
     elif isinstance(want, list):
