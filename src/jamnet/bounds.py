@@ -11,8 +11,11 @@ normal keeps the two symmetries of the continuous one, (X, Y) -> (Y, X) and
 fundamental domain of about n^2/4 of the n^2 cells, and the rest of the mass
 is copied from it, so B is exactly symmetric and commutes with the
 reflection.  The quadrature in x follows the conditional CDF's scale in x:
-6 Gauss-Legendre nodes on a cell across which that CDF is smooth, 12 on a
-wider one, and composite panels on the two infinite cells.  The second
+4 Gauss-Legendre nodes on a cell across which that CDF is smooth, 6 on one
+across which it bends more, 12 on a wider one, and composite panels on the
+two infinite cells.  The normal CDF is ``_ndtr``, a numpy port of Cephes'
+ndtr (the algorithm of scipy.special.ndtr), so the package needs numpy
+only.  The second
 singular value is then the larger of two half-size symmetric eigenproblems:
 B on the odd vectors (by Mehler's expansion the maximal correlation's
 singular function is odd) and B on the even vectors deflated by the
@@ -120,6 +123,97 @@ def ru_spectrum(betas) -> np.ndarray:
     return np.sort(eigs)
 
 
+# Cephes' ndtr (Moshier), the algorithm scipy.special.ndtr evaluates, with its
+# coefficients, highest power first.  With a = x/sqrt(2): Phi(x) = 1/2 +
+# erf(a)/2 for |a| < 1, where erf(a) = a T(a^2)/U(a^2); otherwise
+# erfc(|a|)/2, or 1 minus it for a > 0, where erfc(z) = exp(-z^2) P(z)/Q(z)
+# on [1, 8), exp(-z^2) R(z)/S(z) from 8, and 0 once z^2 exceeds the log of
+# the largest double.  Q, S and U are monic: their leading 1 times z is z.
+_NDTR_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+           7.00332514112805075473E3, 5.55923013010394962768E4)
+_NDTR_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+           2.26290000613890934246E4, 4.92673942608635921086E4)
+_NDTR_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_NDTR_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_NDTR_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_NDTR_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_NDTR_MAXLOG = 7.09782712893383996843E2
+# Every |a| from here has erfc 0 (27^2 > the log above): clamping |a| to it
+# keeps each intermediate finite.
+_NDTR_CLAMP = 27.0
+# Values per pass, so that the pass's five buffers stay in a core's L2 cache.
+_NDTR_CHUNK = 8192
+
+
+def _horner(z: np.ndarray, coef, out: np.ndarray) -> np.ndarray:
+    """The polynomial coef (highest power first) at z by Horner's rule, the
+    steps of Cephes' polevl, into out."""
+    np.multiply(z, coef[0], out=out)
+    out += coef[1]
+    for c in coef[2:]:
+        out *= z
+        out += c
+    return out
+
+
+def _ndtr(x, out=None) -> np.ndarray:
+    """The standard normal CDF of x, elementwise, by Cephes' ndtr: the
+    values of scipy.special.ndtr to within the last bits of exp.
+
+    out may be x itself.  The work runs _NDTR_CHUNK values at a time, and
+    the erf and far-tail branches are evaluated only on the values that take
+    them.
+    """
+    x = np.asarray(x, dtype=float)
+    res = out if out is not None and out.flags.c_contiguous else np.empty(x.shape)
+    src, dst = x.reshape(-1), res.reshape(-1)  # dst is res's memory
+    chunk = _NDTR_CHUNK
+    a, z, e, p, q = (np.empty(min(chunk, src.size)) for _ in range(5))
+    for start in range(0, src.size, chunk):
+        # The chunk of src is read into a before dst's is written: out may be x.
+        k = min(chunk, src.size - start)
+        ak, zk, ek = a[:k], z[:k], e[:k]
+        np.multiply(src[start:start + k], 0.5 * math.sqrt(2.0), out=ak)
+        np.abs(ak, out=zk)
+        np.minimum(zk, _NDTR_CLAMP, out=zk)
+        # erfc(z) by the [1, 8) rule everywhere; the other branches overwrite.
+        np.multiply(zk, zk, out=ek)
+        np.negative(ek, out=ek)
+        np.exp(ek, out=ek)
+        ek *= _horner(zk, _NDTR_P, p[:k])
+        ek /= _horner(zk, _NDTR_Q, q[:k])
+        far = np.flatnonzero(zk >= 8.0)
+        if far.size:
+            zf = zk[far]
+            y = np.exp(-(zf * zf))
+            y *= _horner(zf, _NDTR_R, np.empty_like(zf))
+            y /= _horner(zf, _NDTR_S, np.empty_like(zf))
+            y[zf * zf > _NDTR_MAXLOG] = 0.0
+            ek[far] = y
+        ek *= 0.5
+        np.subtract(1.0, ek, out=ek, where=ak > 0.0)
+        near = np.flatnonzero(zk < 1.0)
+        if near.size:
+            an = ak[near]
+            a2 = an * an
+            y = an * _horner(a2, _NDTR_T, np.empty_like(a2))
+            y /= _horner(a2, _NDTR_U, np.empty_like(a2))
+            y *= 0.5
+            y += 0.5
+            ek[near] = y
+        dst[start:start + k] = ek
+    if out is not None and res is not out:
+        out[...] = res
+        return out
+    return res
+
+
 @functools.cache
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """The order-point Gauss-Legendre rule on [-1, 1] (nodes antisymmetric,
@@ -167,9 +261,9 @@ def discretized_correlation_operator(
 
     The conditional CDF Phi((y - rho x) / sqrt(1 - rho^2)) varies in x on
     the scale 1/kappa, kappa = max(1, |rho| / sqrt(1 - rho^2)) (phi(x) itself
-    on the scale 1).  An interior x-cell of width h takes 6 nodes where
-    h * kappa <= 0.5 (every |rho| <= 0.9969 on the CLI grid) and 12 nodes
-    elsewhere.  The two infinite x-cells, truncated at 9 sigma, hold only the
+    on the scale 1).  An interior x-cell of width h takes 4 nodes where
+    h * kappa <= 1/8 (every |rho| <= 0.954 on the CLI grid), 6 where
+    h * kappa <= 1/2 (every |rho| <= 0.9969) and 12 elsewhere.  The two infinite x-cells, truncated at 9 sigma, hold only the
     D cells (0, 0) and (n-1, 0); each takes a composite 6-node rule on panels
     of width <= 0.5 / kappa, at most 64 of them.
     """
@@ -179,8 +273,6 @@ def discretized_correlation_operator(
         raise ValueError("grid_n must be >= 3")
     if not np.isfinite(range_sigmas) or range_sigmas <= 0.0:
         raise NumericalFailure("range_sigmas must be positive and finite")
-
-    from scipy.special import ndtr
 
     n = grid_n
     # n-1 interior edges, exactly antisymmetric: linspace's lower half, 0 in
@@ -204,11 +296,12 @@ def discretized_correlation_operator(
     # Rows 1 .. n-2, the interior x-cells, fill on_d[1:-1].  Each row's CDF
     # values are summed over the nodes before its columns are differenced;
     # that rounds like per-node differences, to eps times the sums.
-    t, w = _quadrature(edges[:-1], edges[1:], 6 if h * kappa <= 0.5 else 12)
+    order = 4 if h * kappa <= 0.125 else 6 if h * kappa <= 0.5 else 12
+    t, w = _quadrature(edges[:-1], edges[1:], order)
     cell = row[1:-1] - 1  # the x-cell's row of (t, w)
     cdf = np.take(rho / s * t, cell, axis=0)
     np.subtract((edges / s)[col[1:-1]][:, None], cdf, out=cdf)
-    ndtr(cdf, out=cdf)
+    _ndtr(cdf, out=cdf)
     cum = np.einsum("kq,kq->k", w[cell], cdf)
     np.subtract(cum[1:], cum[:-1], out=on_d[2:-1])
     on_d[first[1:-1]] = cum[first[1:-1] - 1]
@@ -220,7 +313,7 @@ def discretized_correlation_operator(
     panels = min(64, math.ceil((far + edges[0]) * kappa / 0.5))
     cuts = np.linspace(-far, edges[0], panels + 1)
     t, w = _quadrature(cuts[:-1], cuts[1:], 6)
-    cdf = ndtr((edges[0] - np.outer((rho, -rho), t)) / s)
+    cdf = _ndtr((edges[0] - np.outer((rho, -rho), t)) / s)
     on_d[[0, -1]] = np.einsum("kq,q->k", cdf, w.ravel())
 
     # D and its images under the transpose, the reflection and both cover

@@ -131,6 +131,58 @@ def test_maximal_correlation_input_guards():
         bounds.maximal_correlation_discrete(0.5, 257, range_sigmas=0.0)
 
 
+# -- the in-repo normal CDF against scipy.special.ndtr ------------------------
+
+def test_ndtr_matches_scipy():
+    from scipy.special import ndtr
+
+    # A dense grid over [-40, 40] and each of Cephes' branch edges, |x| = 1,
+    # sqrt(2) (erf to erfc) and 8 sqrt(2) (P/Q to R/S), with both neighbours.
+    edges = [np.nextafter(v, toward) for e in (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0))
+             for v in (e, -e) for toward in (-np.inf, v, np.inf)]
+    x = np.concatenate((np.linspace(-40.0, 40.0, 160_001), edges))
+    got, want = bounds._ndtr(x), ndtr(x)
+    # The port takes scipy's steps, so only exp(-a^2) may differ: where
+    # numpy's exp gives libm's bits (and on the erf branch, which has no
+    # exp), so does the port.
+    a = np.minimum(np.abs(x * (0.5 * math.sqrt(2.0))), 27.0)
+    libm = np.array([math.exp(v) for v in -(a * a)])
+    same = (a < 1.0) | (np.exp(-(a * a)) == libm)
+    assert (got[same] == want[same]).all()
+    # Elsewhere exp's last bit, through the product and the quotient, moves
+    # the result by up to 2.53 eps, measured with numpy 2.4's AVX-512 exp.
+    err = np.abs(got - want)
+    tail = want < 1e-300
+    assert (err[~tail] <= 3.0 * np.finfo(float).eps * want[~tail]).all()
+    assert (err[tail] < 1e-300).all()
+
+
+def test_ndtr_special_values():
+    x = np.array([0.0, -0.0, -np.inf, np.inf, -1e308, 1e308, -38.0, 38.0, np.nan])
+    got = bounds._ndtr(x)
+    assert got[:-1].tolist() == [0.5, 0.5, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
+    assert np.isnan(got[-1])
+    assert bounds._ndtr(0.0) == 0.5
+
+
+def test_ndtr_in_place_strided_and_chunk_free(monkeypatch):
+    # Every branch, over several chunks.
+    x = np.random.default_rng(7).normal(scale=12.0, size=(60, 500))
+    want = bounds._ndtr(x)
+    assert want.shape == x.shape
+    inplace = x.copy()
+    assert bounds._ndtr(inplace, out=inplace) is inplace
+    assert (inplace == want).all()
+    assert (bounds._ndtr(x.T) == want.T).all()
+    assert (bounds._ndtr(x[:, ::3]) == want[:, ::3]).all()
+    out = np.empty((60, 1000))[:, ::2]
+    assert bounds._ndtr(x, out=out) is out
+    assert (out == want).all()
+    for chunk in (1, 7, 4096, 10**6):
+        monkeypatch.setattr(bounds, "_NDTR_CHUNK", chunk)
+        assert (bounds._ndtr(x[:4]) == want[:4]).all(), chunk
+
+
 def _ref_correlation_operator(rho, grid_n, range_sigmas):
     """The operator with the conditional CDF evaluated at both ends of every
     cell and the infinite ends masked: the build before the shared-edge form."""
@@ -197,20 +249,18 @@ def _domain_cells(n):
 
 def _cdf_values(monkeypatch, build):
     """``build()``'s result and how many conditional-CDF values it evaluates."""
-    import scipy.special
-
-    ndtr = scipy.special.ndtr
+    ndtr = bounds._ndtr
     evaluated = []
 
     def counting(z, *args, **kwargs):
         evaluated.append(np.size(z))
         return ndtr(z, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.special, "ndtr", counting)
+    monkeypatch.setattr(bounds, "_ndtr", counting)
     try:
         result = build()
     finally:
-        monkeypatch.setattr(scipy.special, "ndtr", ndtr)
+        monkeypatch.setattr(bounds, "_ndtr", ndtr)
     return result, sum(evaluated)
 
 
@@ -219,11 +269,11 @@ def test_correlation_operator_evaluates_the_cdf_on_a_quarter_of_the_cells(monkey
     star, count = _cdf_values(monkeypatch, lambda: bounds.maximal_correlation_discrete(0.5))
     assert star == bounds.maximal_correlation_discrete(0.5)
     # One CDF per y-edge the fundamental domain uses and quadrature node:
-    # 6 nodes per interior x-cell at rho = 0.5 (the cell width times
-    # kappa = max(1, |rho|/sqrt(1-rho^2)) = 1 is under 1/2), and on each of
+    # 4 nodes per interior x-cell at rho = 0.5 (the cell width times
+    # kappa = max(1, |rho|/sqrt(1-rho^2)) = 1 is under 1/8), and on each of
     # the two infinite x-cells, [-9, -5] and its mirror, 6 nodes per panel of
     # width 1/2.
-    assert 0 < count <= 6 * (_domain_cells(n) - 2) + 2 * 6 * 8
+    assert 0 < count <= 4 * (_domain_cells(n) - 2) + 2 * 6 * 8
 
 
 def test_correlation_operator_cdf_count_is_capped_at_every_rho(monkeypatch):
@@ -300,6 +350,14 @@ def test_second_singular_value_matches_a_converged_quadrature():
             err = bounds.maximal_correlation_discrete(rho, grid_n, 5.0) - _converged_sigma2(
                 rho, grid_n, 5.0)
             assert abs(err) <= 1e-14, (grid_n, rho, err)
+    # Interior cells with h * kappa <= 1/8 take 4 nodes, wider ones 6: on
+    # either side of the switch, at |rho| = 0.95415 on the CLI grid.
+    n = bounds.MAXCORR_GRID_N
+    h = 10.0 / (n - 2)
+    for rho in (0.9541, -0.9541, 0.9542, -0.9542):
+        assert (h * abs(rho) / math.sqrt(1.0 - rho * rho) <= 0.125) == (abs(rho) < 0.95415)
+        err = bounds.maximal_correlation_discrete(rho, n, 5.0) - _converged_sigma2(rho, n, 5.0)
+        assert abs(err) <= 1e-14, (rho, err)
     # Where one 12-node panel spanned a 6-sigma tail, 1000x closer.
     for rho, before in _ONE_PANEL_ERRORS[65, 3.0].items():
         err = bounds.maximal_correlation_discrete(rho, 65, 3.0) - _converged_sigma2(rho, 65, 3.0)

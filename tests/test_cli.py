@@ -759,20 +759,39 @@ def test_invalid_input_errors_keep_exit_1(tmp_path, capsys, monkeypatch, error):
     assert captured.out == "" and captured.err == "jamnet: invalid config: bad input\n"
 
 
-def test_cli_runs_without_scipy_optimize(tmp_path):
-    # A fresh interpreter: the package's solvers and certificates load no
-    # optimization library (only maxcorr uses scipy, for its normal CDF).
+def test_cli_runs_without_scipy(tmp_path):
+    # A fresh interpreter in which importing scipy fails: every command exits
+    # 0, and no part of scipy is loaded, neither an optimization library for
+    # the solvers and certificates nor a normal CDF for maxcorr.
     sym2 = _write_config(tmp_path, "sym2.json", setting="SymII",
                          transmitters={"count": 3, "alpha": 1.0, "beta": 1.0, "power": 1.0},
                          adversaries={"count": 2, "alpha": 1.0, "beta": 1.0, "power": 1.0})
     asym2 = _write_config(tmp_path, "asym2.json", setting="AsymII", sum_power_transmit=2.0,
                           sum_power_attack=1.0)
+    runs = [
+        ("closed-form", sym2),
+        ("solve-asym", asym2),
+        ("simulate", _write_config(tmp_path, "simulate.json",
+                                   monte_carlo={"samples": 10_000, "seed": 1})),
+        ("verify", sym2),
+        ("sweep", _write_config(tmp_path, "sweep.json", sweep={
+            "param": "alpha", "from": 0.5, "to": 1.5, "steps": 3})),
+        ("ceo-curve", _write_config(tmp_path, "ceo.json", sweep={
+            "param": "rate", "from": 0.0, "to": 2.0, "steps": 3})),
+        ("maxcorr", _write_config(tmp_path, "maxcorr.json", sweep={
+            "param": "rho", "from": 0.0, "to": 0.8, "steps": 2})),
+    ]
     code = "\n".join([
         "import sys",
+        "class RefuseScipy:",
+        "    def find_spec(self, name, path=None, target=None):",
+        "        if name.split('.')[0] == 'scipy':",
+        "            raise ModuleNotFoundError(f'{name} is refused')",
+        "sys.meta_path.insert(0, RefuseScipy())",
         "from jamnet import cli",
-        f"assert cli.main(['verify', '--config', {str(sym2)!r}]) == 0",
-        f"assert cli.main(['solve-asym', '--config', {str(asym2)!r}]) == 0",
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))",
+        *(f"assert cli.main([{command!r}, '--config', {str(cfg)!r}]) == 0, {command!r}"
+          for command, cfg in runs),
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
     ])
     src = str(Path(jamnet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
