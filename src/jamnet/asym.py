@@ -32,7 +32,9 @@ hands each point's slice to ``solve_theorem5``.
 
 Both theorems' first-order rows come from ``_stationarity`` and
 ``_power_residual``, and every equilibrium profile of the package is built
-by ``_bayes_profile``, which attaches the Bayes decoder gain.
+by ``_bayes_profile``, which attaches the Bayes decoder gain.  ``_cap`` is
+the one full-power uncoded sensor: Theorem 5's attack sphere and every
+symmetric closed form and profile read its (c, u, v).
 
 Both root-finders are in-repo ports of scipy's ``brentq.c`` (Brent 1973):
 ``_brentq`` on floats and ``_brentq_lanes`` on arrays of lanes.  They take
@@ -175,6 +177,22 @@ def _bayes_profile(
     return dataclasses.replace(draft, decoder_gain=bayes_decoder_gain(s, draft))
 
 
+def _cap(alpha, beta, power):
+    """(c, u, v) of uncoded transmission at full power ``power``: the
+    coefficient c = sqrt(P/(1 + beta^2)), the source amplitude u =
+    alpha*beta*c and the own-noise power v = (alpha*c)^2 it lands in Y.
+    sqrt(1 + beta^2) is hypot(1, beta) and u takes beta/hypot(1, beta), so
+    no square of beta, and no P/(1 + beta^2), over- or underflows on the
+    way.  Floats take ``math``; arrays broadcast."""
+    if isinstance(power, np.ndarray):
+        h, root = np.hypot(1.0, beta), np.sqrt(power)
+    else:
+        h, root = math.hypot(1.0, beta), math.sqrt(power)
+    c = root / h
+    ac = alpha * c
+    return c, alpha * root * (beta / h), ac * ac
+
+
 # -- Theorem 4: coordinated transmitters, optimal power scheduling ----------
 
 def attacker_best_channel(
@@ -303,16 +321,12 @@ def solve_theorem4(s: NetworkScenario) -> EquilibriumReport:
 
 def _sphere(s: NetworkScenario, p_a):
     """(root, u, v) on the adversaries' sum budget ``p_a`` (a float, or one
-    per lane; the sensor axis is last): c_k = root_k*x_k spends P_A at
-    |x| = 1, and sensor k lands u_k*x_k of the source and own-noise power
-    v_k*x_k^2, u_k = alpha_k*beta_k*sqrt(P_A/m_k), v_k = alpha_k^2*P_A/m_k,
-    m_k = 1 + beta_k^2, with sqrt(m_k) as hypot(1, beta_k)."""
+    per lane; the sensor axis is last): ``_cap`` of each adversary at power
+    P_A, so c_k = root_k*x_k spends P_A at |x| = 1, and sensor k lands
+    u_k*x_k of the source and own-noise power v_k*x_k^2."""
     alpha = np.array([p.alpha for p in s.adversaries])
     beta = np.array([p.beta for p in s.adversaries])
-    h = np.hypot(1.0, beta)
-    budget = np.sqrt(p_a)[..., None]
-    root = budget / h
-    return root, alpha * budget * (beta / h), (alpha * root) ** 2
+    return _cap(alpha, beta, np.asarray(p_a)[..., None])
 
 
 def _follower(s: NetworkScenario, p_a):

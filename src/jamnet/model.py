@@ -414,10 +414,8 @@ def validate_profile(s: NetworkScenario, p: StrategyProfile) -> StrategyProfile:
     if not math.isfinite(p.decoder_gain):
         raise InvalidProfile("decoder gain must be finite")
 
-    tx_moments = [
-        c * c * s.transmitters[m].input_second_moment
-        for m, c in enumerate(p.transmit_coeffs)
-    ]
+    tx_moments = [(c * q.beta) * (c * q.beta) + c * c
+                  for q, c in zip(s.transmitters, p.transmit_coeffs)]
     adv_moments = adversary_second_moments(s, p.adversary)
     if not all(math.isfinite(v) for v in adv_moments):
         raise InvalidProfile("adversary output second moments must be finite and >= 0")

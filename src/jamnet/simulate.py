@@ -45,7 +45,6 @@ import os
 import numpy as np
 
 from . import asym
-from .symmetric import _uncoded_gain
 from .model import (
     InvalidProfile,
     LinearMirror,
@@ -140,15 +139,15 @@ def _simulate_block(
         np.less(gamma, 0.5, out=gamma)  # 1 where coin < 1/2, else 0
         gamma *= 2.0
         gamma -= 1.0
-        tx *= gamma
     g.standard_normal(out=y)
     y *= rx_sd
     np.multiply(src, adv_src, out=w)
     y += w
-    y += tx
-
     if p.randomized:
+        # The receiver's gamma*Y = gamma*rest + tx, as gamma^2 = 1; negation
+        # is exact, so this has the bits of gamma*(rest + gamma*tx).
         y *= gamma
+    y += tx
     y *= p.decoder_gain  # y is now the decoded estimate
     np.subtract(src, y, out=y)
     np.square(y, out=y)  # squared errors
@@ -286,7 +285,7 @@ def _box_response(s: NetworkScenario, p: StrategyProfile, sig: float, B: float):
     rises in z up to B*beta/(alpha*|sig|), so z is that or the cap."""
     q = s.transmitters[0]
     sigma = abs(sig)
-    cap = _uncoded_gain(q.beta, q.power)
+    cap = asym._cap(q.alpha, q.beta, q.power)[0]
     z = min(cap, B * q.beta / (q.alpha * sigma)) if q.alpha * sigma else cap
     z = math.copysign(z, sig)
     M = s.num_transmitters
@@ -361,7 +360,7 @@ def best_response_transmitter_search(s: NetworkScenario, p: StrategyProfile) -> 
     if leader and s.setting is Setting.ASYM_II:
         best, desc = _frontier_response(s)
     else:
-        adversary = LinearMirror(coeffs=(-_uncoded_gain(q.beta, q.power),) * K) if leader else p.adversary
+        adversary = LinearMirror(coeffs=(-asym._cap(q.alpha, q.beta, q.power)[0],) * K) if leader else p.adversary
         stats = sig, own, jam = asym._adversary_output_stats(s, *adversary.lower(s.adversaries))
         if p.randomized:
             sig, B = 0.0, 1.0 + sig * sig + own + jam

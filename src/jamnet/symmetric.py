@@ -10,11 +10,13 @@ above it, setting I's saddle with M*epsilon transmitters against the
 eta-mixed jammer; below it, setting II's Stackelberg point, built by the same
 helper ``solve_setting2`` uses.
 
-Published closed forms are evaluated verbatim where they exist; every report
-pairs them with the direct MMSE oracle and records the delta when the two
-disagree (the oracle counts each sensor's own observation noise, which the
-setting-II closed form does not).  Every profile carries its Bayes decoder
-gain, from ``asym``'s profile builder.
+Published closed forms are the printed rational functions, evaluated on
+what one uncoded sensor at full power lands in Y (``asym._cap``): u^2 for
+c^2 a^2 b^2 and v for c^2 a^2, so they are exact across the float range
+wherever a run exits 0.  Every report pairs them with the direct MMSE oracle
+and records the delta when the two disagree (the oracle counts each
+sensor's own observation noise, which the setting-II closed form does not).
+Every profile carries its Bayes decoder gain, from ``asym``'s profile builder.
 """
 
 from __future__ import annotations
@@ -37,23 +39,10 @@ from .model import (
 TIE_TOL = 1e-12
 
 
-def _uncoded_gain(beta: float, power: float) -> float:
-    """The power-saturating uncoded coefficient sqrt(P/(1+beta^2))."""
-    return math.sqrt(power / (1.0 + beta * beta))
-
-
-def _setting1_terms(m_eff: float, q_adv: float, alpha: float, beta: float, power: float):
-    """(c, c^2 alpha^2) of the setting-I cost with the uncoded gain c."""
-    if m_eff < 0 or q_adv < 0:
-        raise InvalidScenario("m_eff and q_adv must be nonnegative")
-    c = _uncoded_gain(beta, power)
-    return c, c * c * alpha * alpha
-
-
 def cost_setting1(m_eff: float, q_adv: float, alpha: float, beta: float, power: float) -> float:
     """Saddle-point cost of setting I for an effective transmitter count and
     received jamming power: (m c^2 a^2 + Q + 1)/(m^2 a^2 b^2 c^2 + m c^2 a^2 + Q + 1)
-    with the uncoded gain c = sqrt(P/(1+beta^2)).
+    with the uncoded gain c = sqrt(P/(1+beta^2)), on ``asym._cap``'s (u, v).
 
     m_eff is real-valued so the threshold can relax it; q_adv is the
     adversaries' total received noise power at the channel output
@@ -61,31 +50,34 @@ def cost_setting1(m_eff: float, q_adv: float, alpha: float, beta: float, power: 
     decreasing in m_eff, strictly increasing in q_adv; equals the direct MMSE
     oracle on the corresponding randomized profile.
     """
-    _, ca2 = _setting1_terms(m_eff, q_adv, alpha, beta, power)
-    signal = m_eff * m_eff * ca2 * beta * beta
-    num = m_eff * ca2 + q_adv + 1.0
-    return num / (signal + num)
+    if m_eff < 0 or q_adv < 0:
+        raise InvalidScenario("m_eff and q_adv must be nonnegative")
+    _, u, v = asym._cap(alpha, beta, power)
+    num = m_eff * v + q_adv + 1.0
+    return num / (m_eff * m_eff * u * u + num)
 
 
 def decoder_gain_setting1(
     m_eff: float, q_adv: float, alpha: float, beta: float, power: float
 ) -> float:
-    """Bayes gain for the setting-I receiver: E{S gammaY}/E{Y^2}."""
-    c, ca2 = _setting1_terms(m_eff, q_adv, alpha, beta, power)
-    denom = m_eff * m_eff * ca2 * beta * beta + m_eff * ca2 + q_adv + 1.0
-    return m_eff * c * alpha * beta / denom
+    """Bayes gain for the setting-I receiver: E{S gammaY}/E{Y^2}, that is
+    m u/(m^2 u^2 + m v + Q + 1)."""
+    if m_eff < 0 or q_adv < 0:
+        raise InvalidScenario("m_eff and q_adv must be nonnegative")
+    _, u, v = asym._cap(alpha, beta, power)
+    return m_eff * u / (m_eff * m_eff * u * u + m_eff * v + q_adv + 1.0)
 
 
 def setting2_formula(M: float, K: float, alpha: float, beta: float, power: float) -> float:
-    """The published setting-II cost, evaluated exactly as printed.
+    """The published setting-II cost as printed, (n v + 1)/(n^2 u^2 + n v + 1)
+    with n = M - K on ``asym._cap``'s (u, v).
 
     No precondition check; the public ``cost_setting2`` enforces K < M.
     """
-    c2 = power / (1.0 + beta * beta)
+    _, u, v = asym._cap(alpha, beta, power)
     n = M - K
-    ca2 = c2 * alpha * alpha
-    num = n * ca2 + 1.0
-    return num / (n * n * ca2 * beta * beta + num)
+    num = n * v + 1.0
+    return num / (n * n * u * u + num)
 
 
 def cost_setting2(M: int, K: int, alpha: float, beta: float, power: float) -> float:
@@ -103,7 +95,7 @@ def coordination_gap(
     jamming alpha^2 K P); the first is never smaller."""
     if K >= 1 and K >= M:
         raise InvalidScenario(f"K must be < M (got K={K}, M={M})")
-    a2p = alpha * alpha * power
+    a2p = alpha * (alpha * power)
     coord = cost_setting1(M, K * K * a2p, alpha, beta, power)
     indep = cost_setting1(M, K * a2p, alpha, beta, power)
     return coord, indep
@@ -111,8 +103,9 @@ def coordination_gap(
 
 def effective_jam_power(K: int, eta: float, alpha: float, power: float) -> float:
     """Received jamming power when K*eta adversaries coordinate and the rest
-    jam independently: alpha^2 * ((K eta)^2 + K(1-eta)) * P."""
-    return alpha * alpha * ((K * eta) ** 2 + K * (1.0 - eta)) * power
+    jam independently: alpha^2 * ((K eta)^2 + K(1-eta)) * P, with
+    alpha*(alpha*P) formed first: it overflows only where alpha^2*P does."""
+    return alpha * (alpha * power) * ((K * eta) ** 2 + K * (1.0 - eta))
 
 
 def epsilon_threshold(
@@ -140,7 +133,7 @@ def epsilon_threshold(
     if t == 1.0:
         raise NoRoot(f"setting-I cost never reaches the target {t} (above it nowhere)")
     n = M - K
-    x = n * (power / (1.0 + beta * beta) * alpha * alpha)  # finite, as t is
+    x = n * asym._cap(alpha, beta, power)[2]  # finite, as t is
     h = 0.5 * n * x / (x + 1.0)
     q = effective_jam_power(K, eta, alpha, power)
     m = h + math.hypot(h, n * math.sqrt((q + 1.0) / (x + 1.0)))
@@ -162,9 +155,9 @@ def _common_params(s: NetworkScenario):
 def theorem1_profile(s: NetworkScenario) -> StrategyProfile:
     """Setting-I saddle strategies: randomized uncoded transmitters at full
     power, all adversaries emitting one shared Gaussian noise realization."""
-    _, beta, power = _common_params(s)
+    alpha, beta, power = _common_params(s)
     return asym._bayes_profile(
-        s, (_uncoded_gain(beta, power),) * s.num_transmitters, True,
+        s, (asym._cap(alpha, beta, power)[0],) * s.num_transmitters, True,
         CoordinatedNoise(variance=power if s.num_adversaries else 0.0),
     )
 
@@ -174,8 +167,7 @@ def theorem2_profile(s: NetworkScenario) -> StrategyProfile:
     adversaries mirroring with the opposite sign.  The stored decoder gain is
     the Bayes gain under the adopted observation model; the published decoder
     is recorded by solve_setting2."""
-    _, beta, power = _common_params(s)
-    c = _uncoded_gain(beta, power)
+    c = asym._cap(*_common_params(s))[0]
     return asym._bayes_profile(
         s, (c,) * s.num_transmitters, False, LinearMirror(coeffs=(-c,) * s.num_adversaries)
     )
@@ -187,7 +179,7 @@ def solve_setting1(s: NetworkScenario) -> EquilibriumReport:
         raise InvalidScenario(f"solve_setting1 requires SymI, got {s.setting.value}")
     M, K = s.num_transmitters, s.num_adversaries
     alpha, beta, power = _common_params(s)
-    cost = cost_setting1(M, alpha * alpha * K * K * power, alpha, beta, power)
+    cost = cost_setting1(M, K * K * (alpha * (alpha * power)), alpha, beta, power)
     profile = theorem1_profile(s)
     oracle = asym.direct_mmse_cost(s, profile)
     notes = (f"|closed-form - oracle| = {abs(cost - oracle):.3e}",)
@@ -216,13 +208,9 @@ def solve_setting2(s: NetworkScenario) -> EquilibriumReport:
     if s.setting is not Setting.SYM_II:
         raise InvalidScenario(f"solve_setting2 requires SymII, got {s.setting.value}")
     printed, profile, oracle, note = _stackelberg(s)
-    alpha, beta, _ = _common_params(s)
-    c = profile.transmit_coeffs[0]
+    _, u, v = asym._cap(*_common_params(s))
     n = s.num_transmitters - s.num_adversaries
-    printed_gain = (
-        n * c * alpha * beta
-        / (n * n * (alpha * beta * c) ** 2 + n * c * c * alpha * alpha + 1.0)
-    )
+    printed_gain = n * u / (n * n * u * u + n * v + 1.0)
     notes = (note, f"published decoder gain = {printed_gain!r}, "
                    f"Bayes gain = {profile.decoder_gain!r}")
     return EquilibriumReport(cost=printed, profile=profile, multipliers={},
@@ -249,11 +237,11 @@ def theorem3_profile(s: NetworkScenario) -> StrategyProfile:
     transmitters send randomized uncoded symbols, the rest stay silent; the
     first K*eta adversaries share one noise realization, the rest jam
     independently."""
-    _, beta, power = _common_params(s)
+    alpha, beta, power = _common_params(s)
     M, K = s.num_transmitters, s.num_adversaries
     m_used = round(M * s.epsilon)
     return asym._bayes_profile(
-        s, (_uncoded_gain(beta, power),) * m_used + (0.0,) * (M - m_used), True,
+        s, (asym._cap(alpha, beta, power)[0],) * m_used + (0.0,) * (M - m_used), True,
         CoordinatedNoise(variance=power, coordinated_count=round(K * s.eta)),
     )
 

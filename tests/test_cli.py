@@ -554,6 +554,26 @@ def test_numerical_failures_exit_2_with_error_block(tmp_path, capsys, command, o
     assert not (tmp_path / "run.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["closed-form", "simulate", "verify"])
+@pytest.mark.parametrize("M, K, alpha, beta, power, cost", [
+    # alpha^2*K^2 = 4e308 overflows, but the received jamming power
+    # K^2*alpha*(alpha*P) = 4e208 does not: with v = u^2 = 1e208/2, the cost
+    # is (3v + 4e208 + 1)/(9u^2 + 3v + 4e208 + 1) = 5.5/10.
+    (3, 2, 1e154, 1.0, 1e-100, 0.55),
+    # 1 + beta^2 overflows, but c = 1e-155 does not: u = 1, v = 1e-310 and
+    # the power c^2*(1 + beta^2) = 1 is within the budget, cost 2/6.
+    (2, 1, 1.0, 1e155, 1.0, 1.0 / 3.0),
+], ids=["alpha2K2-overflow", "beta-1e155"])
+def test_sym1_past_a_squared_gain_exit_0(tmp_path, capsys, command, M, K, alpha, beta, power, cost):
+    cfg = _write_config(tmp_path, **_MC, transmitters={**_sensors(alpha, beta, power), "count": M},
+                        adversaries={**_sensors(alpha, beta, power), "count": K})
+    assert main([command, "--config", str(cfg)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    report = _strict_json((tmp_path / "run.json").read_text())["report"]
+    assert abs(report["cost"] - cost) <= 1e-12
+    assert abs(report["oracle_cost"] - cost) <= 1e-12
+
+
 def _strict_json(text: str):
     """json.loads that refuses the non-standard NaN, Infinity and -Infinity."""
     def refuse(token):
@@ -867,6 +887,9 @@ def _documents(draw):
 @example(command="closed-form", document={  # a NaN the SymI solver never reads
     "setting": "SymI", "transmitters": {**_sensors(1.0, 1.0), "count": 2},
     "adversaries": _sensors(1.0, 1.0), "sum_power_transmit": float("nan")})
+@example(command="closed-form", document={  # alpha^2*K^2 overflows before the product with P
+    "setting": "SymI", "transmitters": {**_sensors(1e154, 1.0, 1e-100), "count": 3},
+    "adversaries": {**_sensors(1e154, 1.0, 1e-100), "count": 2}})
 def test_config_fuzz_ends_in_a_documented_exit(tmp_path_factory, command, document):
     # Gains and powers from 1e-300 to 1e300 and junk in any field: the run exits 0,
     # 1 or 2 with one line, and a report (exit 0 or 2) holds no NaN or infinity.

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -215,9 +216,13 @@ def test_epsilon_threshold_range_and_numerical_failure():
     # alpha^2 overflows: the setting-II target is inf/inf.
     with pytest.raises(NumericalFailure, match="target nan"):
         sym.epsilon_threshold(4, 2, 0.5, 1e200, 1e20, 1e100)
-    # alpha^2 * P overflows in the jamming power alone: the root is infinite.
-    with pytest.raises(NumericalFailure, match="not finite"):
-        sym.epsilon_threshold(3, 2, 0.5, 1e200, 1.0, 1e-100)
+    # alpha^2 * P = 1e300 is finite when formed as alpha*(alpha*P): the root
+    # is the exact one, 0.85385093760294342...
+    assert sym.epsilon_threshold(3, 2, 0.5, 1e200, 1.0, 1e-100) == 0.8538509376029434
+    # alpha^2 * P = 1e310 overflows in the jamming power alone, while the
+    # setting-II target (v = 1e290) is finite: the root is infinite.
+    with pytest.raises(NumericalFailure, match="received jamming power inf is not finite"):
+        sym.epsilon_threshold(3, 2, 0.5, 1e200, 1e10, 1e-90)
 
 
 @pytest.mark.parametrize("M, K, eta, epsilon", [
@@ -287,3 +292,52 @@ def test_setting3_mixed_jammer_profile():
     expected = sym.cost_setting1(3.0, 4.0, 1.0, 1.0, 1.0)
     assert rep.cost == pytest.approx(expected, abs=1e-15)
     assert rep.oracle_cost == pytest.approx(expected, abs=1e-12)
+
+
+def _exact_costs(M, K, alpha, beta, power):
+    """{setting: (published cost, oracle cost)} for SymI and SymII in exact
+    rationals on the float inputs: setting I's oracle is its published cost,
+    and setting II's oracle counts the own noise of all M + K sensors."""
+    M, K, alpha, beta, power = (Fraction(x) for x in (M, K, alpha, beta, power))
+    v = alpha * alpha * power / (1 + beta * beta)  # c^2 a^2
+    u2 = v * beta * beta  # c^2 a^2 b^2
+    q = alpha * alpha * K * K * power
+    n = M - K
+    sym1 = (M * v + q + 1) / (M * M * u2 + M * v + q + 1)
+    sym2 = (n * v + 1) / (n * n * u2 + n * v + 1)
+    oracle2 = ((M + K) * v + 1) / (n * n * u2 + (M + K) * v + 1)
+    return {Setting.SYM_I: (sym1, sym1), Setting.SYM_II: (sym2, oracle2)}
+
+
+def test_symmetric_costs_are_exact_across_the_float_range():
+    # Gains and powers log-uniform over [1e-300, 1e300]: every SymI and SymII
+    # report that does not raise carries the published cost to 1e-12, and
+    # its oracle cost is exact to 1e-12 wherever the transmit coefficient is
+    # a normal float.
+    rng = np.random.default_rng(2025)
+    solvers = {Setting.SYM_I: sym.solve_setting1, Setting.SYM_II: sym.solve_setting2}
+    for _ in range(2000):
+        M = int(rng.integers(2, 7))
+        K = int(rng.integers(1, M))
+        alpha, beta, power = (float(x) for x in 10.0 ** rng.uniform(-300.0, 300.0, 3))
+        for setting, (cost, oracle) in _exact_costs(M, K, alpha, beta, power).items():
+            config = (M, K, alpha, beta, power, setting.value)
+            try:
+                rep = solvers[setting](make_symmetric(M, K, alpha, beta, power, setting))
+            except (NumericalFailure, OverflowError):  # exit 2 at the CLI
+                continue
+            assert abs(Fraction(rep.cost) - cost) <= 1e-12, config
+            if rep.profile.transmit_coeffs[0] >= sys.float_info.min:
+                assert abs(Fraction(rep.oracle_cost) - oracle) <= 1e-12, config
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the transmit coefficient sqrt(P/(1+beta^2)) = 1e-325 lies below the float "
+    "range, so the profile carries c = 0 and the oracle costs a network that sends "
+    "nothing (1.0), while the published cost 0.2 is exact",
+)
+def test_oracle_where_the_transmit_coefficient_underflows():
+    rep = sym.solve_setting1(make_symmetric(2, 1, 1e150, 1e250, 1e-150, Setting.SYM_I))
+    assert rep.cost == pytest.approx(0.2, abs=1e-12)
+    assert rep.oracle_cost == pytest.approx(0.2, abs=1e-12)
