@@ -353,7 +353,8 @@ def _follower(s: NetworkScenario, p_a):
     """
     if s.num_adversaries < 1:
         raise EmptyAdversarySet("no adversarial sensors")
-    ab_t = np.array([p.alpha * p.beta for p in s.transmitters])
+    alpha_t = np.array([p.alpha for p in s.transmitters])
+    beta_t = np.array([p.beta for p in s.transmitters])
     a2_t = np.array([p.alpha ** 2 for p in s.transmitters])
     with np.errstate(all="ignore"):
         root, u, v = _sphere(s, p_a)
@@ -371,8 +372,8 @@ def _follower(s: NetworkScenario, p_a):
     def respond(c_m):
         one = np.ndim(c_m) == 1
         with np.errstate(all="ignore"):
-            # Running sums add the sensors one at a time, in order.
-            r_m = np.add.accumulate(ab_t * c_m, axis=-1)[..., -1]
+            # Running sums add the sensors one at a time, as ``_transmit_stats`` does.
+            r_m = np.add.accumulate(beta_t * c_m * alpha_t, axis=-1)[..., -1]
             s_own = np.add.accumulate(a2_t * c_m * c_m, axis=-1)[..., -1]
             # One row's multipliers are Python floats.
             budget = float(p_a) if one else p_a

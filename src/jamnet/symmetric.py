@@ -10,13 +10,15 @@ above it, setting I's saddle with M*epsilon transmitters against the
 eta-mixed jammer; below it, setting II's Stackelberg point, built by the same
 helper ``solve_setting2`` uses.
 
-Published closed forms are the printed rational functions, evaluated on
-what one uncoded sensor at full power lands in Y (``asym._cap``): u^2 for
-c^2 a^2 b^2 and v for c^2 a^2, so they are exact across the float range
-wherever a run exits 0.  Every report pairs them with the direct MMSE oracle
-and records the delta when the two disagree (the oracle counts each
-sensor's own observation noise, which the setting-II closed form does not).
-Every profile carries its Bayes decoder gain, from ``asym``'s profile builder.
+Published closed forms are the printed rational functions on what one
+uncoded sensor at full power lands in Y (``asym._cap``): u^2 for c^2 a^2 b^2
+and v for c^2 a^2, so they are exact across the float range wherever a run
+exits 0.  All are one pair, ``cost_setting1`` and ``decoder_gain_setting1`` at
+(m, Q), with Q from ``effective_jam_power``: setting II's printed cost and
+gain are the pair at (M - K, 0); the oracle, which counts the own noise of
+all M + K sensors, costs setting II at (M - K, 2K v).  Every report pairs the
+closed form with the oracle and records their delta; every profile carries
+its Bayes decoder gain, from ``asym``'s profile builder.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import math
 
 from . import asym
 from .model import (
+    INTEGER_TOL,
     CoordinatedNoise,
     EquilibriumReport,
     InvalidScenario,
@@ -70,14 +73,8 @@ def decoder_gain_setting1(
 
 def setting2_formula(M: float, K: float, alpha: float, beta: float, power: float) -> float:
     """The published setting-II cost as printed, (n v + 1)/(n^2 u^2 + n v + 1)
-    with n = M - K on ``asym._cap``'s (u, v).
-
-    No precondition check; the public ``cost_setting2`` enforces K < M.
-    """
-    _, u, v = asym._cap(alpha, beta, power)
-    n = M - K
-    num = n * v + 1.0
-    return num / (n * n * u * u + num)
+    with n = M - K: setting I's cost at (n, 0).  Raises InvalidScenario if K > M."""
+    return cost_setting1(M - K, 0.0, alpha, beta, power)
 
 
 def cost_setting2(M: int, K: int, alpha: float, beta: float, power: float) -> float:
@@ -95,9 +92,8 @@ def coordination_gap(
     jamming alpha^2 K P); the first is never smaller."""
     if K >= 1 and K >= M:
         raise InvalidScenario(f"K must be < M (got K={K}, M={M})")
-    a2p = alpha * (alpha * power)
-    coord = cost_setting1(M, K * K * a2p, alpha, beta, power)
-    indep = cost_setting1(M, K * a2p, alpha, beta, power)
+    coord = cost_setting1(M, effective_jam_power(K, 1.0, alpha, power), alpha, beta, power)
+    indep = cost_setting1(M, effective_jam_power(K, 0.0, alpha, power), alpha, beta, power)
     return coord, indep
 
 
@@ -179,7 +175,7 @@ def solve_setting1(s: NetworkScenario) -> EquilibriumReport:
         raise InvalidScenario(f"solve_setting1 requires SymI, got {s.setting.value}")
     M, K = s.num_transmitters, s.num_adversaries
     alpha, beta, power = _common_params(s)
-    cost = cost_setting1(M, K * K * (alpha * (alpha * power)), alpha, beta, power)
+    cost = cost_setting1(M, effective_jam_power(K, 1.0, alpha, power), alpha, beta, power)
     profile = theorem1_profile(s)
     oracle = asym.direct_mmse_cost(s, profile)
     notes = (f"|closed-form - oracle| = {abs(cost - oracle):.3e}",)
@@ -208,9 +204,8 @@ def solve_setting2(s: NetworkScenario) -> EquilibriumReport:
     if s.setting is not Setting.SYM_II:
         raise InvalidScenario(f"solve_setting2 requires SymII, got {s.setting.value}")
     printed, profile, oracle, note = _stackelberg(s)
-    _, u, v = asym._cap(*_common_params(s))
-    n = s.num_transmitters - s.num_adversaries
-    printed_gain = n * u / (n * n * u * u + n * v + 1.0)
+    printed_gain = decoder_gain_setting1(
+        s.num_transmitters - s.num_adversaries, 0.0, *_common_params(s))
     notes = (note, f"published decoder gain = {printed_gain!r}, "
                    f"Bayes gain = {profile.decoder_gain!r}")
     return EquilibriumReport(cost=printed, profile=profile, multipliers={},
@@ -261,7 +256,7 @@ def solve_setting3(s: NetworkScenario) -> EquilibriumReport:
     m_eps0 = eps0 * M
     notes = (
         f"epsilon0 = {eps0!r} (M*epsilon0 = {m_eps0!r}, "
-        f"{'integer' if abs(m_eps0 - round(m_eps0)) < 1e-9 else 'non-integer'})",
+        f"{'integer' if abs(m_eps0 - round(m_eps0)) < INTEGER_TOL else 'non-integer'})",
     )
     if branch == "stackelberg":
         cost, profile, oracle, note = _stackelberg(s)
@@ -271,7 +266,7 @@ def solve_setting3(s: NetworkScenario) -> EquilibriumReport:
         if branch == "tie":
             other_cost, _, other_oracle, _ = _stackelberg(s)
             tie = (
-                "tie: |epsilon - epsilon0| < 1e-12; both branches apply",
+                f"tie: |epsilon - epsilon0| < {TIE_TOL}; both branches apply",
                 f"stackelberg branch cost = {other_cost!r}, oracle = {other_oracle!r}",
             )
         cost = cost_setting1(

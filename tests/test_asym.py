@@ -536,6 +536,28 @@ def test_adversary_response_lanes_match_the_scalar_solve():
     assert outcomes["root"] > 100 and outcomes["NonConvergence"] > 100, outcomes
 
 
+def test_follower_lambda2_has_the_oracle_statistics_bits():
+    # lambda2 = -(2 P_A + 2 lambda1 (1 + own_t))/r_t on the oracle's own
+    # (r_t, own_t): the follower sums the transmitters term by term as
+    # ``_transmit_stats`` does, on each row and on the lanes.
+    rng = np.random.default_rng(26)
+    rows = 0
+    for _ in range(300):
+        s = random_asym_scenario(rng, Setting.ASYM_II)
+        p_a = s.sum_power_attack
+        c_m = rng.standard_normal((8, s.num_transmitters))
+        respond = asym._follower(s, p_a)
+        lam1, lam2, _, ok = respond(c_m)
+        r_t, own_t = asym._transmit_stats(s, c_m.T)
+        assert lam2[ok].tolist() == (-(2.0 * p_a + 2.0 * lam1 * (1.0 + own_t)) / r_t)[ok].tolist()
+        for row in c_m[ok]:
+            row_lam1, row_lam2 = respond(row)[:2]
+            r, own = asym._transmit_stats(s, tuple(float(c) for c in row))
+            assert row_lam2 == -(2.0 * p_a + 2.0 * row_lam1 * (1.0 + own)) / r
+            rows += 1
+    assert rows > 1000, rows
+
+
 def test_theorem5_outer_residual_has_one_sign_change_on_random_instances():
     rng = np.random.default_rng(20240818)
     counts = collections.Counter()

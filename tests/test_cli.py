@@ -744,6 +744,58 @@ def test_verify_extreme_gains_exit_0(tmp_path, overrides):
     assert adv["best_deviation_cost"] >= adv["base_cost"]
 
 
+@pytest.mark.parametrize("overrides", [
+    {"setting": "SymII", "transmitters": {**_sensors(8.21e127, 2.16e196, 6.66e22), "count": 6},
+     "adversaries": _sensors(8.21e127, 2.16e196, 6.66e22)},
+    _sym3(3, 2, 0.0, 1.0, alpha=3.7416074945433805e149, beta=6.310504671531278e176,
+          power=1.8364179601674006e-111),
+], ids=["SymII", "SymIII-stackelberg"])
+def test_verify_where_alpha_beta_overflows_exit_0(tmp_path, capsys, overrides):
+    # alpha*beta overflows while beta*c*alpha, the oracle's source term, does
+    # not: the adversary check's follower sums the transmitters as the oracle
+    # does, so it exists wherever the report's cost does.
+    cfg = _write_config(tmp_path, **overrides)
+    for command in ("closed-form", "verify"):
+        assert main([command, "--config", str(cfg)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    payload = _strict_json((tmp_path / "run.json").read_text())
+    for check in ("adversary_check", "transmitter_check"):
+        assert math.isfinite(payload[check]["best_deviation_cost"])
+
+
+_ASYM2_BUDGETS = {**_ASYM_BUDGETS, "setting": "AsymII"}
+
+
+@pytest.mark.parametrize("command, overrides, error", [
+    ("closed-form", {"setting": "SymIV"}, "unknown setting 'SymIV'"),
+    ("sweep", {"sweep": {"param": "gamma", "from": 0.0, "to": 1.0, "steps": 3}},
+     "unknown sweep param 'gamma'"),
+    ("closed-form", {"output_path": ""}, "output_path must be a nonempty string"),
+    ("closed-form", {"output_path": 3}, "output_path must be a nonempty string"),
+    ("ceo-curve", {"transmitters": []}, "ceo-curve needs at least one transmitter"),
+    ("closed-form", _sym3(4, 3, 0.5, 0.5), "K*eta must be an integer (got 1.5)"),
+    ("solve-asym", {"setting": "AsymI", "sum_power_transmit": 2.0},
+     "P_A required for asymmetric settings"),
+    ("solve-asym", {**_ASYM2_BUDGETS, "adversaries": []},
+     "solve_theorem5 requires at least one adversary"),
+    ("solve-asym", {**_ASYM2_BUDGETS, "transmitters": []},
+     "solve_theorem5 requires at least one transmitter"),
+    ("solve-asym", {**_ASYM2_BUDGETS, "sum_power_attack": 0.0}, "solve_theorem5 requires P_A > 0"),
+    # The merged scan's follower raises EmptyAdversarySet; each point then
+    # solves alone and refuses the scenario.
+    ("sweep", {**_ASYM2_BUDGETS, "adversaries": [],
+               "sweep": {"param": "P_A", "from": 0.5, "to": 1.0, "steps": 3}},
+     "solve_theorem5 requires at least one adversary"),
+], ids=["unknown-setting", "unknown-sweep-param", "output-path-empty", "output-path-number",
+        "ceo-curve-no-transmitters", "SymIII-K-eta-fraction", "AsymI-no-P_A",
+        "AsymII-no-adversaries", "AsymII-no-transmitters", "AsymII-P_A-0",
+        "AsymII-P_A-sweep-no-adversaries"])
+def test_invalid_inputs_exit_1_with_one_line(tmp_path, capsys, command, overrides, error):
+    cfg = _write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"jamnet: invalid config: {error}\n")
+
+
 @pytest.mark.parametrize("error", [EmptyAdversarySet, NoRoot, JamnetError])
 @pytest.mark.parametrize("command, overrides", [
     ("closed-form", {}),

@@ -28,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from jamnet.cli import main
+from jamnet.model import KNOWN_DISCREPANCY_TAGS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 EXIT_CODES = GOLDEN_DIR / "exit_codes.json"
@@ -178,6 +179,21 @@ def test_golden_output(name, tmp_path):
         _compare_csv(csv_text, want_csv.read_text(), f"{name}.csv")
     _compare(json.loads(json_text), json.loads((GOLDEN_DIR / f"{name}.json").read_text()),
              f"{name}.json")
+
+
+def test_every_tag_a_note_ends_with_is_registered():
+    # A report-level or sweep-level note that ends in [tag] names a
+    # registered discrepancy with a description.
+    tags = set()
+    for path in sorted(GOLDEN_DIR.glob("*.json")):
+        payload = json.loads(path.read_text())
+        notes = payload.get("report", {}).get("discrepancy_notes", [])
+        for note in notes + payload.get("discrepancy_notes", []):
+            tag = re.search(r"\[([^\[\]]+)\]$", note)
+            if tag:
+                assert KNOWN_DISCREPANCY_TAGS.get(tag[1]), f"{path.name}: {note!r}"
+                tags.add(tag[1])
+    assert len(tags) >= 5, tags
 
 
 def _numbers(value) -> list:

@@ -15,6 +15,7 @@ from jamnet import (
     make_symmetric,
 )
 from jamnet import asym, symmetric as sym
+from conftest import random_symmetric_configs
 
 
 def test_cost_setting1_examples():
@@ -62,6 +63,18 @@ def test_setting2_oracle_pairing():
     assert rep.cost == pytest.approx(0.75, abs=1e-15)
     assert rep.oracle_cost == pytest.approx(5.0 / 6.0, abs=1e-14)
     assert any("sym2-noise-term" in n for n in rep.discrepancy_notes)
+
+
+def test_stackelberg_oracle_is_setting1_at_m_minus_k_with_2kv():
+    # The oracle counts the own noise of all M + K sensors, the printed
+    # setting-II cost that of M - K: the oracle's Stackelberg cost is setting
+    # I's pair at n = M - K with received noise 2K*v, the printed one at (n, 0).
+    for M, K, alpha, beta, power in random_symmetric_configs(2000, 11):
+        s = make_symmetric(M, K, alpha, beta, power, Setting.SYM_II)
+        _, _, oracle, _ = sym._stackelberg(s)
+        v = asym._cap(alpha, beta, power)[2]
+        want = sym.cost_setting1(M - K, 2 * K * v, alpha, beta, power)
+        assert oracle == pytest.approx(want, rel=1e-12, abs=0.0), (M, K, alpha, beta, power)
 
 
 def test_cost_setting1_monotone_in_m_and_q():
