@@ -19,8 +19,14 @@ only.  The second
 singular value is then the larger of two half-size symmetric eigenproblems:
 B on the odd vectors (by Mehler's expansion the maximal correlation's
 singular function is odd) and B on the even vectors deflated by the
-constants' singular pair.  Everything runs on the calling thread, and the
-result is bit-for-bit the same for any BLAS thread count.
+constants' singular pair.  Everything runs on the calling thread except
+the two ``numpy.linalg.eigvalsh`` calls, which LAPACK runs on the BLAS
+library's thread pool unless that is limited to one thread (for OpenBLAS,
+OPENBLAS_NUM_THREADS=1).  That pool can stall on a loaded machine: on a
+shared 2-core box, 40 calls of the pair at grid 257 and rho = 0.5 took
+median 1.77 ms but p90 44 ms under OpenBLAS's default two threads, against
+median 1.67 ms and p90 1.71 ms on one.  The result is bit-for-bit the same
+for any BLAS thread count.
 """
 
 from __future__ import annotations

@@ -9,23 +9,32 @@ worker count never changes the result.
 
 The received signal is Y = (tx_src*S + sum_m alpha_m*c_m*W_m) +
 (adv_src*S + sum_k alpha_k*c_k*W_{M+k} + sum_j amp_j*theta_j) + Z, the
-transmitter part multiplied by the randomization coin where the profile is
-randomized.  The sensing noises W, the noises theta_j and Z are independent
-zero-mean Gaussians, independent of S and of the coin, that reach the error
-only through their sum within each part.  A sum of independent zero-mean
-Gaussians is one zero-mean Gaussian whose variance is the sum of theirs, so
-each part's noise is drawn as one normal scaled by the root of that sum:
-tx_sd = hypot(alpha_m*c_m) for the transmitter part, and rx_sd =
-hypot(alpha_k*c_k, 1, amp_j) for the rest, with amp_j the summed amplitude
-on theta_j of the adversary strategy's linear-Gaussian form (see ``model``).
-The joint law of (S, coin, error) is unchanged, so the draw is exact in
-distribution, and a block costs the same for any M, K and J.
+transmitter part multiplied by the randomization coin gamma = +-1 where the
+profile is randomized, and the receiver decodes gamma*Y (gamma = 1 for a
+deterministic profile).  The sensing noises W, the noises theta_j and Z are
+independent zero-mean Gaussians, independent of S and of the coin, with
+amp_j the summed amplitude on theta_j of the adversary strategy's
+linear-Gaussian form (see ``model``).  Write N_t and N_r for the summed
+noise of the transmitter part and of the rest, each scaled to unit
+variance.  In gamma*Y the transmitter part enters as is (gamma^2 = 1) and
+the rest's noise as gamma*N_r; N_r is symmetric and independent of the
+coin, so gamma*N_r is a standard normal independent of (S, gamma, N_t).  A
+sum of independent zero-mean Gaussians is one zero-mean Gaussian whose
+variance is the sum of theirs, so
+
+    gamma*Y = (tx_src + gamma*adv_src)*S + sd*N,
+    sd = hypot(alpha_m*c_m, alpha_k*c_k, 1, amp_j),
+
+with N one standard normal.  The joint law of (S, coin, error) is
+unchanged, so the draw is exact in distribution, and a block costs the same
+for any M, K and J.  The coin only selects one of the two source gains
+tx_src + adv_src and tx_src - adv_src, each formed once as a float.
 
 Per block of n samples the draws are, in order: the source (n normals), the
-transmitter noise (n), skipped when tx_sd is 0, the randomization coin (n
-uniforms), drawn only for a randomized profile, and the received noise (n).
-A block holds SCRATCH_ROWS n-vectors and draws and computes into them in
-place; the calling thread allocates them, one set per worker.
+randomization coin (n uniforms), drawn only for a randomized profile, and
+the noise (n normals).  A block holds SCRATCH_ROWS n-vectors and draws and
+computes into them in place; the calling thread allocates them, one set per
+worker.
 
 The verification half checks the two saddle inequalities with each side's
 exact best response within the linear-Gaussian class, costed from its
@@ -56,7 +65,7 @@ from .model import (
 )
 
 BLOCK_SIZE = 1 << 14
-SCRATCH_ROWS = 5  # src, tx, y, gamma, w: the n-vectors a block holds
+SCRATCH_ROWS = 3  # src, y, w: the n-vectors a block holds
 ROUNDING = 1e-13  # a cost gain below this is rounding (1 - ratio rounds near 1e-16)
 
 
@@ -85,14 +94,14 @@ class BestResponseReport:
 
 
 def _block_gains(s: NetworkScenario, p: StrategyProfile):
-    """(tx_src, tx_sd, adv_src, rx_sd): the received-signal gains every
-    block uses.  The transmitter part of Y is tx_src*S + tx_sd*N_t, the
-    rest adv_src*S + rx_sd*N_r, with N_t and N_r standard normals standing
-    for the summed sensing, adversary and channel noises (see the module
-    docstring).  ``math.hypot`` forms each root without squaring, so it is
-    finite wherever the root is.  Computed once on the calling
-    thread, so the worker threads call only numpy and a tracer wrapping the
-    package's public functions (perfbench) never sees a call from them.
+    """(tx_src, adv_src, sd): the received-signal gains every block uses.
+    The receiver's statistic is (tx_src + gamma*adv_src)*S + sd*N, with N
+    one standard normal standing for the summed sensing, adversary and
+    channel noises (see the module docstring).  ``math.hypot`` forms the
+    root without squaring, so it is finite wherever the root is.  Computed
+    once on the calling thread, so the worker threads call only numpy and a
+    tracer wrapping the package's public functions (perfbench) never sees a
+    call from them.
     """
     rows, n_noises = p.adversary.lower(s.adversaries)
     amps = [0.0] * n_noises
@@ -101,9 +110,9 @@ def _block_gains(s: NetworkScenario, p: StrategyProfile):
             amps[j] += q.alpha * ss
     tx = list(zip(s.transmitters, p.transmit_coeffs))
     adv = [(q, c) for q, (c, _, _) in zip(s.adversaries, rows)]
-    return (sum(q.alpha * c * q.beta for q, c in tx), math.hypot(*(q.alpha * c for q, c in tx)),
+    return (sum(q.alpha * c * q.beta for q, c in tx),
             sum(q.alpha * (c * q.beta) for q, c in adv),
-            math.hypot(*(q.alpha * c for q, c in adv), 1.0, *amps))
+            math.hypot(*(q.alpha * c for q, c in tx + adv), 1.0, *amps))
 
 
 def _block_stream(seed: int, block: int) -> np.random.Generator:
@@ -125,29 +134,25 @@ def _simulate_block(
     the block allocates nothing n-sized itself.
     """
     g = _block_stream(seed, block)
-    tx_src, tx_sd, adv_src, rx_sd = gains
-    src, tx, y, gamma, w = scratch[:, :n]
+    tx_src, adv_src, sd = gains
+    src, y, w = scratch[:, :n]
 
     g.standard_normal(out=src)
-    np.multiply(src, tx_src, out=tx)
-    if tx_sd:  # silent transmitters draw no noise
-        g.standard_normal(out=w)
-        w *= tx_sd
-        tx += w
     if p.randomized:
-        g.random(out=gamma)  # the coin, drawn only when it is used
-        np.less(gamma, 0.5, out=gamma)  # 1 where coin < 1/2, else 0
-        gamma *= 2.0
-        gamma -= 1.0
+        g.random(out=w)  # the coin, drawn only when it is used
+        np.less(w, 0.5, out=w)  # 1 where coin < 1/2, else 0
+        w *= 2.0
+        w -= 1.0  # gamma
+        # gamma*adv_src is +-adv_src exactly, so each sample's gain is
+        # exactly the float tx_src + adv_src or tx_src - adv_src.
+        w *= adv_src
+        w += tx_src
+        w *= src
+    else:
+        np.multiply(src, tx_src + adv_src, out=w)
     g.standard_normal(out=y)
-    y *= rx_sd
-    np.multiply(src, adv_src, out=w)
-    y += w
-    if p.randomized:
-        # The receiver's gamma*Y = gamma*rest + tx, as gamma^2 = 1; negation
-        # is exact, so this has the bits of gamma*(rest + gamma*tx).
-        y *= gamma
-    y += tx
+    y *= sd
+    y += w  # y is now gamma*Y, in distribution
     y *= p.decoder_gain  # y is now the decoded estimate
     np.subtract(src, y, out=y)
     np.square(y, out=y)  # squared errors

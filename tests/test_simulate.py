@@ -73,22 +73,17 @@ def test_monte_carlo_pool_equals_block_ordered_serial_reduction(monkeypatch):
 
 def _ref_simulate_block(p, gains, n, seed, block):
     """The block with every intermediate a fresh array: the reference the
-    in-place block must match bit for bit.  Silent transmitters draw no
-    noise and a deterministic profile draws no coin."""
+    in-place block must match bit for bit.  It draws the source, the coin
+    (a randomized profile only) and then one normal for all of the noise."""
     g = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, block])))
-    tx_src, tx_sd, adv_src, rx_sd = gains
+    tx_src, adv_src, sd = gains
     src = g.standard_normal(n)
-    tx = tx_src * src
-    if tx_sd:
-        tx += tx_sd * g.standard_normal(n)
     if p.randomized:
-        gamma = np.where(g.random(n) < 0.5, 1.0, -1.0)
-        tx *= gamma
-    y = rx_sd * g.standard_normal(n)
-    y += adv_src * src
-    y += tx
-    decoded = p.decoder_gain * (gamma * y if p.randomized else y)
-    err2 = (src - decoded) ** 2
+        gain = np.where(g.random(n) < 0.5, tx_src + adv_src, tx_src - adv_src)
+    else:
+        gain = tx_src + adv_src
+    statistic = sd * g.standard_normal(n) + gain * src  # gamma*Y
+    err2 = (src - p.decoder_gain * statistic) ** 2
     return float(np.sum(err2)), float(np.sum(err2**2))
 
 
@@ -166,6 +161,32 @@ def test_in_place_block_equals_the_allocating_reference():
             fresh = np.empty((simulate.SCRATCH_ROWS, n))
             assert simulate._simulate_block(p, gains, n, 9, block, fresh) == ref
             assert simulate._simulate_block(p, gains, n, 9, block, dirty) == ref
+
+
+def test_a_block_draws_two_normals_per_sample_and_the_coin(monkeypatch):
+    # One block consumes exactly the source and the noise, n normals each,
+    # with the coin's n uniforms between them for a randomized profile.
+    fresh = simulate._block_stream
+    streams = []
+
+    def recording(seed, block):
+        g = fresh(seed, block)
+        streams.append((seed, block, g))
+        return g
+
+    monkeypatch.setattr(simulate, "_block_stream", recording)
+    for s, p in _block_cases():
+        for n in (simulate.BLOCK_SIZE, 1000, 1):
+            streams.clear()
+            simulate.run_monte_carlo(s, p, n, seed=5)
+            [(seed, block, g)] = streams
+            expected = fresh(seed, block)
+            expected.standard_normal(n)
+            if p.randomized:
+                expected.random(n)
+            expected.standard_normal(n)
+            np.testing.assert_equal(g.bit_generator.state, expected.bit_generator.state,
+                                    err_msg=f"{s.setting} randomized={p.randomized} n={n}")
 
 
 def _bayes_block_cases():
