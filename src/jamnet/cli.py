@@ -7,7 +7,9 @@ number, finite only; a repeated key anywhere is an error.  The scenario's
 own rules (SymIII's epsilon/eta, the sum budgets) are `validate_scenario`'s.
 Every run writes `<out>.csv` (tabular results) and `<out>.json` (the full
 report with strategies, multipliers and discrepancy notes).  Identical
-config and seed produce byte-identical outputs.
+config and seed produce byte-identical outputs.  Each runner imports the
+solver module it dispatches to when it runs, so a command loads only what
+it uses, and a config that exits 1 before a solver runs never imports numpy.
 
 Exit codes: 0 success, 1 a config that cannot be read, invalid
 config/scenario/profile (`_INVALID_INPUT`) or outputs that cannot be
@@ -27,7 +29,6 @@ import math
 import sys
 from pathlib import Path
 
-from . import asym, bounds, simulate, symmetric
 from .model import (
     KNOWN_DISCREPANCY_TAGS,
     InvalidProfile,
@@ -200,7 +201,7 @@ def parse_config(document: str, command: str) -> RunConfig:
     if "monte_carlo" in raw:
         node = _object(raw["monte_carlo"], "monte_carlo", ("samples", "seed"))
         mc = MonteCarloConfig(
-            samples=_integer(node["samples"], "monte_carlo.samples", 1, MAX_SAMPLES),
+            samples=_integer(node["samples"], "monte_carlo.samples", 2, MAX_SAMPLES),
             seed=_integer(node["seed"], "monte_carlo.seed", 0, 2**64 - 1))
 
     sweep = None
@@ -237,12 +238,16 @@ def parse_config(document: str, command: str) -> RunConfig:
 
 def equilibrium_report(s: NetworkScenario):
     """The setting's equilibrium report (closed form or solver)."""
-    if s.setting is Setting.SYM_I:
-        return symmetric.solve_setting1(s)
-    if s.setting is Setting.SYM_II:
-        return symmetric.solve_setting2(s)
-    if s.setting is Setting.SYM_III:
+    if s.setting.is_symmetric:
+        from . import symmetric
+
+        if s.setting is Setting.SYM_I:
+            return symmetric.solve_setting1(s)
+        if s.setting is Setting.SYM_II:
+            return symmetric.solve_setting2(s)
         return symmetric.solve_setting3(s)
+    from . import asym
+
     if s.setting is Setting.ASYM_I:
         return asym.solve_theorem4(s)
     return asym.solve_theorem5(s)
@@ -269,6 +274,8 @@ def _run_closed_form(cfg: RunConfig):
     s = cfg.scenario
     if not s.setting.is_symmetric:
         raise InvalidScenario("closed-form handles the symmetric settings; use solve-asym")
+    from . import symmetric
+
     report = equilibrium_report(s)
     alpha, beta, power = symmetric._common_params(s)
     rows = [[s.setting.value, s.num_transmitters, s.num_adversaries,
@@ -300,6 +307,8 @@ def _run_solve_asym(cfg: RunConfig):
 
 
 def _run_simulate(cfg: RunConfig):
+    from . import simulate
+
     s = cfg.scenario
     mc = cfg.monte_carlo
     report = equilibrium_report(s)
@@ -320,6 +329,8 @@ def _run_simulate(cfg: RunConfig):
 
 
 def _run_verify(cfg: RunConfig):
+    from . import simulate
+
     s = cfg.scenario
     report = equilibrium_report(s)
     adv, tx = simulate.verify_saddle_point(s, report.profile)
@@ -345,6 +356,8 @@ def _run_ceo_curve(cfg: RunConfig):
     betas = [p.beta for p in s.transmitters]
     if not betas:
         raise InvalidScenario("ceo-curve needs at least one transmitter")
+    from . import bounds
+
     if cfg.sweep is not None:
         rates = _sweep_values(cfg.sweep)
     else:
@@ -359,6 +372,8 @@ def _run_ceo_curve(cfg: RunConfig):
 
 
 def _run_maxcorr(cfg: RunConfig):
+    from . import bounds
+
     if cfg.sweep is not None:
         rhos = _sweep_values(cfg.sweep)
     else:
@@ -399,6 +414,8 @@ def _sweep_reports(s: NetworkScenario, param: str, values: list[float]):
     of up to ``SWEEP_CHUNK`` points are one lane pass (``asym.theorem5_scans``)
     and each point's report is ``asym.solve_theorem5`` on its own slice.
     """
+    from . import asym
+
     lanes = (s.setting is Setting.ASYM_II
              and _SWEEP_PARAMS[param][0] in ("sum_power_transmit", "sum_power_attack"))
     size = SWEEP_CHUNK if lanes else 1

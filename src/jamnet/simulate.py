@@ -3,9 +3,10 @@
 Sampling is organized in fixed 16384-sample blocks; block j draws from its
 own SFC64 stream seeded by SeedSequence([seed, j]) and partial sums are
 reduced in block order, so ``(seed, samples)`` determines the result
-bit-for-bit.  The blocks run on one thread pool of min(blocks, CPUs this
-process may use) workers, worker w taking blocks w, w + workers, ...; the
-worker count never changes the result.
+bit-for-bit.  The blocks run in min(blocks, CPUs this process may use)
+stripes, stripe w taking blocks w, w + workers, ...: the calling thread runs
+stripe 0 and one thread each the others; the worker count never changes the
+result.
 
 The received signal is Y = (tx_src*S + sum_m alpha_m*c_m*W_m) +
 (adv_src*S + sum_k alpha_k*c_k*W_{M+k} + sum_j amp_j*theta_j) + Z, the
@@ -46,10 +47,10 @@ points of Theorem 5's frontier, each against its follower, run as lanes.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -167,10 +168,10 @@ def run_monte_carlo(
 
     Identical (seed, samples) give bit-identical results for any number of
     workers; the standard error is the sample standard deviation of the
-    squared errors divided by sqrt(samples).
+    squared errors divided by sqrt(samples), so ``samples`` must be at least 2.
     """
-    if samples < 1:
-        raise InvalidProfile("samples must be >= 1")
+    if samples < 2:
+        raise InvalidProfile("samples must be >= 2")
     if not 0 <= seed < 2**64:
         raise InvalidProfile("seed must be an unsigned 64-bit integer")
     validate_profile(s, p)
@@ -179,21 +180,32 @@ def run_monte_carlo(
     n_blocks = (samples + BLOCK_SIZE - 1) // BLOCK_SIZE
 
     workers = min(n_blocks, _usable_cpus())
-    # Worker w runs blocks w, w + workers, ... in its own scratch rows.  The
-    # scratch is allocated here, on the calling thread, so the workers'
+    # Stripe w runs blocks w, w + workers, ... in its own scratch rows.  The
+    # scratch is allocated here, on the calling thread, so the threads'
     # per-thread malloc arenas never hold block-sized arrays: the process's
     # memory then does not depend on which thread ran which block, or on how
-    # many arenas the short-lived pool threads happened to create.
+    # many arenas the short-lived threads happened to create.
     scratch = np.empty((workers, SCRATCH_ROWS, min(BLOCK_SIZE, samples)))
     partials = [(0.0, 0.0)] * n_blocks
+    failures: list[BaseException | None] = [None] * workers
 
     def stripe(w: int) -> None:
-        for j in range(w, n_blocks, workers):
-            n = min(BLOCK_SIZE, samples - j * BLOCK_SIZE)
-            partials[j] = _simulate_block(p, gains, n, seed, j, scratch[w])
+        try:
+            for j in range(w, n_blocks, workers):
+                n = min(BLOCK_SIZE, samples - j * BLOCK_SIZE)
+                partials[j] = _simulate_block(p, gains, n, seed, j, scratch[w])
+        except BaseException as exc:  # re-raised below, once every stripe has ended
+            failures[w] = exc
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(stripe, range(workers)))
+    threads = [threading.Thread(target=stripe, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    stripe(0)
+    for thread in threads:
+        thread.join()
+    for exc in failures:
+        if exc is not None:
+            raise exc
 
     sum_e2 = 0.0
     sum_e4 = 0.0
@@ -201,11 +213,8 @@ def run_monte_carlo(
         sum_e2 += a
         sum_e4 += b
     mean = sum_e2 / samples
-    if samples > 1:
-        var = max(0.0, (sum_e4 - samples * mean * mean) / (samples - 1))
-        se = math.sqrt(var / samples)
-    else:
-        se = 0.0
+    var = max(0.0, (sum_e4 - samples * mean * mean) / (samples - 1))
+    se = math.sqrt(var / samples)
     return MonteCarloResult(empirical_mse=mean, standard_error=se, samples=samples, seed=seed)
 
 

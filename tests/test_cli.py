@@ -1,6 +1,8 @@
+import ast
 import collections
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
@@ -342,6 +344,8 @@ _SYM3_FRACTIONS = {"setting": "SymIII", "epsilon": 0.5, "eta": 1.0}
         ("simulate", {"monte_carlo": {"samples": 100, "seed": True}}),
         ("closed-form", {"transmitters": {"count": 2, "alpha": 10**400, "beta": 1.0, "power": 1.0}}),
         ("simulate", {"monte_carlo": {"samples": 100, "seed": 1, "chunks": 2}}),
+        # One draw has no sample standard deviation, so no standard error.
+        ("simulate", {"monte_carlo": {"samples": 1, "seed": 1}}),
         # Integers beyond their bound, rejected before anything is sized by them.
         ("closed-form", {"transmitters": {"count": 10**400, "alpha": 1.0, "beta": 1.0,
                                           "power": 1.0}}),
@@ -363,11 +367,11 @@ _SYM3_FRACTIONS = {"setting": "SymIII", "epsilon": 0.5, "eta": 1.0}
         ("sweep", {"sweep": {"param": "P", "from": 1.0, "to": float("inf"), "steps": 2}}),
     ],
     ids=["alpha-string", "alpha-null", "P_T-string", "epsilon-string", "count-bool", "seed-bool",
-         "alpha-int-overflow", "mc-chunks-unknown-key", "count-10e400", "count-above-bound",
-         "maxcorr-steps-10e400", "ceo-curve-steps-10e400", "sweep-steps-above-bound",
-         "samples-10e20", "samples-above-bound", "SymI-P_T-NaN", "SymI-epsilon-Infinity",
-         "SymI-P_A-1e400", "SymI-P_A-minus-Infinity", "SymIII-verify-P_T-NaN", "beta-1e400",
-         "sweep-to-Infinity"],
+         "alpha-int-overflow", "mc-chunks-unknown-key", "samples-1", "count-10e400",
+         "count-above-bound", "maxcorr-steps-10e400", "ceo-curve-steps-10e400",
+         "sweep-steps-above-bound", "samples-10e20", "samples-above-bound", "SymI-P_T-NaN",
+         "SymI-epsilon-Infinity", "SymI-P_A-1e400", "SymI-P_A-minus-Infinity",
+         "SymIII-verify-P_T-NaN", "beta-1e400", "sweep-to-Infinity"],
 )
 def test_bad_numbers_exit_1_with_one_line(tmp_path, capsys, command, overrides):
     cfg = _write_config(tmp_path, **overrides)
@@ -834,7 +838,8 @@ def test_invalid_input_errors_keep_exit_1(tmp_path, capsys, monkeypatch, error):
 def test_cli_runs_without_scipy(tmp_path):
     # A fresh interpreter in which importing scipy fails: every command exits
     # 0, and no part of scipy is loaded, neither an optimization library for
-    # the solvers and certificates nor a normal CDF for maxcorr.
+    # the solvers and certificates nor a normal CDF for maxcorr.  Nor is
+    # concurrent.futures: the Monte Carlo stripes run on plain threads.
     sym2 = _write_config(tmp_path, "sym2.json", setting="SymII",
                          transmitters={"count": 3, "alpha": 1.0, "beta": 1.0, "power": 1.0},
                          adversaries={"count": 2, "alpha": 1.0, "beta": 1.0, "power": 1.0})
@@ -854,7 +859,6 @@ def test_cli_runs_without_scipy(tmp_path):
             "param": "rho", "from": 0.0, "to": 0.8, "steps": 2})),
     ]
     code = "\n".join([
-        "import sys",
         "class RefuseScipy:",
         "    def find_spec(self, name, path=None, target=None):",
         "        if name.split('.')[0] == 'scipy':",
@@ -863,16 +867,59 @@ def test_cli_runs_without_scipy(tmp_path):
         "from jamnet import cli",
         *(f"assert cli.main([{command!r}, '--config', {str(cfg)!r}]) == 0, {command!r}"
           for command, cfg in runs),
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
     ])
+    loaded = _modules_after(code)
+    assert not any(m.split(".")[0] == "scipy" for m in loaded)
+    assert {"jamnet.asym", "jamnet.bounds", "jamnet.simulate", "jamnet.symmetric"} <= loaded
+    assert "concurrent.futures" not in loaded
+    assert (tmp_path / "run.json").exists()
+
+
+def _modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code`` (which
+    may use ``sys``), with this checkout's jamnet first on its path."""
     src = str(Path(jamnet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = f"import sys\n{code}\nprint(sorted(sys.modules))"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
-    assert (tmp_path / "run.json").exists()
+    return set(ast.literal_eval(done.stdout.splitlines()[-1]))
+
+
+def test_a_command_imports_only_the_modules_it_runs(tmp_path):
+    # Each fresh interpreter imports the cli and runs at most one command: the
+    # package's exports are lazy and each runner imports its own solver
+    # module, so start-up pays only for what the command runs.  (Every
+    # command in one interpreter: test_cli_runs_without_scipy.)
+    solvers = {"jamnet.asym", "jamnet.symmetric", "jamnet.simulate", "jamnet.bounds"}
+
+    def after(*runs):
+        return _modules_after("\n".join([
+            "from jamnet import cli",
+            *(f"assert cli.main([{command!r}, '--config', {str(cfg)!r}]) == {code}, {command!r}"
+              for command, cfg, code in runs)]))
+
+    bare = _modules_after("import jamnet.cli")
+    assert "jamnet.cli" in bare and not bare & (solvers | {"numpy"})
+    rejected = _write_config(tmp_path, "rejected.json", monte_carlo={"samples": 1, "seed": 1})
+    assert "numpy" not in after(("simulate", rejected, 1))
+    maxcorr = _write_config(tmp_path, "maxcorr.json", sweep={
+        "param": "rho", "from": 0.0, "to": 0.8, "steps": 2})
+    assert after(("maxcorr", maxcorr, 0)) & solvers == {"jamnet.bounds"}
+    asym2 = _write_config(tmp_path, "asym2.json", setting="AsymII", sum_power_transmit=2.0,
+                          sum_power_attack=1.0)
+    assert after(("solve-asym", asym2, 0)) & solvers == {"jamnet.asym"}
+
+
+def test_package_exports_resolve_to_their_modules_objects():
+    for name in jamnet.__all__:
+        module = importlib.import_module(f"jamnet.{jamnet._EXPORTS[name]}")
+        assert getattr(jamnet, name) is getattr(module, name), name
+    assert set(jamnet.__all__) <= set(dir(jamnet))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        jamnet.no_such_name
 
 
 # -- config fuzz: every document ends in exit 0, 1 or 2 with one line --------

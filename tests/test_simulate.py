@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -71,6 +72,30 @@ def test_monte_carlo_pool_equals_block_ordered_serial_reduction(monkeypatch):
         assert simulate.run_monte_carlo(s, p, samples, seed=seed) == pooled
 
 
+@pytest.mark.parametrize("cpus", [2, 4])
+@pytest.mark.parametrize("stripe", [0, 1])
+def test_a_stripe_error_reaches_the_caller_after_every_stripe_ends(monkeypatch, cpus, stripe):
+    # The calling thread runs stripe 0 and one thread each the others.  A
+    # block that raises in either kind of stripe reaches the caller, and only
+    # after every stripe has ended, so no thread outlives the call.
+    s = make_symmetric(2, 1, 1.0, 1.0, 1.0, Setting.SYM_I)
+    p = sym.theorem1_profile(s)
+    block = simulate._simulate_block
+    failing = stripe + cpus  # the stripe's second block
+
+    def raising(p, gains, n, seed, j, scratch):
+        if j == failing:
+            raise RuntimeError(f"block {j}")
+        return block(p, gains, n, seed, j, scratch)
+
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(simulate, "_simulate_block", raising)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"^block {failing}$"):
+        simulate.run_monte_carlo(s, p, 3 * cpus * simulate.BLOCK_SIZE, seed=1)
+    assert threading.active_count() == threads
+
+
 def _ref_simulate_block(p, gains, n, seed, block):
     """The block with every intermediate a fresh array: the reference the
     in-place block must match bit for bit.  It draws the source, the coin
@@ -89,8 +114,8 @@ def _ref_simulate_block(p, gains, n, seed, block):
 
 def _ref_per_sensor_block(s, p, n, seed, block):
     """One draw per sensing noise, channel noise and theta_j, each added to
-    its part of Y with its own gain: the channel as written, against which
-    the block's one draw per part is checked in distribution."""
+    Y with its own gain: the channel as written, against which the block's
+    one noise draw per sample is checked in distribution."""
     g = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, block])))
     rows, n_noises = p.adversary.lower(s.adversaries)
     src = g.standard_normal(n)
@@ -133,7 +158,7 @@ def _block_cases():
     sd = _asym_distinct_scenario()
     p1 = sym.theorem1_profile(si)
     distinct = StrategyProfile(
-        transmit_coeffs=(0.9, 0.0, 0.3),  # a zero gain skips its noise row's add
+        transmit_coeffs=(0.9, 0.0, 0.3),  # a zero gain adds nothing to the noise's sd
         randomized=True,
         adversary=GeneralLinearGaussian(rows=((-0.5, 0.8, 0), (0.0, 0.0, 1))),
         decoder_gain=0.7,
@@ -176,7 +201,7 @@ def test_a_block_draws_two_normals_per_sample_and_the_coin(monkeypatch):
 
     monkeypatch.setattr(simulate, "_block_stream", recording)
     for s, p in _block_cases():
-        for n in (simulate.BLOCK_SIZE, 1000, 1):
+        for n in (simulate.BLOCK_SIZE, 1000, 2):
             streams.clear()
             simulate.run_monte_carlo(s, p, n, seed=5)
             [(seed, block, g)] = streams
@@ -194,9 +219,10 @@ def _bayes_block_cases():
             for s, p in _block_cases()]
 
 
-def test_one_draw_per_part_matches_the_per_sensor_channel():
-    # The block draws each part's noise as one normal; drawing every sensing
-    # noise, theta_j and Z on its own must give the same MSE in distribution.
+def test_one_noise_draw_matches_the_per_sensor_channel():
+    # The block draws all of Y's noise as one normal per sample; drawing every
+    # sensing noise, theta_j and Z on its own must give the same MSE in
+    # distribution.
     n, blocks, seed = simulate.BLOCK_SIZE, 62, 41
     samples = n * blocks
     assert samples >= 10**6
@@ -246,7 +272,7 @@ def test_zero_gain_sensors_consume_no_draws():
         padded = dataclasses.replace(
             p, transmit_coeffs=p.transmit_coeffs + (0.0,),
             adversary=GeneralLinearGaussian(rows=p.adversary.rows + ((0.0, 0.0, 2),)))
-        for samples, seed in ((70_000, 11), (1, 3)):
+        for samples, seed in ((70_000, 11), (2, 3)):
             a = simulate.run_monte_carlo(sd, p, samples, seed=seed)
             b = simulate.run_monte_carlo(wider, padded, samples, seed=seed)
             assert (b.empirical_mse, b.standard_error) == (a.empirical_mse, a.standard_error)
