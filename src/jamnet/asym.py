@@ -94,29 +94,27 @@ def _transmit_stats(s: NetworkScenario, coeffs):
     return r_t, own_t
 
 
-def _adversary_output_stats(s: NetworkScenario, rows, n_noises: int):
+def _adversary_output_stats(s: NetworkScenario, rows):
     """(sig, own, jam) of the adversaries' channel contribution, from the
-    rows (c_k, s_k, j_k) and noise count J of ``lower()``.
+    rows (c_k, s_k, j_k) of ``lower()``.
 
     The received adversary sum is sig*S + (own sensing-noise part with
     variance own) + (source-independent jamming with variance jam): c_k*U_k
     lands alpha_k*c_k*beta_k of the source and alpha_k*c_k of W_k.  Jamming
     amplitudes add within one noise index before squaring; the indices'
-    variances add.  c_k and s_k may be arrays of lanes; j_k may not.
+    variances add in ascending index.  c_k and s_k may be arrays of lanes;
+    j_k may not.
     """
     sig = own = 0.0
-    amps = [0.0] * n_noises
+    amps = {}  # noise index -> summed amplitude
     for p, (c, ss, j) in zip(s.adversaries, rows):
         alpha = p.alpha
         sig = sig + alpha * (c * p.beta)
         own = own + alpha * alpha * c * c
-        # j_k is unused where s_k = 0 (LinearMirror has no noises); adding a
-        # zero amplitude changes no amplitude.
-        if j < n_noises:
-            amps[j] = amps[j] + alpha * ss
+        amps[j] = amps.get(j, 0.0) + alpha * ss
     jam = 0.0
-    for amp in amps:
-        jam = jam + amp * amp
+    for j in sorted(amps):
+        jam = jam + amps[j] * amps[j]
     return sig, own, jam
 
 
@@ -149,7 +147,7 @@ def _cost(r_t, own_t, sig, own, jam, randomized: bool):
 def _profile_stats(s: NetworkScenario, p: StrategyProfile):
     """The five statistics of profile ``p`` and its ``randomized`` flag."""
     return (*_transmit_stats(s, p.transmit_coeffs),
-            *_adversary_output_stats(s, *p.adversary.lower(s.adversaries)), p.randomized)
+            *_adversary_output_stats(s, p.adversary.lower(s.adversaries)), p.randomized)
 
 
 def direct_mmse_cost(s: NetworkScenario, p: StrategyProfile) -> float:
@@ -588,7 +586,7 @@ def kkt_residuals(s: NetworkScenario, lambdas, transmit_coeffs, adversary_coeffs
     p_a = s.sum_power_attack
     lam1, lam2, lam3, lam4 = lambdas
     r_m, own_t = _transmit_stats(s, transmit_coeffs)
-    r_k, own_k, _ = _adversary_output_stats(s, [(c, 0.0, 0) for c in adversary_coeffs], 0)
+    r_k, own_k, _ = _adversary_output_stats(s, [(c, 0.0, 0) for c in adversary_coeffs])
     r, own = r_m + r_k, own_t + own_k
     j = 1.0 - r * r / (1.0 + own + r * r)
     jfac = j / (1.0 - j) if j < 1.0 else math.inf

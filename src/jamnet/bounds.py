@@ -92,7 +92,7 @@ def ceo_curve(rates, betas, sigma_s2: float = 1.0) -> list[RDPoint]:
     frac = None
     for r in rates:
         rate = float(r)
-        if rate < 0:
+        if not rate >= 0.0:  # NaN too
             raise ValueError("rate must be nonnegative")
         if frac is None:
             if not betas:
@@ -273,7 +273,7 @@ def discretized_correlation_operator(
     D cells (0, 0) and (n-1, 0); each takes a composite 6-node rule on panels
     of width <= 0.5 / kappa, at most 64 of them.
     """
-    if abs(rho) >= 1.0:
+    if not abs(rho) < 1.0:  # NaN too
         raise ValueError("|rho| must be < 1")
     if grid_n < 3:
         raise ValueError("grid_n must be >= 3")

@@ -291,7 +291,7 @@ def _run_solve_asym(cfg: RunConfig):
         raise InvalidScenario("solve-asym handles AsymI/AsymII; use closed-form")
     report = equilibrium_report(s)
     mult = report.multipliers
-    rows, _ = report.profile.adversary.lower(s.adversaries)
+    rows = report.profile.adversary.lower(s.adversaries)
     coeffs = list(report.profile.transmit_coeffs) + [c for c, _, _ in rows]
     max_res = max((abs(r) for r in report.kkt_residuals), default=0.0)
     header = (
@@ -534,7 +534,9 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = parse_config(document, args.command)
-        if args.out:
+        if args.out is not None:
+            if not args.out:
+                raise ParseError("--out must be a nonempty string")
             cfg = dataclasses.replace(cfg, output_path=args.out)
         if args.seed is not None and cfg.monte_carlo is not None:
             cfg = dataclasses.replace(

@@ -131,12 +131,11 @@ class NetworkScenario:
 
 
 # Every adversary strategy lowers to one linear-Gaussian form: adversary k
-# sends X_k = c_k*U_k + s_k*theta_{j_k}, where theta_0..theta_{J-1} are
-# independent unit normals drawn in index order and adversaries with the
-# same j share one realization.  ``lower`` returns the rows (c_k, s_k, j_k)
-# and J; j_k is unused where s_k = 0.  The oracle, the Monte Carlo and the
-# power checks read only this form.
-LoweredStrategy = tuple[list[tuple[float, float, int]], int]
+# sends X_k = c_k*U_k + s_k*theta_{j_k}, where the theta_j are independent
+# unit normals and adversaries with the same j share one realization.
+# ``lower`` returns the rows (c_k, s_k, j_k); j_k is unused where s_k = 0.
+# The oracle, the Monte Carlo and the power checks read only this form.
+LoweredStrategy = list[tuple[float, float, int]]
 
 
 def _noise_amplitude(variance: float) -> float:
@@ -156,13 +155,13 @@ class CoordinatedNoise:
 
     def lower(self, adversaries: tuple[SensorParams, ...]) -> LoweredStrategy:
         """Shared theta_0 for the coordinated prefix, theta_1..theta_{K-n} for
-        the rest; theta_0 is drawn even when no adversary coordinates."""
+        the rest."""
         K = len(adversaries)
         n = K if self.coordinated_count is None else self.coordinated_count
         if not 0 <= n <= K:
             raise InvalidProfile(f"coordinated_count must lie in [0, {K}]")
         s = _noise_amplitude(self.variance)
-        return [(0.0, s, max(0, k - n + 1)) for k in range(K)], 1 + K - n
+        return [(0.0, s, max(0, k - n + 1)) for k in range(K)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -175,8 +174,7 @@ class IndependentNoise:
         """Adversary k on its own theta_k, zero-variance slots included."""
         if len(self.variances) != len(adversaries):
             raise InvalidProfile("IndependentNoise needs one variance per adversary")
-        rows = [(0.0, _noise_amplitude(v), k) for k, v in enumerate(self.variances)]
-        return rows, len(rows)
+        return [(0.0, _noise_amplitude(v), k) for k, v in enumerate(self.variances)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -189,24 +187,23 @@ class LinearMirror:
         """c_k*U_k and no noise of its own."""
         if len(self.coeffs) != len(adversaries):
             raise InvalidProfile("LinearMirror needs one coefficient per adversary")
-        return [(c, 0.0, 0) for c in self.coeffs], 0
+        return [(c, 0.0, 0) for c in self.coeffs]
 
 
 @dataclasses.dataclass(frozen=True)
 class GeneralLinearGaussian:
     """Adversary k transmits c*U_k + s*theta_j for its row (c, s, j): the
-    lowered form itself, which every other class is a case of.  Deviation
-    class for best-response searches."""
+    lowered form itself, which every other class is a case of."""
 
     rows: tuple[tuple[float, float, int], ...]
 
     def lower(self, adversaries: tuple[SensorParams, ...]) -> LoweredStrategy:
-        """The rows as given, with J = 1 + max j_k."""
+        """The rows as given."""
         if len(self.rows) != len(adversaries):
             raise InvalidProfile("GeneralLinearGaussian needs one row per adversary")
         if not all(isinstance(j, int) and j >= 0 for _, _, j in self.rows):
             raise InvalidProfile("noise indices j_k must be nonnegative integers")
-        return list(self.rows), 1 + max((j for _, _, j in self.rows), default=-1)
+        return list(self.rows)
 
 
 AdversaryStrategy = Union[
@@ -248,7 +245,6 @@ class EquilibriumReport:
 # direct oracle are both evaluated and differ, or a solver had to choose
 # between several candidate solutions.
 KNOWN_DISCREPANCY_TAGS = {
-    "observation-model": "sensing model fixed as U = beta*S + W (the form all moment algebra requires)",
     "jammer-gain-alpha": "coordinated-jammer received power carries the channel gain: alpha^2*K^2*P",
     "sym2-noise-term": "setting-II closed form counts (M-K) own-noise terms; direct evaluation gives (M+K)",
     "asym1-cost-closed-form": "setting-I power-allocation cost closed form carries a spurious factor 2 per denominator",
@@ -387,16 +383,6 @@ def make_symmetric(
     )
 
 
-def adversary_second_moments(
-    s: NetworkScenario, strategy: AdversaryStrategy
-) -> list[float]:
-    """Per-adversary transmitted second moments E{X_k^2} = (c*beta)^2 + c^2 +
-    s^2 under ``strategy``."""
-    rows, _ = strategy.lower(s.adversaries)
-    return [(c * p.beta) * (c * p.beta) + c * c + ss * ss
-            for p, (c, ss, _) in zip(s.adversaries, rows)]
-
-
 def _over_budget(used: float, budget: float) -> bool:
     """Whether ``used`` exceeds ``budget`` by more than rounding: the
     tolerance POWER_TOL is relative for budgets above 1."""
@@ -416,7 +402,8 @@ def validate_profile(s: NetworkScenario, p: StrategyProfile) -> StrategyProfile:
 
     tx_moments = [(c * q.beta) * (c * q.beta) + c * c
                   for q, c in zip(s.transmitters, p.transmit_coeffs)]
-    adv_moments = adversary_second_moments(s, p.adversary)
+    adv_moments = [(c * q.beta) * (c * q.beta) + c * c + ss * ss
+                   for q, (c, ss, _) in zip(s.adversaries, p.adversary.lower(s.adversaries))]
     if not all(math.isfinite(v) for v in adv_moments):
         raise InvalidProfile("adversary output second moments must be finite and >= 0")
 

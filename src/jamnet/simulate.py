@@ -28,8 +28,9 @@ variance is the sum of theirs, so
 
 with N one standard normal.  The joint law of (S, coin, error) is
 unchanged, so the draw is exact in distribution, and a block costs the same
-for any M, K and J.  The coin only selects one of the two source gains
-tx_src + adv_src and tx_src - adv_src, each formed once as a float.
+for any M, K and adversary strategy.  The coin only selects one of the two
+source gains tx_src + adv_src and tx_src - adv_src, each formed once as a
+float.
 
 Per block of n samples the draws are, in order: the source (n normals), the
 randomization coin (n uniforms), drawn only for a randomized profile, and
@@ -57,7 +58,6 @@ import numpy as np
 from . import asym
 from .model import (
     InvalidProfile,
-    LinearMirror,
     NetworkScenario,
     NonConvergence,
     Setting,
@@ -104,16 +104,15 @@ def _block_gains(s: NetworkScenario, p: StrategyProfile):
     tracer wrapping the package's public functions (perfbench) never sees a
     call from them.
     """
-    rows, n_noises = p.adversary.lower(s.adversaries)
-    amps = [0.0] * n_noises
+    rows = p.adversary.lower(s.adversaries)
+    amps = {}  # noise index -> summed amplitude
     for q, (_, ss, j) in zip(s.adversaries, rows):
-        if ss:
-            amps[j] += q.alpha * ss
+        amps[j] = amps.get(j, 0.0) + q.alpha * ss
     tx = list(zip(s.transmitters, p.transmit_coeffs))
     adv = [(q, c) for q, (c, _, _) in zip(s.adversaries, rows)]
     return (sum(q.alpha * c * q.beta for q, c in tx),
             sum(q.alpha * (c * q.beta) for q, c in adv),
-            math.hypot(*(q.alpha * c for q, c in tx + adv), 1.0, *amps))
+            math.hypot(*(q.alpha * c for q, c in tx + adv), 1.0, *(amps[j] for j in sorted(amps))))
 
 
 def _block_stream(seed: int, block: int) -> np.random.Generator:
@@ -281,7 +280,7 @@ def best_response_adversary_search(s: NetworkScenario, p: StrategyProfile) -> Be
         spare = 0.0 if branch == "Theorem-5 follower" else max(0.0, 1.0 - np.sum(m2 * c * c) / budget)
     noise = [math.sqrt(budget) * (q.alpha / w) * math.sqrt(spare) for q in s.adversaries]
     rows = [(float(ck) + 0.0, sk, 0) for ck, sk in zip(c, noise)]  # + 0.0: no -0 in the text
-    best = asym._cost(r_t, own_t, *asym._adversary_output_stats(s, rows, 1), p.randomized)
+    best = asym._cost(r_t, own_t, *asym._adversary_output_stats(s, rows), p.randomized)
     if not best > base + ROUNDING:
         return BestResponseReport(base, base, "no deviation improves on the profile", "AdversaryMax")
     desc = f"{branch}: c_k={_values([r[0] for r in rows])} on U_k, s_k={_values(noise)} on one shared noise"
@@ -344,9 +343,9 @@ def _frontier_response(s: NetworkScenario):
     _, ok, (lam3, _, c_m, _, _, c_k) = asym._outer(s, p_t, s.sum_power_attack)(asym._SCAN_GRID)
     if not ok.any():
         return math.inf, ""
-    rows = LinearMirror(coeffs=tuple(c_k[ok].T)).lower(s.adversaries)
+    rows = [(c, 0.0, 0) for c in c_k[ok].T]
     costs = asym._cost(*asym._transmit_stats(s, c_m[ok].T),
-                       *asym._adversary_output_stats(s, *rows), False)
+                       *asym._adversary_output_stats(s, rows), False)
     i = int(np.argmin(costs))
     return float(costs[i]), f"Theorem-5 frontier at lambda3={lam3[ok][i]:.6g}"
 
@@ -374,8 +373,8 @@ def best_response_transmitter_search(s: NetworkScenario, p: StrategyProfile) -> 
     if leader and s.setting is Setting.ASYM_II:
         best, desc = _frontier_response(s)
     else:
-        adversary = LinearMirror(coeffs=(-asym._cap(q.alpha, q.beta, q.power)[0],) * K) if leader else p.adversary
-        stats = sig, own, jam = asym._adversary_output_stats(s, *adversary.lower(s.adversaries))
+        rows = [(-asym._cap(q.alpha, q.beta, q.power)[0], 0.0, 0)] * K if leader else p.adversary.lower(s.adversaries)
+        stats = sig, own, jam = asym._adversary_output_stats(s, rows)
         if p.randomized:
             sig, B = 0.0, 1.0 + sig * sig + own + jam
         else:

@@ -387,14 +387,13 @@ def _batched_costs(s, profiles, sign=1.0):
     """The cost core on all ``profiles`` at once: one lane per profile, every
     coefficient multiplied by ``sign``."""
     lowered = [p.adversary.lower(s.adversaries) for p in profiles]
-    (rows0, n_noises), K = lowered[0], s.num_adversaries
-    assert all(n == n_noises and [r[2] for r in rows] == [r[2] for r in rows0]
-               for rows, n in lowered)
-    rows = [tuple(sign * np.array([lw[0][k][i] for lw in lowered]) for i in range(2))
+    rows0, K = lowered[0], s.num_adversaries
+    assert all([r[2] for r in rows] == [r[2] for r in rows0] for rows in lowered)
+    rows = [tuple(sign * np.array([lw[k][i] for lw in lowered]) for i in range(2))
             + (rows0[k][2],) for k in range(K)]
     coeffs = [sign * np.array([p.transmit_coeffs[m] for p in profiles])
               for m in range(s.num_transmitters)]
-    stats = asym._transmit_stats(s, coeffs) + asym._adversary_output_stats(s, rows, n_noises)
+    stats = asym._transmit_stats(s, coeffs) + asym._adversary_output_stats(s, rows)
     return asym._cost(*stats, profiles[0].randomized)
 
 
@@ -405,9 +404,9 @@ def _ref_direct_cost(s, p):
     for q, c in zip(s.transmitters, p.transmit_coeffs):
         r_t += q.beta * c * q.alpha
         own_t += q.alpha ** 2 * c * c
-    rows, n_noises = p.adversary.lower(s.adversaries)
+    rows = p.adversary.lower(s.adversaries)
     sig = own = jam = 0.0
-    amps = [0.0] * n_noises
+    amps = [0.0] * (1 + max((j for _, _, j in rows), default=-1))
     for q, (c, ss, j) in zip(s.adversaries, rows):
         sig += q.alpha * (c * q.beta)
         own += q.alpha * q.alpha * c * c

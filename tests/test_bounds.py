@@ -28,6 +28,15 @@ def test_ceo_distortion_reads_a_one_shot_iterable_once():
     assert [pt.distortion for pt in curve] == [1.0, 0.625]
 
 
+def test_a_nan_rate_is_rejected():
+    with pytest.raises(ValueError, match="rate must be nonnegative"):
+        bounds.ceo_curve([math.nan], [1.0])
+    with pytest.raises(ValueError, match="rate must be nonnegative"):
+        bounds.ceo_curve([0.5, math.nan], [1.0])
+    with pytest.raises(ValueError, match="rate must be nonnegative"):
+        bounds.ceo_distortion(math.nan, [1.0])
+
+
 def _outcome(f):
     try:
         return [(pt.rate.hex(), pt.distortion.hex()) for pt in f()]
@@ -123,8 +132,9 @@ def test_maximal_correlation_singular_functions_affine():
 
 
 def test_maximal_correlation_input_guards():
-    with pytest.raises(ValueError):
-        bounds.maximal_correlation_discrete(1.0)
+    for rho in (1.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"\|rho\| must be < 1"):
+            bounds.maximal_correlation_discrete(rho)
     with pytest.raises(ValueError):
         bounds.maximal_correlation_discrete(0.5, grid_n=2)
     with pytest.raises(NumericalFailure):

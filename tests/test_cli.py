@@ -713,6 +713,14 @@ def test_out_with_suffix_writes_both_files(tmp_path):
     assert not (tmp_path / "run.csv").exists()
 
 
+def test_empty_out_exits_1_with_one_line(tmp_path, capsys):
+    # As an empty output_path does: no run falls back to the config's stem.
+    cfg = _write_config(tmp_path)
+    assert main(["closed-form", "--config", str(cfg), "--out", ""]) == 1
+    assert capsys.readouterr() == ("", "jamnet: invalid config: --out must be a nonempty string\n")
+    assert not (tmp_path / "run.csv").exists() and not (tmp_path / "run.json").exists()
+
+
 def test_seed_without_monte_carlo_changes_nothing(tmp_path):
     cfg = _write_config(tmp_path)
     assert main(["closed-form", "--config", str(cfg)]) == 0

@@ -13,6 +13,7 @@ from jamnet import (
     CoordinatedNoise,
     GeneralLinearGaussian,
     IndependentNoise,
+    InvalidProfile,
     LinearMirror,
     NonConvergence,
     Setting,
@@ -117,7 +118,7 @@ def _ref_per_sensor_block(s, p, n, seed, block):
     Y with its own gain: the channel as written, against which the block's
     one noise draw per sample is checked in distribution."""
     g = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, block])))
-    rows, n_noises = p.adversary.lower(s.adversaries)
+    rows = p.adversary.lower(s.adversaries)
     src = g.standard_normal(n)
     tx = sum(q.alpha * c * q.beta for q, c in zip(s.transmitters, p.transmit_coeffs)) * src
     adv = sum(q.alpha * c * q.beta for q, (c, _, _) in zip(s.adversaries, rows)) * src
@@ -130,7 +131,7 @@ def _ref_per_sensor_block(s, p, n, seed, block):
         gamma = np.where(g.random(n) < 0.5, 1.0, -1.0)
         tx *= gamma
     y += tx + adv
-    thetas = g.standard_normal((n_noises, n))
+    thetas = g.standard_normal((1 + max((j for _, _, j in rows), default=-1), n))
     for q, (_, ss, j) in zip(s.adversaries, rows):
         if ss:
             y += q.alpha * ss * thetas[j]
@@ -356,6 +357,34 @@ def test_monte_carlo_all_strategy_kinds_match_oracle():
         assert _agrees(r, analytic), (analytic, r.empirical_mse, r.standard_error)
 
 
+def test_noise_indices_with_gaps_equal_their_compact_labels():
+    # Rows on one index share one theta; the index values themselves, gaps
+    # included, change no bit of the oracle, the block gains or the Monte Carlo.
+    sd = make_symmetric(2, 3, 1.0, 1.0, 1.0, Setting.ASYM_I,
+                        sum_power_transmit=3.0, sum_power_attack=3.0)
+    s = dataclasses.replace(sd, adversaries=tuple(
+        dataclasses.replace(q, alpha=a, beta=b) for q, a, b in
+        zip(sd.adversaries, (1.5, 0.7, 1.1), (0.4, 1.2, 0.9))))
+
+    def profile(js, randomized):
+        rows = tuple((c, ss, j) for (c, ss), j in zip(((0.3, 0.5), (-0.2, 0.4), (0.1, 0.7)), js))
+        return asym._bayes_profile(s, (0.6, -0.4), randomized, GeneralLinearGaussian(rows=rows))
+
+    for randomized in (False, True):
+        gapped, compact = profile((5, 2, 5), randomized), profile((1, 0, 1), randomized)
+        assert gapped.decoder_gain == compact.decoder_gain
+        assert asym.direct_mmse_cost(s, gapped) == asym.direct_mmse_cost(s, compact)
+        assert simulate._block_gains(s, gapped) == simulate._block_gains(s, compact)
+        assert (simulate.run_monte_carlo(s, gapped, 2 * simulate.BLOCK_SIZE, seed=4)
+                == simulate.run_monte_carlo(s, compact, 2 * simulate.BLOCK_SIZE, seed=4))
+        # The sharing itself matters: three independent noises cost less.
+        independent = profile((0, 1, 2), randomized)
+        assert asym.direct_mmse_cost(s, independent) < asym.direct_mmse_cost(s, compact)
+    for j in (-1, 1.0):
+        with pytest.raises(InvalidProfile, match="nonnegative integers"):
+            profile((1, 0, j), False)
+
+
 def test_randomization_indifference_against_noise():
     # With a pure-noise adversary and the receiver tracking gamma, the
     # randomized and deterministic profiles cost the same.
@@ -442,7 +471,7 @@ def test_theorem2_profile_is_not_a_saddle():
     assert tx.best_deviation_cost >= tx.base_cost - 1e-8
     # No saddle in pure strategies: against the fixed mirror the transmitters
     # have a cheaper response (0.357 against 0.833).
-    sig, own, jam = asym._adversary_output_stats(s, *p.adversary.lower(s.adversaries))
+    sig, own, jam = asym._adversary_output_stats(s, p.adversary.lower(s.adversaries))
     coeffs, _ = simulate._box_response(s, p, sig, 1.0 + own + jam)
     fixed = asym.direct_mmse_cost(s, dataclasses.replace(p, transmit_coeffs=coeffs))
     assert fixed < adv.base_cost - 1e-2
@@ -761,7 +790,7 @@ def _ellipse_scan_cost(s, transmit_coeffs, points=4001, zooms=4):
 
     def costs(theta):
         rows = [(r * f(theta), 0.0, 0) for r, f in zip(radii, (np.cos, np.sin))]
-        return asym._cost(r_t, own_t, *asym._adversary_output_stats(s, rows, 0), False)
+        return asym._cost(r_t, own_t, *asym._adversary_output_stats(s, rows), False)
 
     if len(radii) == 1:
         return float(np.max(costs(np.array([0.0, math.pi]))))
@@ -878,9 +907,9 @@ def _random_distinct_asym_cases():
     return cases
 
 
-def _deviation_costs(s, p, rows, n_noises):
+def _deviation_costs(s, p, rows):
     r_t, own_t = asym._transmit_stats(s, p.transmit_coeffs)
-    return asym._cost(r_t, own_t, *asym._adversary_output_stats(s, rows, n_noises), p.randomized)
+    return asym._cost(r_t, own_t, *asym._adversary_output_stats(s, rows), p.randomized)
 
 
 def _random_deviation_costs(s, p, rng, draws=40, lanes=100):
@@ -902,7 +931,7 @@ def _random_deviation_costs(s, p, rng, draws=40, lanes=100):
             budget = s.sum_power_attack * rng.dirichlet(np.ones(K), lanes).T
         scaled = np.sqrt(budget)[:, None, :] * direction  # (c*sqrt(1 + beta^2), s)
         rows = [(scaled[k, 0] / m[k], scaled[k, 1], int(js[k])) for k in range(K)]
-        costs.append(_deviation_costs(s, p, rows, J))
+        costs.append(_deviation_costs(s, p, rows))
     return np.concatenate(costs)
 
 
@@ -956,7 +985,7 @@ def test_adversary_best_response_is_exact_and_attained():
             continue
         # The reported rows, read back from the text, attain the value.
         branch, rows = _reported_rows(report.deviation_params, s.num_adversaries)
-        assert _deviation_costs(s, p, rows, 1) == pytest.approx(best, rel=1e-5)
+        assert _deviation_costs(s, p, rows) == pytest.approx(best, rel=1e-5)
         branches.add(branch)
     assert branches == {"noise only", "source nulled", "interior", "Theorem-5 follower"}
 
@@ -1022,7 +1051,7 @@ def _named_response_cost(s, p, desc):
         if _leads(s, p):
             return _follower_cost(s, coeffs, (-x,) * s.num_adversaries)
     else:
-        sig, _, _ = asym._adversary_output_stats(s, *p.adversary.lower(s.adversaries))
+        sig, _, _ = asym._adversary_output_stats(s, p.adversary.lower(s.adversaries))
         if desc.startswith("schedule"):
             coeffs = np.array(asym._schedule(s, x, s.sum_power_transmit)[1])
         else:
@@ -1053,7 +1082,7 @@ def test_transmitter_best_response_is_exact_and_attained():
                     pass
         else:
             c = _random_transmit_lanes(s, rng, 4000, _silent(s, p))
-            stats = asym._adversary_output_stats(s, *p.adversary.lower(s.adversaries))
+            stats = asym._adversary_output_stats(s, p.adversary.lower(s.adversaries))
             costs = asym._cost(*asym._transmit_stats(s, c.T), *stats, p.randomized)
             assert np.min(costs) >= best - 1e-15
         if report.deviation_params.startswith("no "):
@@ -1077,7 +1106,7 @@ def test_sum_budget_response_branches_meet_at_the_slack_boundary():
     for _ in range(20):
         s = random_asym_scenario(rng, Setting.ASYM_I)
         adversary = LinearMirror(coeffs=tuple(rng.uniform(-1.0, 1.0, s.num_adversaries)))
-        sig, own, jam = asym._adversary_output_stats(s, *adversary.lower(s.adversaries))
+        sig, own, jam = asym._adversary_output_stats(s, adversary.lower(s.adversaries))
         B = 1.0 + own + jam
         used = sum(q.input_second_moment * (B / abs(sig) * (q.beta / q.alpha)) ** 2
                    for q in s.transmitters)
