@@ -151,6 +151,16 @@ def _number(value, where: str):
     raise ParseError(f"{where} must be a finite number")
 
 
+def _stem(value, where: str) -> str:
+    """``value`` less one trailing .csv/.json if that names a file, else ParseError."""
+    if not isinstance(value, str) or not value:
+        raise ParseError(f"{where} must be a nonempty string")
+    stem = value.rsplit(".", 1)[0] if value.endswith((".csv", ".json")) else value
+    if stem[-1:] in ("", "/"):
+        raise ParseError(f"{where} must name a file")
+    return stem
+
+
 def _sensor(node: dict, where: str) -> SensorParams:
     return SensorParams(**{key: _number(node[key], f"{where}.{key}") for key in _SENSOR_FIELDS})
 
@@ -166,8 +176,9 @@ def _parse_sensors(node, where: str) -> tuple[SensorParams, ...]:
     return (_sensor(node, where),) * count
 
 
-def parse_config(document: str, command: str) -> RunConfig:
-    """Parse and validate a config document for ``command``.
+def parse_config(document: str, command: str, out=None, seed=None) -> RunConfig:
+    """Parse and validate a config document for ``command``; ``out`` and
+    ``seed`` (--out, --seed) obey the rules of output_path and monte_carlo.seed.
 
     Raises ParseError for schema violations and propagates InvalidScenario
     from scenario validation.
@@ -203,6 +214,9 @@ def parse_config(document: str, command: str) -> RunConfig:
         mc = MonteCarloConfig(
             samples=_integer(node["samples"], "monte_carlo.samples", 2, MAX_SAMPLES),
             seed=_integer(node["seed"], "monte_carlo.seed", 0, 2**64 - 1))
+    if seed is not None:  # checked also where no monte_carlo block takes it
+        _integer(seed, "--seed", 0, 2**64 - 1)
+        mc = mc and dataclasses.replace(mc, seed=seed)
 
     sweep = None
     if "sweep" in raw:
@@ -227,9 +241,9 @@ def parse_config(document: str, command: str) -> RunConfig:
     if command == "sweep" and sweep is None:
         raise ParseError("sweep requires a sweep block")
 
-    output_path = raw.get("output_path", "jamnet-run")
-    if not isinstance(output_path, str) or not output_path:
-        raise ParseError("output_path must be a nonempty string")
+    output_path = _stem(raw.get("output_path", "jamnet-run"), "output_path")
+    if out is not None:
+        output_path = _stem(out, "--out")
     return RunConfig(scenario=scenario, command=command, monte_carlo=mc,
                      sweep=sweep, output_path=output_path)
 
@@ -474,11 +488,8 @@ def run_command(cfg: RunConfig) -> int:
 
     Outputs that cannot be written end in one stderr line and exit 1.
     """
-    out_stem = cfg.output_path
-    if out_stem.endswith(".csv") or out_stem.endswith(".json"):
-        out_stem = out_stem.rsplit(".", 1)[0]
-    csv_path = Path(out_stem + ".csv")
-    json_path = Path(out_stem + ".json")
+    csv_path = Path(cfg.output_path + ".csv")
+    json_path = Path(cfg.output_path + ".json")
 
     payload: dict = {
         "command": cfg.command,
@@ -525,6 +536,8 @@ def run_command(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
+    """Run ``jamnet <command> --config <path> [--out <stem>] [--seed <n>]``
+    and return its exit code; ``parse_config`` reads --out and --seed."""
     args = _PARSER.parse_args(argv)
 
     try:
@@ -533,15 +546,7 @@ def main(argv=None) -> int:
         print(f"jamnet: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:
-        cfg = parse_config(document, args.command)
-        if args.out is not None:
-            if not args.out:
-                raise ParseError("--out must be a nonempty string")
-            cfg = dataclasses.replace(cfg, output_path=args.out)
-        if args.seed is not None and cfg.monte_carlo is not None:
-            cfg = dataclasses.replace(
-                cfg, monte_carlo=dataclasses.replace(cfg.monte_carlo, seed=args.seed))
-        return run_command(cfg)
+        return run_command(parse_config(document, args.command, args.out, args.seed))
     except _INVALID_INPUT as exc:
         print(f"jamnet: invalid config: {exc}", file=sys.stderr)
         return 1

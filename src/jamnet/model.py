@@ -408,16 +408,11 @@ def validate_profile(s: NetworkScenario, p: StrategyProfile) -> StrategyProfile:
         raise InvalidProfile("adversary output second moments must be finite and >= 0")
 
     if s.setting.is_symmetric:
-        for m, used in enumerate(tx_moments):
-            if _over_budget(used, s.transmitters[m].power):
-                raise InvalidProfile(
-                    f"transmitter {m} power {used} exceeds budget {s.transmitters[m].power}"
-                )
-        for k, used in enumerate(adv_moments):
-            if _over_budget(used, s.adversaries[k].power):
-                raise InvalidProfile(
-                    f"adversary {k} power {used} exceeds budget {s.adversaries[k].power}"
-                )
+        for kind, sensors, moments in (("transmitter", s.transmitters, tx_moments),
+                                       ("adversary", s.adversaries, adv_moments)):
+            for i, (q, used) in enumerate(zip(sensors, moments)):
+                if _over_budget(used, q.power):
+                    raise InvalidProfile(f"{kind} {i} power {used} exceeds budget {q.power}")
     else:
         if s.sum_power_transmit is None or s.sum_power_attack is None:
             raise InvalidProfile("asymmetric profiles need validated sum budgets")

@@ -1,14 +1,15 @@
 """Closed-form equilibria for the three symmetric coordination settings.
 
 Setting I (everyone can coordinate) is a saddle point: randomized uncoded
-transmission against coordinated Gaussian jamming.  Setting II (nobody can)
-is a Stackelberg equilibrium: deterministic uncoded transmission mirrored
-with opposite sign by the adversaries.  Setting III switches between the
-two at the threshold fraction epsilon0 of coordination-capable transmitters,
-where the two costs meet (a quadratic in M*epsilon0, solved in closed form):
-above it, setting I's saddle with M*epsilon transmitters against the
-eta-mixed jammer; below it, setting II's Stackelberg point, built by the same
-helper ``solve_setting2`` uses.
+transmission against coordinated Gaussian jamming, built by ``_saddle`` with
+every sensor coordinating.  Setting II (nobody can) is a Stackelberg
+equilibrium: deterministic uncoded transmission mirrored with opposite sign
+by the adversaries, built by ``_stackelberg``.  Setting III switches between
+the two at the threshold fraction epsilon0 of coordination-capable
+transmitters, where the two costs meet (a quadratic in M*epsilon0, solved in
+closed form): above it, ``_saddle`` with M*epsilon transmitters against the
+eta-mixed jammer; below it, ``_stackelberg``.  So every symmetric report
+comes from one of those two builders.
 
 Published closed forms are the printed rational functions on what one
 uncoded sensor at full power lands in Y (``asym._cap``): u^2 for c^2 a^2 b^2
@@ -148,14 +149,25 @@ def _common_params(s: NetworkScenario):
     return p.alpha, p.beta, p.power
 
 
+def _saddle(s: NetworkScenario, m_eff: float, eta: float, adversary: CoordinatedNoise):
+    """Setting I's saddle over the first round(m_eff) transmitters, which send
+    randomized uncoded symbols at full power (the rest stay silent), against
+    ``adversary``, whose K*eta coordinating sensors share one noise
+    realization: (closed-form cost, profile, oracle cost)."""
+    alpha, beta, power = _common_params(s)
+    M, K = s.num_transmitters, s.num_adversaries
+    cost = cost_setting1(m_eff, effective_jam_power(K, eta, alpha, power), alpha, beta, power)
+    m_used = round(m_eff)
+    profile = asym._bayes_profile(
+        s, (asym._cap(alpha, beta, power)[0],) * m_used + (0.0,) * (M - m_used), True, adversary
+    )
+    return cost, profile, asym.direct_mmse_cost(s, profile)
+
+
 def theorem1_profile(s: NetworkScenario) -> StrategyProfile:
     """Setting-I saddle strategies: randomized uncoded transmitters at full
     power, all adversaries emitting one shared Gaussian noise realization."""
-    alpha, beta, power = _common_params(s)
-    return asym._bayes_profile(
-        s, (asym._cap(alpha, beta, power)[0],) * s.num_transmitters, True,
-        CoordinatedNoise(variance=power if s.num_adversaries else 0.0),
-    )
+    return solve_setting1(s).profile
 
 
 def theorem2_profile(s: NetworkScenario) -> StrategyProfile:
@@ -173,11 +185,9 @@ def solve_setting1(s: NetworkScenario) -> EquilibriumReport:
     """Setting-I report: closed-form cost, which equals the oracle exactly."""
     if s.setting is not Setting.SYM_I:
         raise InvalidScenario(f"solve_setting1 requires SymI, got {s.setting.value}")
-    M, K = s.num_transmitters, s.num_adversaries
-    alpha, beta, power = _common_params(s)
-    cost = cost_setting1(M, effective_jam_power(K, 1.0, alpha, power), alpha, beta, power)
-    profile = theorem1_profile(s)
-    oracle = asym.direct_mmse_cost(s, profile)
+    alpha, _, power = _common_params(s)
+    cost, profile, oracle = _saddle(
+        s, s.num_transmitters, 1.0, CoordinatedNoise(variance=power if s.num_adversaries else 0.0))
     notes = (f"|closed-form - oracle| = {abs(cost - oracle):.3e}",)
     if alpha != 1.0:
         notes += ("received jamming power evaluated as alpha^2*K^2*P [jammer-gain-alpha]",)
@@ -227,20 +237,6 @@ def setting3_branch(s: NetworkScenario) -> tuple[str, float]:
     return ("saddle" if s.epsilon > eps0 else "stackelberg"), eps0
 
 
-def theorem3_profile(s: NetworkScenario) -> StrategyProfile:
-    """Saddle-branch strategies for setting III: the first M*epsilon
-    transmitters send randomized uncoded symbols, the rest stay silent; the
-    first K*eta adversaries share one noise realization, the rest jam
-    independently."""
-    alpha, beta, power = _common_params(s)
-    M, K = s.num_transmitters, s.num_adversaries
-    m_used = round(M * s.epsilon)
-    return asym._bayes_profile(
-        s, (asym._cap(alpha, beta, power)[0],) * m_used + (0.0,) * (M - m_used), True,
-        CoordinatedNoise(variance=power, coordinated_count=round(K * s.eta)),
-    )
-
-
 def solve_setting3(s: NetworkScenario) -> EquilibriumReport:
     """Setting-III report, branching at the coordination threshold.
 
@@ -252,7 +248,6 @@ def solve_setting3(s: NetworkScenario) -> EquilibriumReport:
     """
     branch, eps0 = setting3_branch(s)
     M, K = s.num_transmitters, s.num_adversaries
-    alpha, beta, power = _common_params(s)
     m_eps0 = eps0 * M
     notes = (
         f"epsilon0 = {eps0!r} (M*epsilon0 = {m_eps0!r}, "
@@ -269,11 +264,8 @@ def solve_setting3(s: NetworkScenario) -> EquilibriumReport:
                 f"tie: |epsilon - epsilon0| < {TIE_TOL}; both branches apply",
                 f"stackelberg branch cost = {other_cost!r}, oracle = {other_oracle!r}",
             )
-        cost = cost_setting1(
-            M * s.epsilon, effective_jam_power(K, s.eta, alpha, power), alpha, beta, power
-        )
-        profile = theorem3_profile(s)
-        oracle = asym.direct_mmse_cost(s, profile)
+        cost, profile, oracle = _saddle(
+            s, M * s.epsilon, s.eta, CoordinatedNoise(_common_params(s)[2], round(K * s.eta)))
         notes += (f"branch = saddle, |closed-form - oracle| = {abs(cost - oracle):.3e}",) + tie
     return EquilibriumReport(cost=cost, profile=profile, multipliers={"epsilon0": eps0},
                              kkt_residuals=(), oracle_cost=oracle,

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -721,6 +722,44 @@ def test_empty_out_exits_1_with_one_line(tmp_path, capsys):
     assert not (tmp_path / "run.csv").exists() and not (tmp_path / "run.json").exists()
 
 
+@pytest.mark.parametrize("where", ["output_path", "--out"])
+@pytest.mark.parametrize("name", [".csv", "sub/", "sub/.csv", "runs/.json"])
+def test_a_stem_that_names_no_file_exits_1_and_writes_nothing(tmp_path, capsys, where, name):
+    # With its one .csv/.json suffix dropped, the stem would be empty or a
+    # directory, and the run would write hidden .csv and .json files.
+    work = tmp_path / "work"
+    work.mkdir()
+    stem = f"{work}/{name}"
+    if where == "--out":
+        argv = ["--out", stem]
+        cfg = _write_config(tmp_path)
+    else:
+        argv = []
+        cfg = _write_config(tmp_path, output_path=stem)
+    assert main(["closed-form", "--config", str(cfg), *argv]) == 1
+    assert capsys.readouterr() == ("", f"jamnet: invalid config: {where} must name a file\n")
+    assert not any(work.iterdir()) and not (tmp_path / "run.json").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command, overrides", [
+    ("verify", {}),
+    ("closed-form", {}),
+    ("simulate", {**_ASYM_BUDGETS, "setting": "AsymII", **_MC}),
+], ids=["verify", "no-monte-carlo", "AsymII-simulate"])
+def test_seed_out_of_range_exits_1_before_any_solve(tmp_path, capsys, monkeypatch, command,
+                                                    overrides, seed):
+    def solve(s):
+        raise AssertionError("the seed is read before any solve")
+
+    monkeypatch.setattr(cli, "equilibrium_report", solve)
+    cfg = _write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(cfg), "--seed", str(seed)]) == 1
+    assert capsys.readouterr() == (
+        "", "jamnet: invalid config: --seed must be an integer from 0 to 18446744073709551615\n")
+    assert not (tmp_path / "run.json").exists()
+
+
 def test_seed_without_monte_carlo_changes_nothing(tmp_path):
     cfg = _write_config(tmp_path)
     assert main(["closed-form", "--config", str(cfg)]) == 0
@@ -987,31 +1026,52 @@ def _documents(draw):
     return document
 
 
+# --out values, relative to the work directory, and the stem each writes to;
+# None for those that name no file once the suffix is dropped, or are empty.
+_OUT_STEMS = {None: "run", "plain": "plain", "x.csv": "x", ".json": None, "sub/": None, "": None}
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(command=st.sampled_from(cli.COMMANDS), document=_documents())
+@given(command=st.sampled_from(cli.COMMANDS), document=_documents(),
+       out=st.sampled_from(list(_OUT_STEMS)), seed=st.sampled_from([None, 9, -1, 2**64]))
 @example(command="ceo-curve", document={  # sum(beta^2) overflows
-    "setting": "SymI", "transmitters": _sensors(1.0, 1e200), "adversaries": []})
+    "setting": "SymI", "transmitters": _sensors(1.0, 1e200), "adversaries": []},
+    out=None, seed=None)
 @example(command="closed-form", document={  # a NaN the SymI solver never reads
     "setting": "SymI", "transmitters": {**_sensors(1.0, 1.0), "count": 2},
-    "adversaries": _sensors(1.0, 1.0), "sum_power_transmit": float("nan")})
+    "adversaries": _sensors(1.0, 1.0), "sum_power_transmit": float("nan")},
+    out=None, seed=None)
 @example(command="closed-form", document={  # alpha^2*K^2 overflows before the product with P
     "setting": "SymI", "transmitters": {**_sensors(1e154, 1.0, 1e-100), "count": 3},
-    "adversaries": {**_sensors(1e154, 1.0, 1e-100), "count": 2}})
-def test_config_fuzz_ends_in_a_documented_exit(tmp_path_factory, command, document):
+    "adversaries": {**_sensors(1e154, 1.0, 1e-100), "count": 2}}, out=None, seed=None)
+@example(command="closed-form", document=_SYM1, out=".json", seed=None)  # a suffix alone
+@example(command="verify", document=_SYM1, out="sub/", seed=None)  # a directory
+@example(command="verify", document=_SYM1, out=None, seed=-1)  # no monte_carlo takes it
+@example(command="simulate", document={**_SYM1, **_MC}, out="plain", seed=2**64)
+def test_config_fuzz_ends_in_a_documented_exit(tmp_path_factory, command, document, out, seed):
     # Gains and powers from 1e-300 to 1e300 and junk in any field: the run exits 0,
     # 1 or 2 with one line, and a report (exit 0 or 2) holds no NaN or infinity.
+    # An --out that names no file, or a --seed outside 0..2^64-1, exits 1 and
+    # no hidden .csv/.json file appears.
     work = tmp_path_factory.getbasetemp() / "fuzz"
-    work.mkdir(exist_ok=True)
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir()
     config = work / "cfg.json"
     config.write_text(json.dumps({**document, "output_path": str(work / "run")}))
-    for name in ("run.csv", "run.json"):
-        (work / name).unlink(missing_ok=True)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, "--config", str(config)])
+    argv = [command, "--config", str(config)]
+    if out is not None:
+        argv += ["--out", out and f"{work}/{out}"]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    out_text, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out_text), contextlib.redirect_stderr(err):
+        code = main(argv)
     assert code in (0, 1, 2)
-    lines = (out.getvalue() + err.getvalue()).splitlines()
+    lines = (out_text.getvalue() + err.getvalue()).splitlines()
     assert len(lines) == 1 and lines[0]
+    assert not [path for path in work.rglob("*") if path.name in (".csv", ".json")]
+    if _OUT_STEMS[out] is None or seed not in (None, 9):
+        assert code == 1
     if code in (0, 2):
-        text = (work / "run.json").read_text()
+        text = (work / f"{_OUT_STEMS[out]}.json").read_text()
         assert "NaN" not in text and "Infinity" not in text

@@ -15,6 +15,7 @@ from jamnet import (
     make_symmetric,
 )
 from jamnet import asym, symmetric as sym
+from jamnet.model import profile_to_dict
 from conftest import random_symmetric_configs
 
 
@@ -100,6 +101,28 @@ def test_closed_form_matches_oracle_to_1e12():
         s = make_symmetric(M, K, alpha, beta, power, Setting.SYM_I)
         rep = sym.solve_setting1(s)
         assert abs(rep.cost - rep.oracle_cost) <= 1e-12
+
+
+def test_sym3_saddle_at_full_coordination_is_sym1_bit_for_bit():
+    # At epsilon = eta = 1 SymIII's saddle branch is SymI's saddle, from the
+    # same builder: only the JSON's coordinated_count (null against K) differs.
+    checked = 0
+    for M, K, alpha, beta, power in random_symmetric_configs(300, 30):
+        s1 = make_symmetric(M, K, alpha, beta, power, Setting.SYM_I)
+        s3 = make_symmetric(M, K, alpha, beta, power, Setting.SYM_III, epsilon=1.0, eta=1.0)
+        if sym.setting3_branch(s3)[0] != "saddle":
+            continue
+        r1, r3 = sym.solve_setting1(s1), sym.solve_setting3(s3)
+        bits = [[float.hex(x) for x in (r.cost, r.oracle_cost, r.profile.decoder_gain,
+                                         *r.profile.transmit_coeffs)] for r in (r1, r3)]
+        assert bits[0] == bits[1]
+        assert (r3.profile.adversary.lower(s3.adversaries)
+                == r1.profile.adversary.lower(s1.adversaries))
+        a1, a3 = (profile_to_dict(r.profile)["adversary"] for r in (r1, r3))
+        assert a1["coordinated_count"] is None and a3["coordinated_count"] == K
+        assert {**a3, "coordinated_count": None} == a1
+        checked += 1
+    assert checked >= 50
 
 
 def test_adversary_coordination_weakly_dominates():
