@@ -19,14 +19,17 @@ only.  The second
 singular value is then the larger of two half-size symmetric eigenproblems:
 B on the odd vectors (by Mehler's expansion the maximal correlation's
 singular function is odd) and B on the even vectors deflated by the
-constants' singular pair.  Everything runs on the calling thread except
-the two ``numpy.linalg.eigvalsh`` calls, which LAPACK runs on the BLAS
-library's thread pool unless that is limited to one thread (for OpenBLAS,
-OPENBLAS_NUM_THREADS=1).  That pool can stall on a loaded machine: on a
-shared 2-core box, 40 calls of the pair at grid 257 and rho = 0.5 took
-median 1.77 ms but p90 44 ms under OpenBLAS's default two threads, against
-median 1.67 ms and p90 1.71 ms on one.  The result is bit-for-bit the same
-for any BLAS thread count.
+constants' singular pair.  The odd block is always solved; the even one
+only where its Frobenius norm is not below the odd block's top (on the CLI
+grid, at rho = 0 and from |rho| = 0.79), so a rho takes one
+``numpy.linalg.eigvalsh`` call or two.  Everything runs on the calling thread except those calls,
+which LAPACK runs on the BLAS library's thread pool unless that is limited
+to one thread (for OpenBLAS, OPENBLAS_NUM_THREADS=1).  That pool can stall
+on a loaded machine: on a shared 2-core box, 40 timings of both blocks'
+eigensolves (the two-call case) at grid 257 and rho = 0.5 gave median
+1.77 ms but p90 44 ms under OpenBLAS's default two threads, against median
+1.67 ms and p90 1.71 ms on one.  The result is bit-for-bit the same for
+any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -296,19 +299,20 @@ def discretized_correlation_operator(
     span = np.minimum(i, n - 1 - i) + 1
     row = np.repeat(i, span)
     first = np.cumsum(span) - span
-    col = np.arange(row.size) - first[row]
+    col = np.arange(row.size) - np.repeat(first, span)
     on_d = np.empty(row.size)
 
-    # Rows 1 .. n-2, the interior x-cells, fill on_d[1:-1].  Each row's CDF
+    # Rows 1 .. n-2, the interior x-cells, fill on_d[1:-1]: x-cell i - 1's
+    # nodes and weights repeated once per column of row i.  Each row's CDF
     # values are summed over the nodes before its columns are differenced;
     # that rounds like per-node differences, to eps times the sums.
     order = 4 if h * kappa <= 0.125 else 6 if h * kappa <= 0.5 else 12
     t, w = _quadrature(edges[:-1], edges[1:], order)
-    cell = row[1:-1] - 1  # the x-cell's row of (t, w)
-    cdf = np.take(rho / s * t, cell, axis=0)
+    cdf = np.repeat(rho / s * t, span[1:-1], axis=0)
     np.subtract((edges / s)[col[1:-1]][:, None], cdf, out=cdf)
     _ndtr(cdf, out=cdf)
-    cum = np.einsum("kq,kq->k", w[cell], cdf)
+    cum = np.einsum("kq,kq->k", np.repeat(w, span[1:-1], axis=0), cdf)
+    del cdf  # before the n x n arrays
     np.subtract(cum[1:], cum[:-1], out=on_d[2:-1])
     on_d[first[1:-1]] = cum[first[1:-1] - 1]
 
@@ -323,10 +327,14 @@ def discretized_correlation_operator(
     on_d[[0, -1]] = np.einsum("kq,q->k", cdf, w.ravel())
 
     # D and its images under the transpose, the reflection and both cover
-    # the grid; a cell in two images gets the same D cell from each.
+    # the grid; a cell in two images gets the same D cell from each.  In the
+    # flattened grid the reflection reverses the order: cell i*n + j goes to
+    # n*n - 1 - (i*n + j).
     mass = np.empty((n, n))
-    for r, c in ((row, col), (col, row), (n - 1 - row, n - 1 - col), (n - 1 - col, n - 1 - row)):
-        mass[r, c] = on_d
+    flat = mass.reshape(-1)
+    for index in (row * n + col, col * n + row):
+        flat[index] = on_d
+        flat[::-1][index] = on_d
 
     total = mass.sum()
     if not np.isfinite(total) or total <= 0.0:
@@ -338,7 +346,9 @@ def discretized_correlation_operator(
         raise NumericalFailure("marginal mass vanished on the grid")
 
     centers = np.concatenate(([edges[0] - 0.5 * h], edges[:-1] + 0.5 * h, [edges[-1] + 0.5 * h]))
-    b = mass / np.sqrt(np.outer(px, px))
+    b = np.outer(px, px)
+    np.sqrt(b, out=b)
+    np.divide(mass, b, out=b)
     return centers, px, px.copy(), b  # py == px: the mass is symmetric
 
 
@@ -368,16 +378,35 @@ def _reflection_blocks(px: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
     return odd, even
 
 
+# Relative rounding allowance on the even block's Frobenius norm (_top_block).
+_NORM_MARGIN = 1.0 + 1e-12
+
+
 def _top_block(px: np.ndarray, b: np.ndarray) -> tuple[float, bool, np.ndarray]:
     """(sigma2, odd, block): the largest |eigenvalue| of the two reflection
-    blocks, whether it is the odd block's, and that block."""
-    best = None
-    for odd, block in zip((True, False), _reflection_blocks(px, b)):
-        lam = np.linalg.eigvalsh(block)
-        top = float(max(-lam[0], lam[-1]))
-        if best is None or top > best[0]:
-            best = (top, odd, block)
-    return best
+    blocks, whether it is the odd block's (the odd one on a tie), and that
+    block.
+
+    The even block's eigensolve is skipped where its Frobenius norm, times
+    _NORM_MARGIN, is below the odd block's top: no |eigenvalue| exceeds the
+    Frobenius norm, so the even block could not have won, and sigma2 and the
+    block are those of solving both.  The margin, about 4500 units of
+    roundoff, covers the norm's own rounding (the sum of squares is summed
+    pairwise, to a few tens of units) and the eigenvalue error of a
+    backward-stable symmetric eigensolver (a small multiple of eps times the
+    norm).  On the CLI grid the skip applies for 0 < |rho| <= 0.78 (even
+    norm 0.761 against an odd top of 0.780 at 0.78); from |rho| = 0.79
+    (0.792 against 0.790), and at rho = 0, where both are rounding noise,
+    both blocks are solved.
+    """
+    odd, even = _reflection_blocks(px, b)
+    lam = np.linalg.eigvalsh(odd)
+    top = float(max(-lam[0], lam[-1]))
+    if math.sqrt(np.square(even).sum()) * _NORM_MARGIN < top:
+        return top, True, odd
+    lam = np.linalg.eigvalsh(even)
+    top_even = float(max(-lam[0], lam[-1]))
+    return (top_even, False, even) if top_even > top else (top, True, odd)
 
 
 def maximal_correlation_discrete(

@@ -11,9 +11,9 @@ config and seed produce byte-identical outputs.  Each runner imports the
 solver module it dispatches to when it runs, so a command loads only what
 it uses, and a config that exits 1 before a solver runs never imports numpy.
 
-Exit codes: 0 success, 1 a config that cannot be read, invalid
-config/scenario/profile (`_INVALID_INPUT`) or outputs that cannot be
-written, 2 any other package error or float overflow: solver
+Exit codes: 0 success, 1 a malformed command line, a config that cannot
+be read, invalid config/scenario/profile (`_INVALID_INPUT`) or outputs that
+cannot be written, 2 any other package error or float overflow: solver
 non-convergence, numerical failure (diagnostics still written to the JSON
 report).
 """
@@ -412,11 +412,12 @@ def _sweep_values(sw: SweepConfig) -> list[float]:
 def _scenario_with(s: NetworkScenario, param: str, value: float) -> NetworkScenario:
     field = _SWEEP_PARAMS[param][0]
     if field in _SENSOR_FIELDS:
-        return dataclasses.replace(
-            s,
-            transmitters=tuple(dataclasses.replace(p, **{field: value}) for p in s.transmitters),
-            adversaries=tuple(dataclasses.replace(p, **{field: value}) for p in s.adversaries),
-        )
+        # One replace per sensor object, as a count shorthand shares one.  By
+        # identity: equal sensors may still differ in type (1 and 1.0).
+        sensors = {id(p): p for p in (*s.transmitters, *s.adversaries)}
+        swept = {key: dataclasses.replace(p, **{field: value}) for key, p in sensors.items()}
+        return dataclasses.replace(s, transmitters=tuple(swept[id(p)] for p in s.transmitters),
+                                   adversaries=tuple(swept[id(p)] for p in s.adversaries))
     return dataclasses.replace(s, **{field: value})
 
 
@@ -473,7 +474,15 @@ _RUNNERS = {
 }
 COMMANDS = tuple(_RUNNERS)
 
-_PARSER = argparse.ArgumentParser(
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A malformed command line is an input error: one line, exit 1 in
+        main, rather than argparse's usage and exit 2."""
+        raise ParseError(" ".join(message.splitlines()))
+
+
+_PARSER = _Parser(
     prog="jamnet",
     description="Equilibria of Gaussian sensor networks with jamming sensors",
 )
@@ -538,7 +547,11 @@ def run_command(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     """Run ``jamnet <command> --config <path> [--out <stem>] [--seed <n>]``
     and return its exit code; ``parse_config`` reads --out and --seed."""
-    args = _PARSER.parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except ParseError as exc:
+        print(f"jamnet: invalid command line: {exc}", file=sys.stderr)
+        return 1
 
     try:
         document = Path(args.config).read_text(encoding="utf-8")

@@ -143,6 +143,69 @@ def test_maximal_correlation_input_guards():
 
 # -- the in-repo normal CDF against scipy.special.ndtr ------------------------
 
+def _two_solve_top_block(px, b):
+    """_top_block without its Frobenius-norm skip: both blocks' eigvalsh,
+    the larger top winning, the odd block on a tie."""
+    best = None
+    for odd, block in zip((True, False), bounds._reflection_blocks(px, b)):
+        lam = np.linalg.eigvalsh(block)
+        top = float(max(-lam[0], lam[-1]))
+        if best is None or top > best[0]:
+            best = (top, odd, block)
+    return best
+
+
+# Both sides of the CLI grid's switch from one eigensolve to two (|rho| 0.78
+# to 0.79), the tiny and the extreme rho, on even and odd grids.
+_SKIP_RHOS = [0.0, 1e-320, 0.9999, -0.9999] + [sign * k / 100 for k in range(70, 91)
+                                                for sign in (1, -1)]
+_SKIP_GRIDS = [(n, sigmas) for n in (3, 4, 5, 64, 258) for sigmas in (3.0, 5.0)]
+
+
+def test_one_eigensolve_keeps_sigma2_bit_for_bit():
+    for grid_n, sigmas in _SKIP_GRIDS:
+        for rho in _SKIP_RHOS:
+            _, px, _, b = bounds.discretized_correlation_operator(rho, grid_n, sigmas)
+            star = bounds.maximal_correlation_discrete(rho, grid_n, sigmas)
+            assert star.hex() == _two_solve_top_block(px, b)[0].hex(), (grid_n, sigmas, rho)
+
+
+def test_the_even_eigensolve_is_skipped_only_where_its_norm_cannot_win(monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    # On the CLI grid the even block's norm is below the odd block's top up
+    # to |rho| = 0.78 and above it from 0.79.  At rho = 0 both tops are
+    # rounding noise and both blocks are solved.
+    for rho, solves in ((0.1, 1), (-0.3, 1), (0.5, 1), (0.75, 1), (-0.75, 1), (0.78, 1),
+                        (0.79, 2), (-0.85, 2), (0.85, 2), (0.9, 2), (0.95, 2), (0.0, 2)):
+        calls.clear()
+        bounds.maximal_correlation_discrete(rho)
+        assert len(calls) == solves, (rho, calls)
+
+
+def test_singular_functions_are_those_of_solving_both_blocks(monkeypatch):
+    top_block = bounds._top_block
+    cases = [(rho, grid_n, sigmas) for grid_n, sigmas in _SKIP_GRIDS[::3] + [(257, 5.0)]
+             for rho in (0.0, 0.5, -0.78, 0.8, -0.9, 0.9999)]
+    runs = []
+    for chooser in (top_block, _two_solve_top_block):
+        monkeypatch.setattr(bounds, "_top_block", chooser)
+        runs.append([bounds.maximal_correlation_functions(*case) for case in cases])
+    for case, skip, both in zip(cases, *runs):
+        _, px, _, b = bounds.discretized_correlation_operator(*case)
+        (_, odd, block), (_, ref_odd, ref_block) = top_block(px, b), _two_solve_top_block(px, b)
+        assert odd == ref_odd and np.array_equal(block, ref_block), case
+        assert skip[0].hex() == both[0].hex(), case
+        for got, want in zip(skip[1:], both[1:]):
+            assert np.array_equal(got, want), case
+
+
 def test_ndtr_matches_scipy():
     from scipy.special import ndtr
 

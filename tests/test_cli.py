@@ -201,6 +201,21 @@ def test_sweep_attack_power_monotone(tmp_path):
     assert all(b >= a - 1e-12 for a, b in zip(costs, costs[1:]))
 
 
+def test_a_sweep_point_replaces_each_sensor_object_once():
+    # A count shorthand's sensors are one object, and stay one at each point;
+    # equal sensors of a list keep their own objects, types included.
+    shared = cli.SensorParams(1.0, 1.0, 1.0)
+    s = cli.NetworkScenario(transmitters=(shared,) * 3,
+                            adversaries=(cli.SensorParams(1, 1.0, 1.0), shared),
+                            setting=cli.Setting.SYM_I)
+    point = cli._scenario_with(s, "beta", 2.0)
+    assert len({id(p) for p in point.transmitters}) == 1
+    assert point.adversaries[1] is point.transmitters[0]
+    assert point.adversaries[0] is not point.transmitters[0]
+    assert [type(p.alpha) for p in point.adversaries] == [int, float]
+    assert {p.beta for p in (*point.transmitters, *point.adversaries)} == {2.0}
+
+
 def _asym2_document(s, param, start, stop, steps=5):
     """A config document for AsymII scenario ``s`` swept over ``param``."""
     def sensors(group):
@@ -760,6 +775,28 @@ def test_seed_out_of_range_exits_1_before_any_solve(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "run.json").exists()
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["closed-form", "--config", "{cfg}", "--seed", "abc"],
+     "argument --seed: invalid int value: 'abc'"),
+    (["closed-form", "--out", "x"], "the following arguments are required: --config"),
+    (["bogus", "--config", "{cfg}"], "argument command: invalid choice: 'bogus' (choose from "
+     + ", ".join(map(repr, cli.COMMANDS)) + ")"),
+    (["closed-form", "--config", "{cfg}", "a\nb"], "unrecognized arguments: a b"),
+], ids=["seed-not-an-integer", "no-config", "unknown-command", "extra-argument"])
+def test_a_malformed_command_line_exits_1_with_one_line(tmp_path, capsys, argv, error):
+    cfg = _write_config(tmp_path)
+    assert main([arg.replace("{cfg}", str(cfg)) for arg in argv]) == 1
+    assert capsys.readouterr() == ("", f"jamnet: invalid command line: {error}\n")
+    assert not (tmp_path / "run.json").exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: jamnet")
+
+
 def test_seed_without_monte_carlo_changes_nothing(tmp_path):
     cfg = _write_config(tmp_path)
     assert main(["closed-form", "--config", str(cfg)]) == 0
@@ -1033,7 +1070,7 @@ _OUT_STEMS = {None: "run", "plain": "plain", "x.csv": "x", ".json": None, "sub/"
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(command=st.sampled_from(cli.COMMANDS), document=_documents(),
-       out=st.sampled_from(list(_OUT_STEMS)), seed=st.sampled_from([None, 9, -1, 2**64]))
+       out=st.sampled_from(list(_OUT_STEMS)), seed=st.sampled_from([None, 9, -1, 2**64, "abc"]))
 @example(command="ceo-curve", document={  # sum(beta^2) overflows
     "setting": "SymI", "transmitters": _sensors(1.0, 1e200), "adversaries": []},
     out=None, seed=None)
@@ -1048,11 +1085,12 @@ _OUT_STEMS = {None: "run", "plain": "plain", "x.csv": "x", ".json": None, "sub/"
 @example(command="verify", document=_SYM1, out="sub/", seed=None)  # a directory
 @example(command="verify", document=_SYM1, out=None, seed=-1)  # no monte_carlo takes it
 @example(command="simulate", document={**_SYM1, **_MC}, out="plain", seed=2**64)
+@example(command="simulate", document={**_SYM1, **_MC}, out=None, seed="abc")  # not an integer
 def test_config_fuzz_ends_in_a_documented_exit(tmp_path_factory, command, document, out, seed):
     # Gains and powers from 1e-300 to 1e300 and junk in any field: the run exits 0,
     # 1 or 2 with one line, and a report (exit 0 or 2) holds no NaN or infinity.
-    # An --out that names no file, or a --seed outside 0..2^64-1, exits 1 and
-    # no hidden .csv/.json file appears.
+    # An --out that names no file, or a --seed that is not an integer from 0
+    # to 2^64-1, exits 1 and no hidden .csv/.json file appears.
     work = tmp_path_factory.getbasetemp() / "fuzz"
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir()
